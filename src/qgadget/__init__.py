@@ -21,7 +21,8 @@ __version__ = "0.1.0"
 from .graphs import (Graph, MAX_VERTICES, adjacency_equal, box_product, build_family,
                      categorical_product, complement, complete_graph, cycle_graph,
                      diamond_graph, dprime_graph, find_isomorphism, graph_from_edges,
-                     kneser_graph, odd_graph, parse_graph, path_graph, serialize_graph)
+                     graph_from_json, kneser_graph, odd_graph, parse_graph, path_graph,
+                     serialize_graph)
 from .walks import (GirthReport, WalkTable, decide_bipartite_target, distance, girths,
                     is_bipartite, is_oracularisable, walk_table)
 from .endo import (Endomorphism, SchmidtCertificate, Verdict, enumerate_endomorphisms,

@@ -31,7 +31,7 @@ from .qrep import VerificationFailure, compose_reps, load_rep, verify_rep
 from .defect import assignment_defect, cc_defect, commutator_defect, cv_defect, strategy_from_json
 from .gadget import (GadgetCandidate, check_property_i_classical, complement_cycle_gadget,
                      disprove_box_path_gadget, product_transfer, splice_gadget, walk_obstruction)
-from .qcore import classical_only_report, quantum_core_certificate, verify_quantum_core_certificate
+from .qcore import classical_only_report, verify_quantum_core_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -219,14 +219,14 @@ def cmd_disprove_prism(args):
 def cmd_qcore(args):
     g = load_graph_arg(args.graph)
     lmax = args.lmax if args.lmax is not None else 2 * g.n + 2
-    cert = quantum_core_certificate(g, lmax)
+    rep = classical_only_report(g, args.assume_no_quantum_symmetry, lmax=lmax,
+                                max_vertices=_bound(args))
+    cert = rep.certificate
     if cert is not None:
         try:
             verify_quantum_core_certificate(g, cert)
         except ValueError as exc:
             raise VerificationFailure(f"freshly built certificate failed re-verification: {exc}")
-    rep = classical_only_report(g, args.assume_no_quantum_symmetry, lmax=lmax,
-                                max_vertices=_bound(args))
     emit_report(args, {"graph": args.graph, "lmax": lmax,
                        "assume_no_quantum_symmetry": args.assume_no_quantum_symmetry,
                        "max_vertices": args.max_vertices, "i_know": args.i_know},

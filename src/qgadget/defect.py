@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, graph_from_edges
+from .graphs import Graph, graph_from_json
 
 DEFAULT_TOL = 1e-9
 
@@ -79,27 +79,34 @@ def _parse_matrix(rows, dim) -> np.ndarray:
 
 
 def strategy_from_json(obj: dict) -> Strategy:
-    def graph(o):
-        return graph_from_edges(int(o["n"]), [tuple(e) for e in o["edges"]], o.get("label", ""))
-    dim = int(obj["dim"])
-    inst, targ = graph(obj["instance"]), graph(obj["target"])
-    vertex_pvms = {int(u): [_parse_matrix(p, dim) for p in fam]
-                   for u, fam in obj["vertex_pvms"].items()}
-    dist = {}
-    for key, val in obj["dist"].items():
-        x, y = (int(t) for t in key.split(","))
-        dist[(x, y)] = Fraction(val)
-    edge_pvms = None
-    if obj.get("edge_pvms") is not None:
-        edge_pvms = {}
-        for ekey, fam in obj["edge_pvms"].items():
-            x, y = (int(t) for t in ekey.split(","))
-            edge_pvms[(x, y)] = {}
-            for okey, rows in fam.items():
-                a, b = (int(t) for t in okey.split(","))
-                edge_pvms[(x, y)][(a, b)] = _parse_matrix(rows, dim)
-    return Strategy(inst, targ, dim, vertex_pvms, dist, edge_pvms,
-                    float(obj.get("tol", DEFAULT_TOL)))
+    """Inverse of :meth:`Strategy.to_json`; raises ValueError on a malformed
+    document."""
+    try:
+        dim = int(obj["dim"])
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        inst, targ = graph_from_json(obj["instance"]), graph_from_json(obj["target"])
+        vertex_pvms = {int(u): [_parse_matrix(p, dim) for p in fam]
+                       for u, fam in obj["vertex_pvms"].items()}
+        dist = {}
+        for key, val in obj["dist"].items():
+            x, y = (int(t) for t in key.split(","))
+            dist[(x, y)] = Fraction(val)
+        edge_pvms = None
+        if obj.get("edge_pvms") is not None:
+            edge_pvms = {}
+            for ekey, fam in obj["edge_pvms"].items():
+                x, y = (int(t) for t in ekey.split(","))
+                edge_pvms[(x, y)] = {}
+                for okey, rows in fam.items():
+                    a, b = (int(t) for t in okey.split(","))
+                    edge_pvms[(x, y)][(a, b)] = _parse_matrix(rows, dim)
+        tol = float(obj.get("tol", DEFAULT_TOL))
+    except KeyError as exc:
+        raise ValueError(f"strategy document lacks field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed strategy document: {exc}") from None
+    return Strategy(inst, targ, dim, vertex_pvms, dist, edge_pvms, tol)
 
 
 def uniform_edge_dist(h: Graph) -> dict[DirectedEdge, Fraction]:

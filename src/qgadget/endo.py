@@ -10,12 +10,22 @@ variant is ruled out as well.
 
 All searches are exhaustive and deterministic so that "none exists" verdicts
 are trustworthy and certificates are reproducible run to run.
+
+Finding and checking take separate code paths.  The searches work on
+Python-int bitmasks: homomorphism backtracking ANDs the target's neighbour
+masks (``Graph.nbr_masks``), and the Schmidt-pair scan rules out partners by
+support masks.  Every pair it finds is then re-checked by
+:func:`verify_schmidt_certificate`, whose predicates (:func:`is_wac`,
+:func:`supports_disjoint`, :func:`supports_disconnected`) work on frozenset
+supports and ``Graph.has_edge``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .graphs import Graph, adjacency_equal
 
@@ -30,13 +40,15 @@ class Endomorphism:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.mapping) != self.graph.n:
+        m, n = self.mapping, self.graph.n
+        if len(m) != n:
             raise ValueError("mapping length does not match vertex count")
-        for u, a in enumerate(self.mapping):
-            if not (0 <= a < self.graph.n):
+        for u, a in enumerate(m):
+            if not (0 <= a < n):
                 raise ValueError(f"mapped value {a} at vertex {u} out of range")
+        adj = self.graph.adj
         for u, v in self.graph.edges():
-            if not self.graph.has_edge(self.mapping[u], self.mapping[v]):
+            if not adj[m[u], m[v]]:
                 raise ValueError(f"map does not preserve edge ({u},{v})")
 
     def __call__(self, u: int) -> int:
@@ -110,7 +122,9 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
 
     Backtracking over vertices 0..n-1 in order, so results come out in
     lexicographic order of the map tuple; with a limit, the first `limit`
-    maps in that order are returned.
+    maps in that order are returned.  A vertex's candidate images are a
+    bitmask: its pin (or every target vertex) ANDed with the target
+    neighbourhoods of its already-placed neighbours, tried low bit first.
     """
     pins = pins or {}
     for u, a in pins.items():
@@ -122,30 +136,37 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
         raise ValueError("limit must be >= 1")
 
     n = h.n
-    assigned = [-1] * n
-    results: list[tuple[int, ...]] = []
+    if n == 0:
+        return [()]
+    masks = g.nbr_masks
+    allowed = [1 << pins[u] if u in pins else (1 << g.n) - 1 for u in range(n)]
     # neighbours of u among already-placed vertices, precomputed once
     back_nbrs = [[int(v) for v in h.neighbors(u) if v < u] for u in range(n)]
-
-    def extend(u: int) -> bool:
-        if u == n:
+    assigned = [0] * n
+    # untried candidates per depth; the search is iterative, so a long
+    # instance graph cannot exhaust the interpreter's recursion limit
+    untried = [0] * n
+    untried[0] = allowed[0]
+    results: list[tuple[int, ...]] = []
+    u = 0
+    while u >= 0:
+        cand = untried[u]
+        if not cand:
+            u -= 1
+            continue
+        low = cand & -cand
+        untried[u] = cand ^ low
+        assigned[u] = low.bit_length() - 1
+        if u == n - 1:
             results.append(tuple(assigned))
-            return limit is not None and len(results) >= limit
-        candidates = (pins[u],) if u in pins else range(g.n)
-        for a in candidates:
-            ok = True
-            for v in back_nbrs[u]:
-                if not g.has_edge(a, assigned[v]):
-                    ok = False
-                    break
-            if ok:
-                assigned[u] = a
-                if extend(u + 1):
-                    return True
-                assigned[u] = -1
-        return False
-
-    extend(0)
+            if limit is not None and len(results) >= limit:
+                break
+            continue
+        u += 1
+        cand = allowed[u]
+        for v in back_nbrs[u]:
+            cand &= masks[assigned[v]]
+        untried[u] = cand
     return results
 
 
@@ -227,25 +248,81 @@ def find_schmidt_pair(g: Graph, oracular: bool,
     (f, g) and the first hit is returned, so output is deterministic.
     Returns None only after checking every pair.
     """
-    endos = [e for e in enumerate_endomorphisms(g, max_vertices) if not e.is_identity()]
-    endos.sort(key=lambda e: e.mapping)
-    supports = [support(e) for e in endos]
-    for f, sf in zip(endos, supports):
-        for h, sh in zip(endos, supports):
-            if sf & sh:
-                continue
+    return _scan_schmidt_pairs(g, enumerate_endomorphisms(g, max_vertices), oracular)
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _scan_schmidt_pairs(g: Graph, endos: list[Endomorphism],
+                        oracular: bool) -> Optional[SchmidtCertificate]:
+    """The pair scan of :func:`find_schmidt_pair` over an already enumerated
+    endomorphism list, so one enumeration can serve several scans.
+
+    Partners are ruled out by bitmasks over endomorphism indices:
+    ``movers[u]`` has bit i set iff endos[i] moves u, so OR-ing it over f's
+    support (plus its neighbourhood, when oracular) gives every partner whose
+    support meets (or touches) f's.  The remaining bits are the candidates,
+    taken in ascending index, so the first hit is the lexicographically first
+    pair.  A hit is re-checked by :func:`verify_schmidt_certificate`, which
+    uses the frozenset predicates instead of these masks.
+    """
+    ident = tuple(range(g.n))
+    endos = sorted((e for e in endos if e.mapping != ident), key=lambda e: e.mapping)
+    if not endos:
+        return None
+    masks = g.nbr_masks
+    moved = np.array([e.mapping for e in endos]) != np.arange(g.n)
+    movers = [int.from_bytes(col.tobytes(), "little")
+              for col in np.packbits(moved.T, axis=1, bitorder="little")]
+    everyone = (1 << len(endos)) - 1
+    for f, moved_f in zip(endos, moved):
+        sf = np.flatnonzero(moved_f).tolist()
+        reach = sf
+        if oracular:
+            near = 0
+            for x in sf:
+                near |= masks[x]
+            reach = set(sf).union(_bits(near))
+        blocked = 0
+        for u in reach:
+            blocked |= movers[u]
+        partners = everyone & ~blocked
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            j = low.bit_length() - 1
+            h = endos[j]
             if oracular:
-                if any(g.has_edge(x, y) for x in sf for y in sh):
-                    continue
                 mode = MODE_DISCONNECTED
-            else:
-                if not is_wac(f, h):
-                    continue
+            elif _wac_masks(f, h, sf, masks):
                 mode = MODE_DISJOINT_WAC
-            cert = SchmidtCertificate(f, h, mode, (min(sf), min(sh)))
+            else:
+                continue
+            cert = SchmidtCertificate(f, h, mode, (sf[0], int(np.argmax(moved[j]))))
             verify_schmidt_certificate(cert)
             return cert
     return None
+
+
+def _wac_masks(f: Endomorphism, h: Endomorphism, sf: list[int],
+               masks: tuple[int, ...]) -> bool:
+    """:func:`is_wac` for h with support disjoint from f's support sf: every
+    neighbour y of x in sf that h moves needs f(x) ~ h(y)."""
+    hm = h.mapping
+    for x in sf:
+        fx = masks[f.mapping[x]]
+        for y in _bits(masks[x]):
+            if hm[y] != y and not fx >> hm[y] & 1:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +389,13 @@ def nogo_verdict(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Verdict:
     known positive family or 'unknown'.
     """
     known = _known_oracular_gadget(g.label)
-    cert = find_schmidt_pair(g, oracular=True, max_vertices=max_vertices)
+    endos = enumerate_endomorphisms(g, max_vertices)
+    cert = _scan_schmidt_pairs(g, endos, oracular=True)
     if cert is not None:
         return Verdict(KIND_NO_GADGET_AT_ALL, cert, None,
                        ("disconnected-support pair excludes oracular and non-oracular "
                         "commutativity gadgets",))
-    cert = find_schmidt_pair(g, oracular=False, max_vertices=max_vertices)
+    cert = _scan_schmidt_pairs(g, endos, oracular=False)
     if cert is not None:
         notes = ["disjoint WAC pair excludes a non-oracular commutativity gadget; "
                  "the oracular case is not settled by this certificate"]

@@ -22,7 +22,9 @@ Family DSL accepted by :func:`build_family`:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -73,8 +75,19 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each edge once as (u, v) with u < v."""
+        return list(self._edges)
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
         iu, iv = np.nonzero(np.triu(self.adj))
-        return list(zip(iu.tolist(), iv.tolist()))
+        return tuple(zip(iu.tolist(), iv.tolist()))
+
+    @cached_property
+    def nbr_masks(self) -> tuple[int, ...]:
+        """Neighbourhood of each vertex as a Python-int bitmask (bit v set iff
+        u ~ v), derived from ``adj`` on first use for the bitmask searches."""
+        packed = np.packbits(self.adj, axis=1, bitorder="little")
+        return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
     def directed_edges(self) -> list[tuple[int, int]]:
         """Every edge in both orientations, sorted."""
@@ -87,6 +100,8 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None) -> Graph:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -97,9 +112,24 @@ def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None)
     return Graph(n, adj, label, note)
 
 
+def graph_from_json(obj) -> Graph:
+    """Inverse of :meth:`Graph.to_json`; raises ValueError on a malformed document."""
+    try:
+        n = operator.index(obj["n"])
+        edges = [tuple(operator.index(t) for t in e) for e in obj["edges"]]
+    except KeyError as exc:
+        raise ValueError(f"graph document lacks field {exc}") from None
+    except TypeError:
+        raise ValueError("graph document needs an integer 'n' and a list of "
+                         "integer-pair 'edges'") from None
+    if not isinstance(obj["edges"], list) or any(len(e) != 2 for e in edges):
+        raise ValueError("graph document needs 'edges' as a list of vertex pairs")
+    return graph_from_edges(n, edges, obj.get("label", ""))
+
+
 def adjacency_equal(g: Graph, h: Graph) -> bool:
     """Structural equality: same vertex count and same adjacency matrix."""
-    return g.n == h.n and np.array_equal(g.adj, h.adj)
+    return g is h or (g.n == h.n and np.array_equal(g.adj, h.adj))
 
 
 # ---------------------------------------------------------------------------

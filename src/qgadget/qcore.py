@@ -25,7 +25,7 @@ from typing import Optional
 
 from .graphs import Graph
 from .walks import walk_table
-from .endo import DEFAULT_MAX_VERTICES, find_schmidt_pair, is_core
+from .endo import DEFAULT_MAX_VERTICES, _scan_schmidt_pairs, enumerate_endomorphisms
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def classical_only_report(g: Graph, assume_no_quantum_symmetry: bool,
     core: Optional[bool] = None
     schmidt: Optional[bool] = None
     if g.n <= max_vertices:
-        core = is_core(g, max_vertices)
-        schmidt = find_schmidt_pair(g, oracular=False, max_vertices=max_vertices) is not None
+        endos = enumerate_endomorphisms(g, max_vertices)
+        core = all(e.is_bijective() for e in endos)
+        schmidt = _scan_schmidt_pairs(g, endos, oracular=False) is not None
     if cert is not None and core and assume_no_quantum_symmetry:
         conclusion = ("only classical endomorphisms (quantum core certified, classical core "
                       "verified, no quantum symmetry assumed from external input)")

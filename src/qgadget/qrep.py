@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import (Graph, adjacency_equal, box_product, complete_graph, cycle_graph,
-                     graph_from_edges, path_graph)
+                     graph_from_json, path_graph)
 from .endo import Endomorphism, is_wac, support, supports_disjoint
 
 DEFAULT_TOL = 1e-9
@@ -77,25 +77,30 @@ class QuantumRep:
                 "dim": self.dim, "tol": self.tol, "mats": mats}
 
 
-def _graph_from_json(obj: dict) -> Graph:
-    return graph_from_edges(int(obj["n"]), [tuple(e) for e in obj["edges"]],
-                            obj.get("label", ""))
-
-
 def rep_from_json(obj: dict) -> QuantumRep:
-    dim = int(obj["dim"])
-    domain = _graph_from_json(obj["domain"])
-    codomain = _graph_from_json(obj["codomain"])
-    mats = {}
-    for key, rows in obj["mats"].items():
-        u, v = (int(t) for t in key.split(","))
-        if not (0 <= u < domain.n and 0 <= v < codomain.n):
-            raise ValueError(f"entry key {key} out of range for the stated graphs")
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-        if m.shape != (dim, dim):
-            raise ValueError(f"matrix at {key} has shape {m.shape}, expected ({dim},{dim})")
-        mats[(u, v)] = m
-    return QuantumRep(domain, codomain, dim, mats, float(obj.get("tol", DEFAULT_TOL)))
+    """Inverse of :meth:`QuantumRep.to_json`; raises ValueError on a malformed
+    document."""
+    try:
+        dim = int(obj["dim"])
+        if dim < 1:
+            raise ValueError(f"dim must be >= 1, got {dim}")
+        domain = graph_from_json(obj["domain"])
+        codomain = graph_from_json(obj["codomain"])
+        mats = {}
+        for key, rows in obj["mats"].items():
+            u, v = (int(t) for t in key.split(","))
+            if not (0 <= u < domain.n and 0 <= v < codomain.n):
+                raise ValueError(f"entry key {key} out of range for the stated graphs")
+            m = np.array([[complex(re, im) for re, im in row] for row in rows])
+            if m.shape != (dim, dim):
+                raise ValueError(f"matrix at {key} has shape {m.shape}, expected ({dim},{dim})")
+            mats[(u, v)] = m
+        tol = float(obj.get("tol", DEFAULT_TOL))
+    except KeyError as exc:
+        raise ValueError(f"representation document lacks field {exc}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed representation document: {exc}") from None
+    return QuantumRep(domain, codomain, dim, mats, tol)
 
 
 def load_rep(path: str) -> QuantumRep:
@@ -185,27 +190,11 @@ def verify_rep(rep: QuantumRep, oracular: bool = False) -> VerificationReport:
 
 
 def commutator_norm(rep: QuantumRep, first: tuple[int, int], second: tuple[int, int]) -> float:
-    """Operator 2-norm of the commutator of two entries.
-
-    Uses power iteration on C*C with a fixed 200 iterations and the
-    normalised all-ones start vector, so the result is bit-reproducible
-    without an eigensolver dependency.
-    """
+    """Operator 2-norm (largest singular value) of the commutator of two
+    entries, computed by numpy's SVD-based matrix norm."""
     a = rep.entry(*first)
     b = rep.entry(*second)
-    c = a @ b - b @ a
-    m = c.conj().T @ c
-    if _maxabs(m) == 0.0:
-        return 0.0
-    x = np.ones(rep.dim, dtype=complex) / math.sqrt(rep.dim)
-    for _ in range(200):
-        y = m @ x
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            return 0.0
-        x = y / nrm
-    rayleigh = float((x.conj() @ (m @ x)).real)
-    return math.sqrt(max(rayleigh, 0.0))
+    return float(np.linalg.norm(a @ b - b @ a, 2))
 
 
 # ---------------------------------------------------------------------------

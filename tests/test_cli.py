@@ -1,9 +1,15 @@
 """CLI subcommands, exit codes, JSON report shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qgadget.cli
+import qgadget.qcore
 from qgadget import build_family, classical_strategy, enumerate_homomorphisms, pair_swap_rep
 from qgadget.cli import main
 
@@ -128,6 +134,77 @@ def test_product_transfer_subcommand(capsys):
                       "--status1", "proven_oracular", "--status2", "proven_oracular")
     assert report["result"]["candidate"]["status"] == "proven_oracular"
     assert report["result"]["property_i"]["complete"]
+
+
+def test_qcore_builds_certificate_once(monkeypatch, capsys):
+    calls = []
+    build = qgadget.qcore.quantum_core_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(qgadget.qcore, "quantum_core_certificate", counted)
+    monkeypatch.setattr(qgadget.cli, "quantum_core_certificate", counted, raising=False)
+    report = run_json(capsys, "qcore", "C:7")
+    assert report["result"]["certified"] and report["result"]["re_verified"]
+    assert report["result"]["certificate"] == report["result"]["classical_only"]["certificate"]
+    assert len(calls) == 1
+
+
+def _malformed_rep_docs():
+    good = pair_swap_rep(4).to_json()
+
+    def edit(fn):
+        doc = json.loads(json.dumps(good))
+        fn(doc)
+        return doc
+
+    return {
+        "no-domain": edit(lambda d: d.pop("domain")),
+        "no-mats": edit(lambda d: d.pop("mats")),
+        "mats-list": edit(lambda d: d.update(mats=[])),
+        "entry-not-pairs": edit(lambda d: d["mats"].update({"0,0": [[1, 0], [0, 1]]})),
+        "ragged-matrix": edit(lambda d: d["mats"].update({"0,0": [[[1, 0]], [[0, 0], [1, 0]]]})),
+        "wrong-shape": edit(lambda d: d["mats"].update({"0,0": [[[1, 0]]]})),
+        "bad-key": edit(lambda d: d["mats"].update({"0": d["mats"]["0,0"]})),
+        "edge-not-pair": edit(lambda d: d["domain"].update(edges=[[0]])),
+        "n-missing": edit(lambda d: d["codomain"].pop("n")),
+        "dim-zero": edit(lambda d: d.update(dim=0)),
+        "not-an-object": [1, 2, 3],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_rep_docs()))
+def test_rep_verify_malformed_document_exit_1(tmp_path, capsys, name):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_malformed_rep_docs()[name]))
+    code, out, err = run_cli(capsys, "rep-verify", str(path), "--json")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("drop", ["instance", "dim", "vertex_pvms", "dist"])
+def test_defect_malformed_strategy_exit_1(tmp_path, capsys, drop):
+    h, g = build_family("C:6"), build_family("K:3")
+    doc = classical_strategy(h, g, enumerate_homomorphisms(h, g, limit=1)[0]).to_json()
+    doc.pop(drop)
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "defect", str(path), "--json")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_malformed_rep_document_in_a_fresh_process(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_malformed_rep_docs()["no-domain"]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "qgadget.cli", "rep-verify", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_rep_verify_and_compose(tmp_path, capsys):

@@ -1,11 +1,15 @@
 """Endomorphism enumeration, WAC, Schmidt certificates, verdicts."""
 
-import pytest
+from itertools import combinations, product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qgadget.endo
 from qgadget import (Endomorphism, build_family, enumerate_endomorphisms,
-                     enumerate_homomorphisms, find_schmidt_pair, identity_endomorphism,
-                     is_core, is_wac, nogo_verdict, support, supports_disconnected,
-                     supports_disjoint, verify_schmidt_certificate)
+                     enumerate_homomorphisms, find_schmidt_pair, graph_from_edges,
+                     identity_endomorphism, is_core, is_wac, nogo_verdict, support,
+                     supports_disconnected, supports_disjoint, verify_schmidt_certificate)
 
 
 def test_homs_k3_to_k3_are_the_six_permutations():
@@ -42,6 +46,37 @@ def test_limit_returns_lexicographic_prefix():
     all_maps = enumerate_homomorphisms(g, g)
     assert len(all_maps) == 27
     assert enumerate_homomorphisms(g, g, limit=5) == all_maps[:5]
+
+
+@st.composite
+def _hom_instances(draw):
+    """A random source graph on <= 5 vertices, a random target on <= 4, random
+    pins and an optional limit."""
+    def graph(max_n):
+        n = draw(st.integers(0, max_n))
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+    h, g = graph(5), graph(4)
+    pins = {}
+    if h.n and g.n:
+        pins = draw(st.dictionaries(st.integers(0, h.n - 1), st.integers(0, g.n - 1),
+                                    max_size=2))
+    limit = draw(st.none() | st.integers(1, 6))
+    return h, g, pins, limit
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hom_instances())
+def test_homomorphisms_match_bruteforce_product(inst):
+    # oracle: filter every vertex map, in itertools.product (lexicographic) order
+    h, g, pins, limit = inst
+    expected = [m for m in product(range(g.n), repeat=h.n)
+                if all(m[u] == a for u, a in pins.items())
+                and all(g.has_edge(m[u], m[v]) for u, v in h.edges())]
+    if limit is not None:
+        expected = expected[:limit]
+    assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == expected
 
 
 def test_endos_of_c5_are_the_ten_automorphisms():
@@ -207,6 +242,39 @@ def test_certificates_reverify(endo_battery):
             cert = find_schmidt_pair(g, oracular=oracular)
             if cert is not None:
                 verify_schmidt_certificate(cert)
+
+
+def test_schmidt_pair_is_lexicographically_first(endo_battery):
+    # oracle: a plain double loop over the frozenset predicates
+    for g in endo_battery:
+        endos = sorted((e for e in enumerate_endomorphisms(g) if not e.is_identity()),
+                       key=lambda e: e.mapping)
+        for oracular in (False, True):
+            expected = next(((f, h) for f in endos for h in endos
+                             if (supports_disconnected(f, h) if oracular else
+                                 supports_disjoint(f, h) and is_wac(f, h))), None)
+            cert = find_schmidt_pair(g, oracular=oracular)
+            if expected is None:
+                assert cert is None, (g.label, oracular)
+                continue
+            f, h = expected
+            assert (cert.f.mapping, cert.g.mapping) == (f.mapping, h.mapping), (g.label, oracular)
+            assert cert.mode == ("disconnected" if oracular else "disjoint_wac")
+            assert cert.witness_vertices == (min(support(f)), min(support(h)))
+
+
+@pytest.mark.parametrize("spec", ["K:4", "C:5", "diamond"])
+def test_nogo_verdict_enumerates_once(monkeypatch, spec):
+    calls = []
+    search = qgadget.endo.enumerate_homomorphisms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(qgadget.endo, "enumerate_homomorphisms", counted)
+    nogo_verdict(build_family(spec))
+    assert len(calls) == 1
 
 
 def test_tampered_certificate_rejected():

@@ -1,12 +1,14 @@
 """Graph construction, families, products, and edge-list IO."""
 
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from qgadget import (box_product, build_family, categorical_product, complement,
-                     find_isomorphism, graph_from_edges, parse_graph, serialize_graph)
+from qgadget import (adjacency_equal, box_product, build_family, categorical_product,
+                     complement, find_isomorphism, graph_from_edges, graph_from_json,
+                     parse_graph, serialize_graph)
 
 
 def test_complete_graph_counts():
@@ -174,3 +176,33 @@ def test_constructed_graphs_satisfy_invariants(small_family_graphs):
     for g in small_family_graphs:
         assert np.array_equal(g.adj, g.adj.T)
         assert not g.adj.diagonal().any()
+
+
+def test_nbr_masks_match_adjacency(small_family_graphs):
+    for g in small_family_graphs:
+        assert len(g.nbr_masks) == g.n
+        for u in range(g.n):
+            bits = [v for v in range(g.n) if g.nbr_masks[u] >> v & 1]
+            assert bits == g.neighbors(u).tolist(), (g.label, u)
+            assert g.nbr_masks[u] >> g.n == 0
+
+
+def test_edges_returns_a_fresh_list():
+    g = build_family("C:4")
+    g.edges().clear()
+    assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+def test_graph_json_round_trip(small_family_graphs):
+    for g in small_family_graphs:
+        back = graph_from_json(json.loads(json.dumps(g.to_json())))
+        assert adjacency_equal(back, g) and back.label == g.label
+
+
+@pytest.mark.parametrize("bad", [[], "C:4", {"n": 3}, {"edges": []}, {"n": "3", "edges": []},
+                                 {"n": 3, "edges": {}}, {"n": 3, "edges": [[0]]},
+                                 {"n": 3, "edges": [[0, 1.5]]}, {"n": 3, "edges": [[0, 5]]},
+                                 {"n": -1, "edges": []}, {"n": 10 ** 9, "edges": []}])
+def test_graph_json_rejects_malformed(bad):
+    with pytest.raises(ValueError):
+        graph_from_json(bad)

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import qgadget.endo
 from qgadget import (build_family, classical_only_report, girths,
                      quantum_core_certificate, verify_quantum_core_certificate)
 
@@ -117,3 +118,17 @@ def test_classical_only_chain_diamond_broken():
     assert rep.classical_core is False
     assert rep.schmidt_pair_found is True
     assert "inconclusive" in rep.conclusion and "Schmidt" in rep.conclusion
+
+
+def test_classical_only_report_enumerates_once(monkeypatch):
+    calls = []
+    search = qgadget.endo.enumerate_homomorphisms
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(qgadget.endo, "enumerate_homomorphisms", counted)
+    rep = classical_only_report(build_family("C:7"), assume_no_quantum_symmetry=True)
+    assert rep.classical_core and rep.schmidt_pair_found is False
+    assert len(calls) == 1

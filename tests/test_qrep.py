@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qgadget import (Endomorphism, build_family, classical_rep, commutator_norm,
+from qgadget import (Endomorphism, QuantumRep, build_family, classical_rep, commutator_norm,
                      compose_reps, enumerate_homomorphisms, find_schmidt_pair,
                      four_cycle_rep, lift_box_rep, pair_swap_rep, path_shift_pair,
                      path_to_cycle_rep, projector, rep_from_json, schmidt_rep,
@@ -45,6 +45,18 @@ def test_schmidt_rep_diamond():
     norm = commutator_norm(r, w1, w2)
     assert norm > 0.4
     assert abs(norm - 0.5) < 1e-9
+
+
+def test_commutator_norm_when_start_vector_in_kernel():
+    # the all-ones vector lies in the kernel of C*C here, which made the former
+    # power iteration from that vector return 0.0
+    u = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    v = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+    k2 = build_family("K:2")
+    r = QuantumRep(k2, k2, 4, {(0, 0): projector(u), (0, 1): projector(v)})
+    c = r.entry(0, 0) @ r.entry(0, 1) - r.entry(0, 1) @ r.entry(0, 0)
+    assert abs(operator_norm_svd(c) - 0.5) < 1e-12
+    assert abs(commutator_norm(r, (0, 0), (0, 1)) - 0.5) < 1e-12
 
 
 def test_schmidt_rep_dprime():
