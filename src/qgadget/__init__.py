@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 from .graphs import (Graph, MAX_VERTICES, adjacency_equal, box_product, build_family,
                      categorical_product, complement, complete_graph, cycle_graph,
-                     diamond_graph, dprime_graph, find_isomorphism, graph_from_edges,
+                     diamond_graph, dprime_graph, graph_from_edges,
                      graph_from_json, kneser_graph, odd_graph, parse_graph, path_graph,
                      serialize_graph)
 from .walks import (GirthReport, WalkTable, decide_bipartite_target, distance, girths,
@@ -34,7 +34,7 @@ from .qrep import (QuantumRep, VerificationFailure, VerificationReport, classica
                    pair_swap_rep, path_shift_pair, path_to_cycle_rep, projector,
                    rep_from_json, schmidt_rep, schmidt_witness, verify_rep)
 from .defect import (Strategy, assignment_defect, cc_defect, classical_strategy,
-                     commutator_defect, cv_defect, strategy_from_json,
+                     commutator_defect, cv_defect, pair_dist_from_json, strategy_from_json,
                      strategy_from_vertex_pvms, uniform_edge_dist, validate_strategy)
 from .gadget import (CandidateClass, DisproofReport, GadgetCandidate, PropertyITable,
                      WalkObstruction, check_property_i_classical, complement_cycle_gadget,

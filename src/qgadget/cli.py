@@ -9,7 +9,7 @@ Exit codes: 0 = analysis completed (whatever the verdict), 1 = usage error,
 2 = internal verification failure (a constructed object failed its own check).
 
 Graph arguments accept a family descriptor (see graphs module) or @path to an
-edge-list file.  QGADGET_THREADS caps worker parallelism where supported.
+edge-list file.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .walks import decide_bipartite_target, girths, is_bipartite, is_oracularisa
 from .endo import (DEFAULT_MAX_VERTICES, enumerate_endomorphisms, enumerate_homomorphisms,
                    find_schmidt_pair, nogo_verdict)
 from .qrep import VerificationFailure, compose_reps, load_rep, verify_rep
-from .defect import assignment_defect, cc_defect, commutator_defect, cv_defect, strategy_from_json
+from .defect import (assignment_defect, cc_defect, commutator_defect, cv_defect,
+                     pair_dist_from_json, strategy_from_json)
 from .gadget import (GadgetCandidate, check_property_i_classical, complement_cycle_gadget,
                      disprove_box_path_gadget, product_transfer, splice_gadget, walk_obstruction)
 from .qcore import classical_only_report, verify_quantum_core_certificate
@@ -238,7 +239,7 @@ def cmd_rep_verify(args):
     rep = load_rep(args.path)
     report = verify_rep(rep, oracular=args.oracular)
     emit_report(args, {"path": args.path, "oracular": args.oracular},
-                {"dim": rep.dim, "entries": len(rep.mats), "report": report})
+                {"dim": rep.dim, "entries": int(rep.present.sum()), "report": report})
 
 
 def cmd_rep_compose(args):
@@ -259,7 +260,7 @@ def cmd_rep_compose(args):
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
     emit_report(args, {"first": args.first, "second": args.second, "output": args.output},
-                {"dim": out.dim, "entries": len(out.mats), "report": report,
+                {"dim": out.dim, "entries": int(out.present.sum()), "report": report,
                  "representation": None if args.output else payload})
 
 
@@ -274,13 +275,7 @@ def cmd_defect(args):
         if not args.pair_dist:
             raise ValueError("c-c model needs --pair-dist FILE")
         with open(args.pair_dist, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        pair_dist = {}
-        for key, val in raw.items():
-            left, _, right = key.partition("|")
-            x, y = (int(t) for t in left.split(","))
-            x2, y2 = (int(t) for t in right.split(","))
-            pair_dist[((x, y), (x2, y2))] = Fraction(val)
+            pair_dist = pair_dist_from_json(json.load(fh))
         value = cc_defect(strat, pair_dist)
     elif args.model == "commutator":
         if args.x is None or args.y is None:

@@ -104,9 +104,26 @@ def strategy_from_json(obj: dict) -> Strategy:
         tol = float(obj.get("tol", DEFAULT_TOL))
     except KeyError as exc:
         raise ValueError(f"strategy document lacks field {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from None
     return Strategy(inst, targ, dim, vertex_pvms, dist, edge_pvms, tol)
+
+
+def pair_dist_from_json(obj) -> dict[tuple[DirectedEdge, DirectedEdge], Fraction]:
+    """The pair distribution of :func:`cc_defect` from a ``{"x,y|x2,y2": "p/q"}``
+    document; raises ValueError on a malformed document."""
+    try:
+        pair_dist = {}
+        for key, val in obj.items():
+            left, bar, right = key.partition("|")
+            if not bar:
+                raise ValueError(f"pair key {key!r} is not of the form 'x,y|x2,y2'")
+            x, y = (int(t) for t in left.split(","))
+            x2, y2 = (int(t) for t in right.split(","))
+            pair_dist[((x, y), (x2, y2))] = Fraction(val)
+    except (TypeError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"malformed pair distribution document: {exc}") from None
+    return pair_dist
 
 
 def uniform_edge_dist(h: Graph) -> dict[DirectedEdge, Fraction]:

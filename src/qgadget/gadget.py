@@ -23,9 +23,8 @@ representation with a noncommuting witness at the distinguished pair.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from .graphs import (Graph, adjacency_equal, box_product, categorical_product, complement,
@@ -310,12 +309,12 @@ def enumerate_candidate_classes(n: int, k: int) -> dict:
     return dict(sorted(classes.items()))
 
 
-def analyze_candidate_pair(n: int, k: int, pair,
-                           rep_cache: Optional[dict] = None) -> Refutation:
+def analyze_candidate_pair(n: int, k: int, pair, lifts: dict) -> Refutation:
     """Refute one distinguished pair of the box product as a gadget for the
     (2n+1)-cycle: by the distance bound when the pair sits closer than 2n,
     and otherwise by a verified lifted representation whose entries at the
-    pair do not commute."""
+    pair do not commute.  ``lifts`` memoises the verified lifts by (s0, t0)
+    across the pairs of one (n, k)."""
     m = 2 * n + 1
     (a0, s0), (b0, t0) = pair
     if s0 > t0:
@@ -324,18 +323,14 @@ def analyze_candidate_pair(n: int, k: int, pair,
     if d < 2 * n:
         return Refutation("distance", {"distance": d, "required": 2 * n})
     # d >= 2n and the cycle contributes at most n, so t0 - s0 >= n >= 2
-    key = (s0, t0)
-    if rep_cache is not None and key in rep_cache:
-        lifted = rep_cache[key]
-    else:
-        base = path_to_cycle_rep(k, s0, t0, n)
-        lifted = lift_box_rep(base, m)
+    lifted = lifts.get((s0, t0))
+    if lifted is None:
+        lifted = lift_box_rep(path_to_cycle_rep(k, s0, t0, n), m)
         report = verify_rep(lifted)
         if not report.passed:
             raise VerificationFailure(f"lifted representation for (s0,t0)=({s0},{t0}) failed "
                                       f"verification, max residual {report.max_residual}")
-        if rep_cache is not None:
-            rep_cache[key] = lifted
+        lifts[(s0, t0)] = lifted
     u = (a0 * (k + 1) + s0, (s0 - a0) % m)
     v = (b0 * (k + 1) + t0, (t0 - b0) % m)
     norm = commutator_norm(lifted, u, v)
@@ -346,7 +341,7 @@ def analyze_candidate_pair(n: int, k: int, pair,
                        "commutator_norm": norm, "rep_verified": True})
 
 
-def disprove_box_path_gadget(n: int, k: int, threads: Optional[int] = None) -> DisproofReport:
+def disprove_box_path_gadget(n: int, k: int) -> DisproofReport:
     """Refute every candidate distinguished pair of (2n+1-cycle) box (path of
     length k) as a commutativity gadget for the (2n+1)-cycle; needs n >= 2
     (for n = 1 the construction actually is a gadget, so there is nothing to
@@ -359,19 +354,17 @@ def disprove_box_path_gadget(n: int, k: int, threads: Optional[int] = None) -> D
     m = 2 * n + 1
     box = box_product(cycle_graph(m), path_graph(k))
     classes = enumerate_candidate_classes(n, k)
-    rep_cache: dict = {}
-    items = list(classes.items())
-    if threads is None:
-        threads = max(1, int(os.environ.get("QGADGET_THREADS", "1")))
 
-    def work(item):
-        rep, count = item
-        return CandidateClass(rep, count, analyze_candidate_pair(n, k, rep, rep_cache))
+    def path_pair(pair):  # the (s0, t0) of its lift, for pairs that need one
+        return sorted((pair[0][1], pair[1][1]))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, items))
-    else:
-        results = [work(it) for it in items]
+    # pairs sharing a path pair share one verified lift; analysing them
+    # together keeps a single lift alive at a time
+    refutations = {}
+    for _, group in groupby(sorted(classes, key=path_pair), key=path_pair):
+        lifts: dict = {}
+        for pair in group:
+            refutations[pair] = analyze_candidate_pair(n, k, pair, lifts)
+    results = [CandidateClass(pair, count, refutations[pair]) for pair, count in classes.items()]
     total = sum(c.members for c in results)
     return DisproofReport(n, k, box.label, total, tuple(results), all_refuted=True)

@@ -339,47 +339,3 @@ def serialize_graph(g: Graph) -> str:
     lines = [f"{g.n} {g.num_edges}"]
     lines += [f"{u} {v}" for u, v in g.edges()]
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Brute-force isomorphism (used by tests and small sanity checks)
-
-
-def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
-    """Exhaustive backtracking search for a graph isomorphism g -> h.
-
-    Returns a vertex permutation p with h.adj[p[u], p[v]] == g.adj[u, v],
-    or None.  Intended for small graphs (tens of vertices at most).
-    """
-    if g.n != h.n or g.num_edges != h.num_edges:
-        return None
-    deg_g = sorted(int(d) for d in g.adj.sum(axis=1))
-    deg_h = sorted(int(d) for d in h.adj.sum(axis=1))
-    if deg_g != deg_h:
-        return None
-    n = g.n
-    assign: list[int] = []
-    used = [False] * n
-
-    def extend(u: int) -> bool:
-        if u == n:
-            return True
-        du = g.degree(u)
-        for cand in range(n):
-            if used[cand] or h.degree(cand) != du:
-                continue
-            ok = True
-            for v in range(u):
-                if g.adj[u, v] != h.adj[cand, assign[v]]:
-                    ok = False
-                    break
-            if ok:
-                assign.append(cand)
-                used[cand] = True
-                if extend(u + 1):
-                    return True
-                used[cand] = False
-                assign.pop()
-        return False
-
-    return assign[:] if extend(0) else None

@@ -1,8 +1,9 @@
 """Finite-dimensional quantum graph homomorphisms as explicit complex matrices.
 
 A representation assigns to each (domain vertex, codomain vertex) pair a
-complex projection matrix; absent entries mean the zero matrix.  The defining
-relations checked by :func:`verify_rep` are
+complex projection matrix.  It is held as one (domain.n, codomain.n, dim, dim)
+complex stack, zero where no entry is listed, plus a boolean mask of the
+listed entries.  The defining relations checked by :func:`verify_rep` are
 
   * every present matrix is a self-adjoint idempotent,
   * every domain vertex's row sums to the identity (a PVM),
@@ -14,7 +15,7 @@ Violations are reported with residuals rather than raised, since checking a
 candidate is an analysis, not an error.  All constructions in this module are
 exact in exact arithmetic, so the default tolerance is a strict 1e-9.
 
-Matrices are dense numpy arrays; dimensions in practice never exceed 16.
+The stack is checked in batches; dimensions in practice never exceed 16.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .graphs import (Graph, adjacency_equal, box_product, complete_graph, cycle_
 from .endo import Endomorphism, is_wac, support, supports_disjoint
 
 DEFAULT_TOL = 1e-9
+# largest stack (domain.n * codomain.n * dim * dim numbers) a document may ask for
+MAX_STACK_ENTRIES = 1 << 22
+# numbers per batched temporary in verify_rep's pair checks
+_BATCH = 1 << 20
 
 KET0 = np.array([1.0, 0.0], dtype=complex)
 KET1 = np.array([0.0, 1.0], dtype=complex)
@@ -50,43 +55,48 @@ class VerificationFailure(RuntimeError):
 
 @dataclass(eq=False)
 class QuantumRep:
-    """Map (u in domain, v in codomain) -> dim x dim complex matrix.
-
-    Entries absent from ``mats`` are zero matrices.  Treat instances as
-    immutable once built.
-    """
+    """``mats[u, v]`` is the matrix at (u in domain, v in codomain), zero
+    unless ``present[u, v]`` lists it.  Treat instances as immutable."""
 
     domain: Graph
     codomain: Graph
     dim: int
-    mats: dict[tuple[int, int], np.ndarray]
+    mats: np.ndarray     # complex, shape (domain.n, codomain.n, dim, dim)
+    present: np.ndarray  # bool, shape (domain.n, codomain.n)
     tol: float = DEFAULT_TOL
 
     def entry(self, u: int, v: int) -> np.ndarray:
-        m = self.mats.get((u, v))
-        if m is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return m
+        return self.mats[u, v]
 
     def to_json(self) -> dict:
-        mats = {}
-        for (u, v) in sorted(self.mats):
-            m = self.mats[(u, v)]
-            mats[f"{u},{v}"] = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+        mats = {f"{u},{v}": [[[float(z.real), float(z.imag)] for z in row]
+                             for row in self.mats[u, v]]
+                for u, v in zip(*np.nonzero(self.present))}
         return {"domain": self.domain.to_json(), "codomain": self.codomain.to_json(),
                 "dim": self.dim, "tol": self.tol, "mats": mats}
 
 
+def _nonzero_rep(domain: Graph, codomain: Graph, mats: np.ndarray,
+                 tol: float = DEFAULT_TOL) -> QuantumRep:
+    """A constructed representation lists exactly its nonzero entries."""
+    return QuantumRep(domain, codomain, mats.shape[2], mats, _residuals(mats) > 0.0, tol)
+
+
 def rep_from_json(obj: dict) -> QuantumRep:
     """Inverse of :meth:`QuantumRep.to_json`; raises ValueError on a malformed
-    document."""
+    document, or on one whose stack would exceed MAX_STACK_ENTRIES numbers."""
     try:
         dim = int(obj["dim"])
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         domain = graph_from_json(obj["domain"])
         codomain = graph_from_json(obj["codomain"])
-        mats = {}
+        size = domain.n * codomain.n * dim * dim
+        if size > MAX_STACK_ENTRIES:
+            raise ValueError(f"{domain.n} x {codomain.n} entries of dimension {dim} need "
+                             f"{size} matrix elements, more than {MAX_STACK_ENTRIES}")
+        mats = np.zeros((domain.n, codomain.n, dim, dim), dtype=complex)
+        present = np.zeros((domain.n, codomain.n), dtype=bool)
         for key, rows in obj["mats"].items():
             u, v = (int(t) for t in key.split(","))
             if not (0 <= u < domain.n and 0 <= v < codomain.n):
@@ -94,13 +104,14 @@ def rep_from_json(obj: dict) -> QuantumRep:
             m = np.array([[complex(re, im) for re, im in row] for row in rows])
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix at {key} has shape {m.shape}, expected ({dim},{dim})")
-            mats[(u, v)] = m
+            mats[u, v] = m
+            present[u, v] = True
         tol = float(obj.get("tol", DEFAULT_TOL))
     except KeyError as exc:
         raise ValueError(f"representation document lacks field {exc}") from None
     except (TypeError, AttributeError) as exc:
         raise ValueError(f"malformed representation document: {exc}") from None
-    return QuantumRep(domain, codomain, dim, mats, tol)
+    return QuantumRep(domain, codomain, dim, mats, present, tol)
 
 
 def load_rep(path: str) -> QuantumRep:
@@ -135,8 +146,28 @@ class VerificationReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
-def _maxabs(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m))) if m.size else 0.0
+def _residuals(x: np.ndarray) -> np.ndarray:
+    """Max-entry norm of each matrix in a stack."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
+
+
+def _pair_residuals(rep: QuantumRep, edges: np.ndarray, allowed,
+                    commutator: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (u, v, u2, w) and residuals of the products (or commutators) of
+    the present entries (u, v), (u2, w) with (u, u2) in ``edges`` and
+    ``allowed[v, w]``, in that lexicographic order.  Edges go in chunks whose
+    masks and products hold at most _BATCH numbers each."""
+    n_cod, dim = rep.codomain.n, rep.dim
+    step = max(1, _BATCH // (n_cod * n_cod * dim * dim or 1))
+    wheres, residuals = [np.empty((0, 4), dtype=np.intp)], [np.empty(0)]
+    for s in range(0, len(edges), step):
+        u, u2 = edges[s:s + step].T
+        e, v, w = np.nonzero(rep.present[u, :, None] & rep.present[u2, None, :] & allowed)
+        a, b = rep.mats[u[e], v], rep.mats[u2[e], w]
+        ab = a @ b
+        residuals.append(_residuals(ab - b @ a if commutator else ab))
+        wheres.append(np.stack([u[e], v, u2[e], w], axis=1))
+    return np.concatenate(wheres), np.concatenate(residuals)
 
 
 def verify_rep(rep: QuantumRep, oracular: bool = False) -> VerificationReport:
@@ -144,49 +175,34 @@ def verify_rep(rep: QuantumRep, oracular: bool = False) -> VerificationReport:
 
     oracular=True additionally requires matrices on adjacent domain vertices
     to commute.  Nothing is raised: the report carries every violated
-    relation together with its worst residual.
+    relation together with its worst residual.  A residual that is not a
+    number (from a NaN entry) counts as violated.
     """
     tol = rep.tol
     violations: list[Violation] = []
-    worst = 0.0
+    maxima = []
 
-    def record(relation: str, where: tuple, residual: float):
-        nonlocal worst
-        worst = max(worst, residual)
-        if residual > tol:
-            violations.append(Violation(relation, where, residual))
+    def record(relations: tuple[str, ...], where: np.ndarray, residuals: np.ndarray):
+        # residuals[i, j] belongs to relations[j] at where[i]; row-major order
+        maxima.append(residuals.max(initial=0.0))
+        for i, j in np.argwhere(~(residuals <= tol)):
+            violations.append(Violation(relations[j], tuple(int(t) for t in where[i]),
+                                        float(residuals[i, j])))
 
-    dim = rep.dim
-    eye = np.eye(dim, dtype=complex)
-    for (u, v) in sorted(rep.mats):
-        m = rep.mats[(u, v)]
-        record("hermitian", (u, v), _maxabs(m - m.conj().T))
-        record("idempotent", (u, v), _maxabs(m @ m - m))
-    for u in range(rep.domain.n):
-        row = sum((rep.mats[(u, v)] for v in range(rep.codomain.n) if (u, v) in rep.mats),
-                  start=np.zeros((dim, dim), dtype=complex))
-        record("row_sum_identity", (u,), _maxabs(row - eye))
-    nonadj = [(v, w) for v in range(rep.codomain.n) for w in range(rep.codomain.n)
-              if not rep.codomain.has_edge(v, w)]  # includes v == w
-    for (u, u2) in rep.domain.directed_edges():
-        for (v, w) in nonadj:
-            a = rep.mats.get((u, v))
-            b = rep.mats.get((u2, w))
-            if a is None or b is None:
-                continue
-            record("adjacency_zero_product", (u, v, u2, w), _maxabs(a @ b))
+    us, vs = np.nonzero(rep.present)
+    m = rep.mats[us, vs]
+    record(("hermitian", "idempotent"), np.stack([us, vs], axis=1),
+           np.stack([_residuals(m - m.conj().swapaxes(1, 2)), _residuals(m @ m - m)], axis=1))
+    rows = rep.mats.sum(axis=1) - np.eye(rep.dim)
+    record(("row_sum_identity",), np.arange(rep.domain.n)[:, None], _residuals(rows)[:, None])
+    adj = rep.domain.adj
+    where, res = _pair_residuals(rep, np.argwhere(adj), ~rep.codomain.adj, False)
+    record(("adjacency_zero_product",), where, res[:, None])  # ~adj includes v == w
     if oracular:
-        for (u, u2) in rep.domain.edges():
-            for v in range(rep.codomain.n):
-                a = rep.mats.get((u, v))
-                if a is None:
-                    continue
-                for w in range(rep.codomain.n):
-                    b = rep.mats.get((u2, w))
-                    if b is None:
-                        continue
-                    record("oracular_commutator", (u, v, u2, w), _maxabs(a @ b - b @ a))
-    return VerificationReport(worst <= tol, oracular, worst, tuple(violations))
+        where, res = _pair_residuals(rep, np.argwhere(np.triu(adj)), True, True)
+        record(("oracular_commutator",), where, res[:, None])
+    worst = float(np.max(maxima))
+    return VerificationReport(not violations, oracular, worst, tuple(violations))
 
 
 def commutator_norm(rep: QuantumRep, first: tuple[int, int], second: tuple[int, int]) -> float:
@@ -212,9 +228,9 @@ def classical_rep(h: Graph, g: Graph, mapping: Sequence[int]) -> QuantumRep:
     for u, v in h.edges():
         if not g.has_edge(mapping[u], mapping[v]):
             raise ValueError(f"map does not preserve edge ({u},{v}); not a homomorphism")
-    one = np.ones((1, 1), dtype=complex)
-    mats = {(u, mapping[u]): one.copy() for u in range(h.n)}
-    return QuantumRep(h, g, 1, mats)
+    mats = np.zeros((h.n, g.n, 1, 1), dtype=complex)
+    mats[np.arange(h.n), np.array(mapping, dtype=np.intp)] = 1.0
+    return _nonzero_rep(h, g, mats)
 
 
 def schmidt_rep(g: Graph, f: Endomorphism, g2: Endomorphism) -> QuantumRep:
@@ -240,22 +256,13 @@ def schmidt_rep(g: Graph, f: Endomorphism, g2: Endomorphism) -> QuantumRep:
         raise ValueError("endomorphisms must be WAC")
     p0, p1 = projector(KET0), projector(KET1)
     q0, q1 = projector(KETPLUS), projector(KETMINUS)
-    half_deficit = p0 + q0 - np.eye(2, dtype=complex)
-    mats: dict[tuple[int, int], np.ndarray] = {}
-
-    def add(x: int, y: int, term: np.ndarray):
-        if (x, y) in mats:
-            mats[(x, y)] = mats[(x, y)] + term
-        else:
-            mats[(x, y)] = term.copy()
-
-    for x in range(g.n):
-        add(x, x, half_deficit)
-        add(x, f.mapping[x], p1)
-        add(x, g2.mapping[x], q1)
-    # drop exact-zero entries (none arise for valid inputs, but keep tidy)
-    mats = {k: m for k, m in mats.items() if _maxabs(m) > 0.0}
-    return QuantumRep(g, g, 2, mats)
+    x = np.arange(g.n)
+    mats = np.zeros((g.n, g.n, 2, 2), dtype=complex)
+    # each statement writes one term per row x, so no index repeats within it
+    mats[x, x] += p0 + q0 - np.eye(2, dtype=complex)
+    mats[x, list(f.mapping)] += p1
+    mats[x, list(g2.mapping)] += q1
+    return _nonzero_rep(g, g, mats)
 
 
 def schmidt_witness(f: Endomorphism, g2: Endomorphism) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -278,16 +285,14 @@ def pair_swap_rep(k: int) -> QuantumRep:
     g = complete_graph(k)
     p0, p1 = projector(KET0), projector(KET1)
     q0, q1 = projector(KETPLUS), projector(KETMINUS)
-    mats: dict[tuple[int, int], np.ndarray] = {
-        (0, 0): p0, (1, 1): p0.copy(),
-        (0, 1): p1, (1, 0): p1.copy(),
-        (2, 2): q0, (3, 3): q0.copy(),
-        (2, 3): q1, (3, 2): q1.copy(),
-    }
-    eye = np.eye(2, dtype=complex)
-    for a in range(4, k):
-        mats[(a, a)] = eye.copy()
-    return QuantumRep(g, g, 2, mats)
+    mats = np.zeros((k, k, 2, 2), dtype=complex)
+    mats[[0, 1], [0, 1]] = p0
+    mats[[0, 1], [1, 0]] = p1
+    mats[[2, 3], [2, 3]] = q0
+    mats[[2, 3], [3, 2]] = q1
+    rest = np.arange(4, k)
+    mats[rest, rest] = np.eye(2, dtype=complex)
+    return _nonzero_rep(g, g, mats)
 
 
 def four_cycle_rep(g: Graph, cycle: tuple[int, int, int, int]) -> QuantumRep:
@@ -303,12 +308,11 @@ def four_cycle_rep(g: Graph, cycle: tuple[int, int, int, int]) -> QuantumRep:
     k2 = complete_graph(2)
     kets0 = {a: (KET0, KET0), b: (KET1, KET0), c: (KET0, KET1), d: (KET1, KET1)}
     kets1 = {a: (KET1, KETPLUS), b: (KET0, KETPLUS), c: (KET1, KETMINUS), d: (KET0, KETMINUS)}
-    mats: dict[tuple[int, int], np.ndarray] = {}
-    for v, (l, r) in kets0.items():
-        mats[(0, v)] = projector(np.kron(l, r))
-    for v, (l, r) in kets1.items():
-        mats[(1, v)] = projector(np.kron(l, r))
-    return QuantumRep(k2, g, 4, mats)
+    mats = np.zeros((2, g.n, 4, 4), dtype=complex)
+    for u, kets in enumerate((kets0, kets1)):
+        for v, (l, r) in kets.items():
+            mats[u, v] = projector(np.kron(l, r))
+    return _nonzero_rep(k2, g, mats)
 
 
 def compose_reps(r1: QuantumRep, r2: QuantumRep) -> QuantumRep:
@@ -318,21 +322,10 @@ def compose_reps(r1: QuantumRep, r2: QuantumRep) -> QuantumRep:
     if not adjacency_equal(r1.codomain, r2.domain):
         raise ValueError("codomain of the first representation must equal the domain of the second")
     dim = r1.dim * r2.dim
-    mats: dict[tuple[int, int], np.ndarray] = {}
-    for (a, b), m1 in r1.mats.items():
-        for c in range(r2.codomain.n):
-            m2 = r2.mats.get((b, c))
-            if m2 is None:
-                continue
-            term = np.kron(m1, m2)
-            key = (a, c)
-            if key in mats:
-                mats[key] = mats[key] + term
-            else:
-                mats[key] = term
-    mats = {k: m for k, m in mats.items() if _maxabs(m) > 0.0}
-    return QuantumRep(r1.domain, r2.codomain, dim, mats,
-                      tol=max(r1.tol, r2.tol))
+    mats = np.einsum("abij,bckl->acikjl", r1.mats, r2.mats)
+    return _nonzero_rep(r1.domain, r2.codomain,
+                        mats.reshape(r1.domain.n, r2.codomain.n, dim, dim),
+                        tol=max(r1.tol, r2.tol))
 
 
 def path_shift_pair(k: int, s0: int, t0: int) -> tuple[Endomorphism, Endomorphism]:
@@ -379,11 +372,9 @@ def lift_box_rep(r: QuantumRep, m: int) -> QuantumRep:
         raise ValueError(f"codomain must be the {m}-cycle")
     h = r.domain
     box = box_product(cyc, h)
-    mats: dict[tuple[int, int], np.ndarray] = {}
-    for a in range(m):
-        for s in range(h.n):
-            for b in range(m):
-                src = r.mats.get((s, (a + b) % m))
-                if src is not None:
-                    mats[(a * h.n + s, b)] = src
-    return QuantumRep(box, cyc, r.dim, mats, tol=r.tol)
+    a = np.arange(m)
+    s = np.arange(h.n)[None, :, None]
+    cols = ((a[:, None] + a[None, :]) % m)[:, None, :]  # [a, 1, b] -> a+b mod m
+    n = m * h.n
+    return QuantumRep(box, cyc, r.dim, r.mats[s, cols].reshape(n, m, r.dim, r.dim),
+                      r.present[s, cols].reshape(n, m), tol=r.tol)

@@ -4,10 +4,13 @@ The oracles here deliberately take a different route from the library code
 they check: walks are enumerated by explicit DFS instead of matrix powers,
 homomorphism existence is decided by backtracking search when checking the
 parity shortcut, operator norms come from numpy's SVD instead of power
-iteration, and game values are counted directly from the predicate.
+iteration, game values are counted directly from the predicate, and graph
+isomorphism is decided by plain backtracking.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -89,3 +92,43 @@ def assignment_game_value(h: Graph, g: Graph, assignment) -> float:
     directed = h.directed_edges()
     wins = sum(1 for (x, y) in directed if g.has_edge(assignment[x], assignment[y]))
     return wins / len(directed)
+
+
+def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
+    """Exhaustive backtracking search for a graph isomorphism g -> h.
+
+    Returns a vertex permutation p with h.adj[p[u], p[v]] == g.adj[u, v],
+    or None.  Intended for small graphs (tens of vertices at most).
+    """
+    if g.n != h.n or g.num_edges != h.num_edges:
+        return None
+    deg_g = sorted(int(d) for d in g.adj.sum(axis=1))
+    deg_h = sorted(int(d) for d in h.adj.sum(axis=1))
+    if deg_g != deg_h:
+        return None
+    n = g.n
+    assign: list[int] = []
+    used = [False] * n
+
+    def extend(u: int) -> bool:
+        if u == n:
+            return True
+        du = g.degree(u)
+        for cand in range(n):
+            if used[cand] or h.degree(cand) != du:
+                continue
+            ok = True
+            for v in range(u):
+                if g.adj[u, v] != h.adj[cand, assign[v]]:
+                    ok = False
+                    break
+            if ok:
+                assign.append(cand)
+                used[cand] = True
+                if extend(u + 1):
+                    return True
+                used[cand] = False
+                assign.pop()
+        return False
+
+    return assign[:] if extend(0) else None

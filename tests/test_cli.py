@@ -10,7 +10,8 @@ import pytest
 
 import qgadget.cli
 import qgadget.qcore
-from qgadget import build_family, classical_strategy, enumerate_homomorphisms, pair_swap_rep
+from qgadget import (build_family, classical_strategy, enumerate_homomorphisms, graph_from_edges,
+                     pair_swap_rep)
 from qgadget.cli import main
 
 
@@ -154,6 +155,7 @@ def test_qcore_builds_certificate_once(monkeypatch, capsys):
 
 def _malformed_rep_docs():
     good = pair_swap_rep(4).to_json()
+    big = graph_from_edges(1100, []).to_json()
 
     def edit(fn):
         doc = json.loads(json.dumps(good))
@@ -171,6 +173,8 @@ def _malformed_rep_docs():
         "edge-not-pair": edit(lambda d: d["domain"].update(edges=[[0]])),
         "n-missing": edit(lambda d: d["codomain"].pop("n")),
         "dim-zero": edit(lambda d: d.update(dim=0)),
+        # 1100 * 1100 entries of dimension 2: a valid document, but above the stack bound
+        "stack-too-large": edit(lambda d: d.update(domain=big, codomain=big, mats={})),
         "not-an-object": [1, 2, 3],
     }
 
@@ -195,14 +199,54 @@ def test_defect_malformed_strategy_exit_1(tmp_path, capsys, drop):
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
 
 
-def test_malformed_rep_document_in_a_fresh_process(tmp_path):
-    path = tmp_path / "rep.json"
-    path.write_text(json.dumps(_malformed_rep_docs()["no-domain"]))
+MALFORMED_PAIR_DISTS = {
+    "list": [["0,1|1,2", "1"]],
+    "list-weight": {"0,1|1,2": [1]},
+    "no-bar": {"0,1": "1"},
+    "zero-denominator": {"0,1|1,2": "1/0"},
+}
+
+
+def _c_c_strategy(tmp_path):
+    h, g = build_family("C:6"), build_family("K:3")
+    hom = enumerate_homomorphisms(h, g, limit=1)[0]
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(classical_strategy(h, g, hom, with_edge_pvms=True).to_json()))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAIR_DISTS))
+def test_defect_malformed_pair_dist_exit_1(tmp_path, capsys, name):
+    pd_path = tmp_path / "pairs.json"
+    pd_path.write_text(json.dumps(MALFORMED_PAIR_DISTS[name]))
+    code, out, err = run_cli(capsys, "defect", str(_c_c_strategy(tmp_path)), "--model", "c-c",
+                             "--pair-dist", str(pd_path), "--json")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def _run_fresh(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "qgadget.cli", "rep-verify", str(path)],
+    return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_malformed_rep_document_in_a_fresh_process(tmp_path):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(_malformed_rep_docs()["no-domain"]))
+    proc = _run_fresh("rep-verify", str(path))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_PAIR_DISTS))
+def test_malformed_pair_dist_in_a_fresh_process(tmp_path, name):
+    pd_path = tmp_path / "pairs.json"
+    pd_path.write_text(json.dumps(MALFORMED_PAIR_DISTS[name]))
+    proc = _run_fresh("defect", str(_c_c_strategy(tmp_path)), "--model", "c-c",
+                      "--pair-dist", str(pd_path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 

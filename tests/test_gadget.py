@@ -4,10 +4,11 @@ import pytest
 
 from qgadget import (GadgetCandidate, build_family, check_property_i_classical,
                      complement_cycle_gadget, disprove_box_path_gadget, distance,
-                     enumerate_candidate_classes, find_isomorphism,
+                     enumerate_candidate_classes,
                      odd_cycle_distance_bound, product_transfer, splice_gadget,
                      walk_obstruction, walk_table)
 from qgadget.gadget import analyze_candidate_pair
+from conftest import find_isomorphism
 
 
 def test_prism_property_i_complete():
@@ -226,14 +227,14 @@ def test_symmetry_reduction_matches_unreduced():
     for k in (1, 2, 3):
         n, m = 2, 5
         classes = enumerate_candidate_classes(n, k)
-        outcomes = {rep: analyze_candidate_pair(n, k, rep).kind for rep in classes}
+        outcomes = {rep: analyze_candidate_pair(n, k, rep, {}).kind for rep in classes}
         vertices = [(a, s) for a in range(m) for s in range(k + 1)]
         total = 0
         for i in range(len(vertices)):
             for j in range(i + 1, len(vertices)):
                 pair = (vertices[i], vertices[j])
                 rep = _canonical_pair(pair if pair[0] <= pair[1] else (pair[1], pair[0]), m, k)
-                direct = analyze_candidate_pair(n, k, pair)
+                direct = analyze_candidate_pair(n, k, pair, {})
                 assert direct.kind == outcomes[rep], (pair, rep)
                 total += 1
         assert total == sum(classes.values())

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from qgadget import (adjacency_equal, box_product, build_family, categorical_product,
-                     complement, find_isomorphism, graph_from_edges, graph_from_json,
+                     complement, graph_from_edges, graph_from_json,
                      parse_graph, serialize_graph)
+from conftest import find_isomorphism
 
 
 def test_complete_graph_counts():

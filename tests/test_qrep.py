@@ -53,7 +53,9 @@ def test_commutator_norm_when_start_vector_in_kernel():
     u = np.array([1.0, -1.0, 0.0, 0.0]) / np.sqrt(2.0)
     v = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     k2 = build_family("K:2")
-    r = QuantumRep(k2, k2, 4, {(0, 0): projector(u), (0, 1): projector(v)})
+    mats = np.zeros((2, 2, 4, 4), dtype=complex)
+    mats[0, 0], mats[0, 1] = projector(u), projector(v)
+    r = QuantumRep(k2, k2, 4, mats, np.array([[True, True], [False, False]]))
     c = r.entry(0, 0) @ r.entry(0, 1) - r.entry(0, 1) @ r.entry(0, 0)
     assert abs(operator_norm_svd(c) - 0.5) < 1e-12
     assert abs(commutator_norm(r, (0, 0), (0, 1)) - 0.5) < 1e-12
@@ -100,11 +102,11 @@ def test_schmidt_formula_genuinely_needs_wac():
     p0, p1 = projector(KET0), projector(KET1)
     q0, q1 = projector(KETPLUS), projector(KETMINUS)
     half = p0 + q0 - np.eye(2)
-    mats = {}
+    mats = np.zeros((4, 4, 2, 2), dtype=complex)
     for x in range(4):
         for y, term in ((x, half), (f.mapping[x], p1), (g.mapping[x], q1)):
-            mats[(x, y)] = mats.get((x, y), np.zeros((2, 2), dtype=complex)) + term
-    forced = QuantumRep(p3, p3, 2, {k: m for k, m in mats.items() if np.abs(m).max() > 0})
+            mats[x, y] += term
+    forced = QuantumRep(p3, p3, 2, mats, np.abs(mats).max(axis=(2, 3)) > 0)
     report = verify_rep(forced)
     assert not report.passed
     assert any(v.relation == "adjacency_zero_product" for v in report.violations)
@@ -172,9 +174,8 @@ def test_counit_laws():
     right = compose_reps(r, ident)
     for out in (left, right):
         assert out.dim == r.dim
-        assert set(out.mats) == set(r.mats)
-        for key in r.mats:
-            assert np.allclose(out.mats[key], r.mats[key], atol=1e-12)
+        assert np.array_equal(out.present, r.present)
+        assert np.allclose(out.mats, r.mats, atol=1e-12)
 
 
 def test_compose_matches_pinned_composition_of_classical_maps():
@@ -184,7 +185,8 @@ def test_compose_matches_pinned_composition_of_classical_maps():
     m2 = enumerate_homomorphisms(g, k, limit=1)[0]
     composed = compose_reps(classical_rep(h, g, m1), classical_rep(g, k, m2))
     direct = classical_rep(h, k, [m2[m1[u]] for u in range(h.n)])
-    assert set(composed.mats) == set(direct.mats)
+    assert np.array_equal(composed.present, direct.present)
+    assert np.array_equal(composed.mats, direct.mats)
     assert verify_rep(composed).passed
 
 
@@ -284,12 +286,33 @@ def test_commutator_norm_basic_value():
 def test_verify_rep_reports_violations_not_raises():
     g = build_family("K:2")
     bad = classical_rep(g, g, [0, 1])
-    bad.mats[(0, 1)] = np.array([[0.5, 0.1]])  # wrong shape would break; use 1x1
-    bad.mats[(0, 1)] = np.array([[0.5 + 0.0j]])
+    bad.mats[0, 1] = 0.5
+    bad.present[0, 1] = True
     report = verify_rep(bad)
     assert not report.passed
     relations = {v.relation for v in report.violations}
     assert "idempotent" in relations and "row_sum_identity" in relations
+
+
+def test_verify_rep_fails_on_nan_entry():
+    # a NaN residual once compared as no larger than the running maximum, so a
+    # representation full of NaN entries passed
+    g = build_family("K:2")
+    bad = classical_rep(g, g, [0, 1])
+    bad.mats[0, 0] = np.nan
+    report = verify_rep(bad, oracular=True)
+    assert not report.passed
+    assert ("hermitian", (0, 0)) in {(v.relation, v.where) for v in report.violations}
+
+
+def test_rep_json_round_trip_keeps_explicit_zero_entries():
+    g = build_family("K:2")
+    doc = classical_rep(g, g, [0, 1]).to_json()
+    doc["mats"]["0,1"] = [[[0.0, 0.0]]]
+    back = rep_from_json(json.loads(json.dumps(doc)))
+    assert back.present.tolist() == [[True, True], [False, True]]
+    assert back.to_json() == doc
+    assert verify_rep(back).passed
 
 
 def test_rep_json_round_trip():
@@ -297,9 +320,8 @@ def test_rep_json_round_trip():
     cert = find_schmidt_pair(d, oracular=True)
     r = schmidt_rep(d, cert.f, cert.g)
     back = rep_from_json(json.loads(json.dumps(r.to_json())))
-    assert back.dim == r.dim and set(back.mats) == set(r.mats)
-    for key in r.mats:
-        assert np.allclose(back.mats[key], r.mats[key], atol=1e-15)
+    assert back.dim == r.dim and np.array_equal(back.present, r.present)
+    assert np.allclose(back.mats, r.mats, atol=1e-15)
     assert verify_rep(back, oracular=True).passed
 
 
