@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional
 
+import numpy as np
+
 from .graphs import (Graph, adjacency_equal, box_product, categorical_product, complement,
                      complete_graph, cycle_graph, graph_from_edges, path_graph)
 from .walks import distance, walk_table
@@ -121,15 +123,14 @@ def walk_obstruction(c: GadgetCandidate, lmax: Optional[int] = None) -> Optional
         lmax = default_obstruction_lmax(c)
     tg = walk_table(c.gadget, lmax)
     ta = walk_table(c.target, lmax)
-    for ell in range(lmax + 1):
-        if not tg.exists[ell, c.x, c.y]:
+    # above both tables' settled lengths, walk existence repeats with period 2
+    for ell in range(min(lmax, max(tg.settled, ta.settled) + 2) + 1):
+        if not tg.has_walk(ell, c.x, c.y):
             continue
-        missing = ~ta.exists[ell]
+        missing = ~ta.reach(ell)
         if missing.any():
-            for a in range(c.target.n):
-                for b in range(c.target.n):
-                    if missing[a, b]:
-                        return WalkObstruction(ell, (a, b))
+            a, b = np.unravel_index(np.argmax(missing), missing.shape)
+            return WalkObstruction(ell, (int(a), int(b)))
     return None
 
 
@@ -289,23 +290,23 @@ def _pair_symmetry_orbit(pair, m, k):
     return out
 
 
-def _canonical_pair(pair, m, k):
-    return min(_pair_symmetry_orbit(pair, m, k))
-
-
 def enumerate_candidate_classes(n: int, k: int) -> dict:
     """Group all unordered distinguished pairs of (2n+1-cycle) box (path of
-    length k) by the graph's evident symmetries.  Returns canonical pair ->
-    member count, in sorted order."""
+    length k) by the graph's evident symmetries.  Returns canonical pair (the
+    least member of its orbit) -> member count, in sorted order."""
     m = 2 * n + 1
     vertices = [(a, s) for a in range(m) for s in range(k + 1)]
+    size = len(vertices)
+    seen = bytearray(size * size)  # seen[i * size + j]: pair of vertex indices i < j
     classes: dict = {}
-    for i in range(len(vertices)):
-        for j in range(i + 1, len(vertices)):
-            pair = (vertices[i], vertices[j])
-            pair = pair if pair[0] <= pair[1] else (pair[1], pair[0])
-            rep = _canonical_pair(pair, m, k)
-            classes[rep] = classes.get(rep, 0) + 1
+    for i in range(size):
+        for j in range(i + 1, size):
+            if seen[i * size + j]:
+                continue
+            orbit = _pair_symmetry_orbit((vertices[i], vertices[j]), m, k)
+            for (a, s), (b, t) in orbit:
+                seen[(a * (k + 1) + s) * size + b * (k + 1) + t] = 1
+            classes[min(orbit)] = len(orbit)
     return dict(sorted(classes.items()))
 
 

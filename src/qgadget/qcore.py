@@ -12,19 +12,30 @@ endomorphism to be a quantum automorphism:
     length l with a walk a -> a' but no walk of length l between any two
     adjacent vertices.  This yields the transposed adjacency relations.
 
-The module stays entirely combinatorial: it never touches algebra elements,
-only walk tables, so the trusted computing base is the boolean matrix power.
-A missing length within the search bound makes the result inconclusive, not
-a disproof.
+Both conditions are threshold conditions per parity: a walk a -> a' of
+length l exists iff l reaches the pair's parity distance, and "some closed
+walk" / "some adjacent pair joined" hold from a per-parity threshold on.  So
+the minimal valid length of every pair is read off the walk table's parity
+distances in O(n^2), whatever the search bound.
+
+The module stays entirely combinatorial: it never touches algebra elements.
+Verification does not trust the table that found the lengths: it re-checks
+every recorded length with bool-dtype powers of the adjacency matrix (by
+repeated squaring, which cannot overflow), so the trusted computing base is
+the boolean matrix power.  A missing length within the search bound makes
+the result inconclusive, not a disproof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional
 
+import numpy as np
+
 from .graphs import Graph
-from .walks import walk_table
+from .walks import NO_WALK, walk_table
 from .endo import DEFAULT_MAX_VERTICES, _scan_schmidt_pairs, enumerate_endomorphisms
 
 
@@ -40,72 +51,114 @@ class QuantumCoreCertificate:
                 "cross_lengths": {f"{a},{b}": l for (a, b), l in sorted(self.cross_lengths.items())}}
 
 
+def _minimal_lengths(dist: np.ndarray, forbidden_from: np.ndarray) -> np.ndarray:
+    """Per pair, the least length l >= 1 with a walk of length l but l below
+    the forbidden threshold of its parity; NO_WALK where there is none.  Only
+    called on pairs of distinct vertices, whose parity distances are >= 1."""
+    out = np.full(dist.shape[1:], NO_WALK, dtype=dist.dtype)
+    for p in (0, 1):
+        np.minimum(out, np.where(dist[p] < forbidden_from[p], dist[p], NO_WALK), out=out)
+    return out
+
+
 def quantum_core_certificate(g: Graph, lmax: int) -> Optional[QuantumCoreCertificate]:
     """Search walk lengths up to lmax for the column and cross conditions.
 
-    Lengths are chosen minimal per pair.  Returns None as soon as any pair
-    admits no valid length within lmax (inconclusive).
+    Lengths are chosen minimal per pair.  Returns None when any pair admits
+    no valid length within lmax (inconclusive).
     """
     if lmax < 1:
         raise ValueError("lmax must be >= 1")
     t = walk_table(g, lmax)
-    # closed_any[l]: some closed walk of length l exists somewhere
-    closed_any = [bool(t.exists[ell].diagonal().any()) for ell in range(lmax + 1)]
-    # adjacent_any[l]: some adjacent pair is joined by a walk of length l
-    edges = g.edges()
-    adjacent_any = [bool(any(t.exists[ell, u, v] for u, v in edges)) for ell in range(lmax + 1)]
+    dist = t.dist
+    # a closed walk of length l >= 1 exists somewhere iff l >= closed_from[l % 2]
+    live = np.flatnonzero(t.has_neighbour)
+    closed_from = dist[:, live, live].min(axis=1, initial=NO_WALK)
+    # some adjacent pair is joined by a walk of length l iff l >= joined_from[l % 2]
+    eu, ev = np.nonzero(g.adj)
+    joined_from = dist[:, eu, ev].min(axis=1, initial=NO_WALK)
 
-    column: dict[tuple[int, int], int] = {}
-    cross: dict[tuple[int, int], int] = {}
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            found = None
-            for ell in range(1, lmax + 1):
-                if t.exists[ell, a, b] and not closed_any[ell]:
-                    found = ell
-                    break
-            if found is None:
-                return None
-            column[(a, b)] = found
-            if not g.has_edge(a, b):
-                found = None
-                for ell in range(1, lmax + 1):
-                    if t.exists[ell, a, b] and not adjacent_any[ell]:
-                        found = ell
-                        break
-                if found is None:
-                    return None
-                cross[(a, b)] = found
-    return QuantumCoreCertificate(g.label, column, cross)
+    a, b = np.triu_indices(g.n, 1)
+    nonadjacent = ~g.adj[a, b]
+    column = _minimal_lengths(dist, closed_from)[a, b]
+    cross = _minimal_lengths(dist, joined_from)[a[nonadjacent], b[nonadjacent]]
+    if (column > lmax).any() or (cross > lmax).any():
+        return None
+    pairs = list(zip(a.tolist(), b.tolist()))
+    return QuantumCoreCertificate(g.label, dict(zip(pairs, column.tolist())),
+                                  dict(zip(compress(pairs, nonadjacent), cross.tolist())))
+
+
+def _bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
+    """adj^ell in bool dtype by repeated squaring; squares[i] is adj^(2^i)
+    and is extended in place as needed."""
+    out = None
+    bit = 0
+    while ell >> bit:
+        if bit == len(squares):
+            squares.append(squares[-1] @ squares[-1])
+        if (ell >> bit) & 1:
+            out = squares[bit] if out is None else out @ squares[bit]
+        bit += 1
+    return np.eye(len(squares[0]), dtype=bool) if out is None else out
+
+
+def _recorded(lengths: dict[tuple[int, int], int], n: int) -> np.ndarray:
+    """n x n array of the lengths recorded for pairs a < b; -1 where a pair
+    has none or its entry is no nonnegative integer (no walk has it)."""
+    out = np.full((n, n), -1, dtype=np.int64)
+    for (a, b), ell in lengths.items():
+        if 0 <= a < b < n and isinstance(ell, (int, np.integer)) and ell >= 0:
+            out[a, b] = ell
+    return out
 
 
 def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
-    """Re-verify every recorded length against a freshly built walk table;
-    raises ValueError on any failure, including missing pairs."""
-    lengths = list(cert.column_lengths.values()) + list(cert.cross_lengths.values())
-    if not lengths:
+    """Re-verify every recorded length with bool-dtype powers of the adjacency
+    matrix, independent of the walk table; raises ValueError on the first
+    failing pair in row-major order, including missing pairs."""
+    if not cert.column_lengths and not cert.cross_lengths:
         if g.n > 1:
             raise ValueError("certificate is empty")
         return
-    t = walk_table(g, max(lengths))
-    edges = g.edges()
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if (a, b) not in cert.column_lengths:
-                raise ValueError(f"column pair ({a},{b}) missing")
-            ell = cert.column_lengths[(a, b)]
-            if not t.exists[ell, a, b]:
-                raise ValueError(f"column pair ({a},{b}): no walk of length {ell}")
-            if t.exists[ell].diagonal().any():
-                raise ValueError(f"column pair ({a},{b}): closed walk of length {ell} exists")
-            if not g.has_edge(a, b):
-                if (a, b) not in cert.cross_lengths:
-                    raise ValueError(f"cross pair ({a},{b}) missing")
-                ell = cert.cross_lengths[(a, b)]
-                if not t.exists[ell, a, b]:
-                    raise ValueError(f"cross pair ({a},{b}): no walk of length {ell}")
-                if any(t.exists[ell, u, v] for u, v in edges):
-                    raise ValueError(f"cross pair ({a},{b}): adjacent pair joined at length {ell}")
+    n = g.n
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+    needs_cross = pairs & ~g.adj
+    column, cross = _recorded(cert.column_lengths, n), _recorded(cert.cross_lengths, n)
+    # per pair: a walk of its recorded length, and that length spoiled by
+    # some closed walk (column) or some joined adjacent pair (cross)
+    column_walk, column_spoiled = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    cross_walk, cross_spoiled = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    eu, ev = np.nonzero(g.adj)
+    squares = [g.adj]
+    for ell in np.union1d(column[pairs], cross[needs_cross]).tolist():
+        if ell < 0:
+            continue
+        power = _bool_power(squares, ell)
+        at_column, at_cross = column == ell, cross == ell
+        column_walk |= at_column & power
+        cross_walk |= at_cross & power
+        if power.diagonal().any():
+            column_spoiled |= at_column
+        if power[eu, ev].any():
+            cross_spoiled |= at_cross
+    fails = (pairs & (~column_walk | column_spoiled)) | (needs_cross & (~cross_walk | cross_spoiled))
+    if not fails.any():
+        return
+    a, b = divmod(int(np.argmax(fails)), n)
+    checks = [("column", cert.column_lengths, column_walk, column_spoiled,
+               "closed walk of length {} exists")]
+    if needs_cross[a, b]:
+        checks.append(("cross", cert.cross_lengths, cross_walk, cross_spoiled,
+                       "adjacent pair joined at length {}"))
+    for kind, recorded, walk, spoiled, spoiled_message in checks:
+        if (a, b) not in recorded:
+            raise ValueError(f"{kind} pair ({a},{b}) missing")
+        ell = recorded[(a, b)]
+        if not walk[a, b]:
+            raise ValueError(f"{kind} pair ({a},{b}): no walk of length {ell}")
+        if spoiled[a, b]:
+            raise ValueError(f"{kind} pair ({a},{b}): " + spoiled_message.format(ell))
 
 
 @dataclass(frozen=True)

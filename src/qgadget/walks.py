@@ -1,10 +1,16 @@
 """Walk-existence tables, distances, girth variants, and parity-based decisions.
 
-Walk existence is tracked as booleans (not counts) because every criterion in
-this package only ever asks "is there a walk of length l" -- counts overflow
-quickly and are never needed.  The table is filled by boolean powers of the
-adjacency matrix.  Girth quantities are computed by entirely separate BFS
-routines so that table-vs-path identities can be cross-checked for real.
+Every criterion in this package only asks "is there a walk of length l from
+u to v", and the answer is settled by two shortest-walk lengths per pair: a
+walk of length l exists exactly when l is at least the length of the
+shortest walk of the same parity (a walk with an edge can be padded by going
+back and forth along it).  The one exception is an isolated vertex, whose
+only walk is the one of length 0.  So a table holds two parity-distance
+matrices plus a per-vertex "has a neighbour" mask, whatever the length bound.
+They are filled by iterating reach matrices through bool-dtype matrix
+products, which cannot overflow, until the reach sequence repeats with
+period 2.  Girth quantities are computed by entirely separate BFS routines
+so that table-vs-path identities can be cross-checked for real.
 """
 
 from __future__ import annotations
@@ -22,53 +28,79 @@ Length = Union[int, float]  # int, or math.inf for "no such walk/cycle"
 
 AUTO = "auto"
 
+NO_WALK = np.iinfo(np.int32).max  # dist entry for "no walk of this parity"
+
 
 @dataclass(frozen=True, eq=False)
 class WalkTable:
-    """exists[l, u, v] == there is a walk of length l from u to v, 0 <= l <= lmax."""
+    """Walk existence for every length 0 <= l <= lmax.
+
+    dist[p, u, v] is the length of the shortest walk u -> v of parity p, or
+    NO_WALK; has_neighbour[u] is False exactly for isolated vertices.  Above
+    ``settled``, the largest finite entry of dist, walk existence depends
+    only on the parity of the length.  ``steps`` counts the matrix products
+    that filled dist.
+    """
 
     graph: Graph
     lmax: int
-    exists: np.ndarray
+    dist: np.ndarray
+    has_neighbour: np.ndarray
+    settled: int
+    steps: int
 
-    def has_walk(self, length: int, u: int, v: int) -> bool:
+    def _check_length(self, length: int) -> None:
         if not (0 <= length <= self.lmax):
             raise ValueError(f"walk length {length} outside table range 0..{self.lmax}")
-        return bool(self.exists[length, u, v])
+
+    def has_walk(self, length: int, u: int, v: int) -> bool:
+        self._check_length(length)
+        # lengths beyond int32 compare as NO_WALK - 1, far above any distance
+        if self.dist[length % 2, u, v] > min(length, NO_WALK - 1):
+            return False
+        return length == 0 or bool(self.has_neighbour[u])
+
+    def reach(self, length: int) -> np.ndarray:
+        """Boolean n x n matrix: [u, v] == there is a walk of this length u -> v."""
+        self._check_length(length)
+        out = self.dist[length % 2] <= min(length, NO_WALK - 1)
+        if length:
+            out &= self.has_neighbour[:, None]
+        return out
 
 
 def walk_table(g: Graph, lmax: Union[int, str] = AUTO) -> WalkTable:
-    """Boolean walk-existence table up to lmax (default 2n+2, enough for any
-    parity-reachability question to stabilise)."""
+    """Parity-distance walk table answering queries up to lmax (default
+    2n+2).  Its cost and size do not depend on lmax: the reach matrices are
+    iterated only until they repeat with period 2."""
     if lmax == AUTO:
         lmax = 2 * g.n + 2
     if not isinstance(lmax, int) or lmax < 0:
         raise ValueError(f"lmax must be a nonnegative integer or 'auto', got {lmax!r}")
     n = g.n
-    adj8 = g.adj.astype(np.uint8)
-    exists = np.zeros((lmax + 1, n, n), dtype=bool)
-    exists[0] = np.eye(n, dtype=bool)
-    cur = np.eye(n, dtype=np.uint8)
-    for ell in range(1, lmax + 1):
-        cur = (cur @ adj8 > 0).astype(np.uint8)
-        exists[ell] = cur.astype(bool)
-    out = WalkTable(g, lmax, exists)
-    out.exists.setflags(write=False)
-    return out
-
-
-def _bfs_distances(g: Graph, source: int) -> list[Length]:
-    dist: list[Length] = [math.inf] * g.n
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        u = q.popleft()
-        for v in g.neighbors(u):
-            v = int(v)
-            if dist[v] == math.inf:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return dist
+    dist = np.full((2, n, n), NO_WALK, dtype=np.int32)
+    np.fill_diagonal(dist[0], 0)
+    settled = 0
+    steps = 0
+    # reach_l[u, v] == there is a walk of length l; once reach_l equals
+    # reach_{l-2}, every later matrix repeats with period 2.  Parity
+    # distances are shortest paths in the bipartite double cover, so below
+    # 2n, and the loop always ends at that break.
+    before, last = None, np.eye(n, dtype=bool)
+    for ell in range(1, 2 * n + 3):
+        cur = last @ g.adj
+        steps += 1
+        if before is not None and np.array_equal(cur, before):
+            break
+        new = cur & (dist[ell % 2] == NO_WALK)
+        if new.any():
+            dist[ell % 2][new] = ell
+            settled = ell
+        before, last = last, cur
+    dist.setflags(write=False)
+    has_neighbour = g.adj.any(axis=1)
+    has_neighbour.setflags(write=False)
+    return WalkTable(g, lmax, dist, has_neighbour, settled, steps)
 
 
 def distance(t: WalkTable, u: int, v: int) -> Length:
@@ -77,13 +109,13 @@ def distance(t: WalkTable, u: int, v: int) -> Length:
     Raises if the pair is reachable but only beyond the table's lmax, since
     reporting infinity there would be a lie.
     """
-    col = t.exists[:, u, v]
-    hits = np.flatnonzero(col)
-    if hits.size:
-        return int(hits[0])
-    if _bfs_distances(t.graph, u)[v] == math.inf:
+    d = int(t.dist[:, u, v].min())
+    if d == NO_WALK:
         return math.inf
-    raise ValueError(f"pair ({u},{v}) reachable but beyond lmax={t.lmax}; rebuild with larger lmax")
+    if d > t.lmax:
+        raise ValueError(f"pair ({u},{v}) reachable but beyond lmax={t.lmax}; "
+                         f"rebuild with larger lmax")
+    return d
 
 
 @dataclass(frozen=True)
@@ -191,9 +223,10 @@ def girths(g: Graph) -> GirthReport:
     """Girth, odd girth, odd walk girth, and diameter.
 
     odd_girth comes from double-cover BFS plus explicit extraction of a simple
-    odd cycle witness; odd_walk_girth comes from the walk-table diagonal.  The
-    two are computed by disjoint code paths so their equality is a genuine
-    cross-check rather than a tautology.
+    odd cycle witness; odd_walk_girth comes from the diagonal of the walk
+    table's odd parity distances.  The two are computed by disjoint code paths
+    so their equality is a genuine cross-check rather than a tautology.  The
+    diameter is the largest shortest-walk length of the same table.
     """
     girth = _girth_bfs(g)
 
@@ -210,20 +243,14 @@ def girths(g: Graph) -> GirthReport:
             assert g.has_edge(a, b)
         odd_girth = wlen
 
-    t = walk_table(g, 2 * g.n + 2)
-    odd_walk_girth: Length = math.inf
-    for ell in range(1, t.lmax + 1, 2):
-        if t.exists[ell].diagonal().any():
-            odd_walk_girth = ell
-            break
+    t = walk_table(g)
+    shortest_odd_closed = int(t.dist[1].diagonal().min(initial=NO_WALK))
+    odd_walk_girth: Length = math.inf if shortest_odd_closed == NO_WALK else shortest_odd_closed
 
-    diameter: Length = 0 if g.n else math.inf
-    for u in range(g.n):
-        worst = max(_bfs_distances(g, u))
-        if worst == math.inf:
-            diameter = math.inf
-            break
-        diameter = max(diameter, worst)
+    shortest = t.dist.min(axis=0)
+    diameter: Length = math.inf
+    if g.n and not (shortest == NO_WALK).any():
+        diameter = int(shortest.max())
     return GirthReport(girth, odd_girth, odd_walk_girth, diameter)
 
 

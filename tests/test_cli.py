@@ -251,6 +251,20 @@ def test_malformed_pair_dist_in_a_fresh_process(tmp_path, name):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["qcore", "C:7"], ["qcore", "O:3"],
+                                  ["gadget-check", "cmpl(C:8)", "0", "1", "K:4"],
+                                  ["gadget-check", "C:9", "0", "4", "C:9"]])
+def test_huge_lmax_costs_what_the_auto_lmax_costs(capsys, argv):
+    # neither the walk tables nor the length searches may scale with lmax
+    proc = _run_fresh(*argv, "--lmax", str(10**12), "--json")
+    assert proc.returncode == 0, proc.stderr
+    huge = json.loads(proc.stdout)
+    auto = run_json(capsys, *argv)
+    for report in (huge, auto):
+        del report["elapsed_seconds"], report["inputs"]["lmax"]
+    assert huge == auto
+
+
 def test_rep_verify_and_compose(tmp_path, capsys):
     rep = pair_swap_rep(4)
     path = tmp_path / "rep.json"

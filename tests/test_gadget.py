@@ -221,9 +221,35 @@ def test_quotient_generators_are_automorphisms():
                                 box.adj[idx(*img1), idx(*img2)]
 
 
+def canonical_pair(pair, m, k):
+    """Least member of an unordered pair's orbit, built pair by pair from the
+    rotations and reflections of the cycle and the flip of the path."""
+    (a0, s0), (b0, t0) = pair
+    images = []
+    for s1, t1 in ((s0, t0), (k - s0, k - t0)):
+        for a1, b1 in ((a0, b0), ((-a0) % m, (-b0) % m)):
+            for rot in range(m):
+                p, q = ((a1 + rot) % m, s1), ((b1 + rot) % m, t1)
+                images.append((p, q) if p <= q else (q, p))
+    return min(images)
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 4), (2, 8), (3, 8), (3, 12), (4, 12),
+                                 (5, 16)])
+def test_candidate_classes_match_per_pair_canonical_map(n, k):
+    m = 2 * n + 1
+    vertices = [(a, s) for a in range(m) for s in range(k + 1)]
+    expected = {}
+    for i in range(len(vertices)):
+        for j in range(i + 1, len(vertices)):
+            rep = canonical_pair((vertices[i], vertices[j]), m, k)
+            expected[rep] = expected.get(rep, 0) + 1
+    classes = enumerate_candidate_classes(n, k)
+    assert list(classes.items()) == sorted(expected.items())
+
+
 def test_symmetry_reduction_matches_unreduced():
     # every pair's direct analysis agrees in kind with its class representative
-    from qgadget.gadget import _canonical_pair
     for k in (1, 2, 3):
         n, m = 2, 5
         classes = enumerate_candidate_classes(n, k)
@@ -233,7 +259,7 @@ def test_symmetry_reduction_matches_unreduced():
         for i in range(len(vertices)):
             for j in range(i + 1, len(vertices)):
                 pair = (vertices[i], vertices[j])
-                rep = _canonical_pair(pair if pair[0] <= pair[1] else (pair[1], pair[0]), m, k)
+                rep = canonical_pair(pair, m, k)
                 direct = analyze_candidate_pair(n, k, pair, {})
                 assert direct.kind == outcomes[rep], (pair, rep)
                 total += 1

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qgadget import (build_family, decide_bipartite_target, distance, enumerate_homomorphisms,
                      girths, is_bipartite, is_oracularisable, walk_table)
-from conftest import walk_exists_dfs
+from conftest import SMALL_FAMILY_SPECS, walk_exists_dfs
 
 
 def test_walk_table_c5_examples():
@@ -48,6 +49,21 @@ def test_walk_table_recurrence(small_family_graphs):
                 for v in range(g.n):
                     step = any(t.has_walk(ell, u, int(w)) for w in g.neighbors(v))
                     assert t.has_walk(ell + 1, u, v) == step
+
+
+def test_length_two_walks_survive_258_vertices():
+    # 257 common neighbours: a walk count that wraps to 1 in uint8
+    t = walk_table(build_family("K:258"), 3)
+    assert t.has_walk(2, 0, 1)
+    assert distance(t, 0, 1) == 1
+
+
+def test_table_size_does_not_grow_with_lmax():
+    g = build_family("C:6")
+    small, huge = walk_table(g, 3), walk_table(g, 10**12)
+    assert np.array_equal(small.dist, huge.dist) and small.steps == huge.steps
+    assert huge.has_walk(10**12, 0, 0) and not huge.has_walk(10**12 - 1, 0, 0)
+    assert huge.has_walk(10**12 - 1, 0, 1)
 
 
 def test_petersen_diameter():
@@ -95,6 +111,17 @@ def test_odd_walk_girth_equals_odd_girth(small_family_graphs):
     for g in small_family_graphs:
         r = girths(g)
         assert r.odd_walk_girth == r.odd_girth, g.label
+
+
+@pytest.mark.parametrize("spec", SMALL_FAMILY_SPECS + ["box(C:9,P:10)", "KG:8,3"])
+def test_girths_match_networkx(spec):
+    nx = pytest.importorskip("networkx")
+    g = build_family(spec)
+    r = girths(g)
+    h = nx.from_numpy_array(g.adj.astype(int))
+    assert r.girth == nx.girth(h)
+    assert r.diameter == (nx.diameter(h) if nx.is_connected(h) else math.inf)
+    assert (r.odd_girth == math.inf) == nx.is_bipartite(h)
 
 
 def test_bipartite_examples():
