@@ -82,7 +82,9 @@ def quantum_core_certificate(g: Graph, lmax: int) -> Optional[QuantumCoreCertifi
     nonadjacent = ~g.adj[a, b]
     column = _minimal_lengths(dist, closed_from)[a, b]
     cross = _minimal_lengths(dist, joined_from)[a[nonadjacent], b[nonadjacent]]
-    if (column > lmax).any() or (cross > lmax).any():
+    # NO_WALK marks a pair with no valid length, whatever lmax is
+    bound = min(lmax, NO_WALK - 1)
+    if (column > bound).any() or (cross > bound).any():
         return None
     pairs = list(zip(a.tolist(), b.tolist()))
     return QuantumCoreCertificate(g.label, dict(zip(pairs, column.tolist())),
@@ -103,16 +105,6 @@ def _bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
     return np.eye(len(squares[0]), dtype=bool) if out is None else out
 
 
-def _recorded(lengths: dict[tuple[int, int], int], n: int) -> np.ndarray:
-    """n x n array of the lengths recorded for pairs a < b; -1 where a pair
-    has none or its entry is no nonnegative integer (no walk has it)."""
-    out = np.full((n, n), -1, dtype=np.int64)
-    for (a, b), ell in lengths.items():
-        if 0 <= a < b < n and isinstance(ell, (int, np.integer)) and ell >= 0:
-            out[a, b] = ell
-    return out
-
-
 def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
     """Re-verify every recorded length with bool-dtype powers of the adjacency
     matrix, independent of the walk table; raises ValueError on the first
@@ -121,44 +113,33 @@ def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> N
         if g.n > 1:
             raise ValueError("certificate is empty")
         return
-    n = g.n
-    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
-    needs_cross = pairs & ~g.adj
-    column, cross = _recorded(cert.column_lengths, n), _recorded(cert.cross_lengths, n)
-    # per pair: a walk of its recorded length, and that length spoiled by
-    # some closed walk (column) or some joined adjacent pair (cross)
-    column_walk, column_spoiled = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
-    cross_walk, cross_spoiled = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
     eu, ev = np.nonzero(g.adj)
     squares = [g.adj]
-    for ell in np.union1d(column[pairs], cross[needs_cross]).tolist():
-        if ell < 0:
-            continue
-        power = _bool_power(squares, ell)
-        at_column, at_cross = column == ell, cross == ell
-        column_walk |= at_column & power
-        cross_walk |= at_cross & power
-        if power.diagonal().any():
-            column_spoiled |= at_column
-        if power[eu, ev].any():
-            cross_spoiled |= at_cross
-    fails = (pairs & (~column_walk | column_spoiled)) | (needs_cross & (~cross_walk | cross_spoiled))
-    if not fails.any():
-        return
-    a, b = divmod(int(np.argmax(fails)), n)
-    checks = [("column", cert.column_lengths, column_walk, column_spoiled,
-               "closed walk of length {} exists")]
-    if needs_cross[a, b]:
-        checks.append(("cross", cert.cross_lengths, cross_walk, cross_spoiled,
-                       "adjacent pair joined at length {}"))
-    for kind, recorded, walk, spoiled, spoiled_message in checks:
-        if (a, b) not in recorded:
+    # ell -> (adj^ell, some closed walk of length ell, some adjacent pair joined)
+    at_length: dict[int, tuple[np.ndarray, bool, bool]] = {}
+
+    def check(kind: str, lengths: dict[tuple[int, int], int], a: int, b: int) -> None:
+        if (a, b) not in lengths:
             raise ValueError(f"{kind} pair ({a},{b}) missing")
-        ell = recorded[(a, b)]
-        if not walk[a, b]:
+        ell = lengths[(a, b)]
+        if not isinstance(ell, (int, np.integer)) or ell < 0:
             raise ValueError(f"{kind} pair ({a},{b}): no walk of length {ell}")
-        if spoiled[a, b]:
-            raise ValueError(f"{kind} pair ({a},{b}): " + spoiled_message.format(ell))
+        if ell not in at_length:
+            power = _bool_power(squares, ell)
+            at_length[ell] = (power, bool(power.diagonal().any()), bool(power[eu, ev].any()))
+        power, closed_any, joined_any = at_length[ell]
+        if not power[a, b]:
+            raise ValueError(f"{kind} pair ({a},{b}): no walk of length {ell}")
+        if kind == "column" and closed_any:
+            raise ValueError(f"column pair ({a},{b}): closed walk of length {ell} exists")
+        if kind == "cross" and joined_any:
+            raise ValueError(f"cross pair ({a},{b}): adjacent pair joined at length {ell}")
+
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            check("column", cert.column_lengths, a, b)
+            if not g.has_edge(a, b):
+                check("cross", cert.cross_lengths, a, b)
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,7 @@ def test_malformed_pair_dist_in_a_fresh_process(tmp_path, name):
 
 
 @pytest.mark.parametrize("argv", [["qcore", "C:7"], ["qcore", "O:3"],
+                                  ["qcore", "C:6"], ["qcore", "P:3"],
                                   ["gadget-check", "cmpl(C:8)", "0", "1", "K:4"],
                                   ["gadget-check", "C:9", "0", "4", "C:9"]])
 def test_huge_lmax_costs_what_the_auto_lmax_costs(capsys, argv):

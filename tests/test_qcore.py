@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 import qgadget.endo
-from qgadget import (build_family, classical_only_report, girths,
+from qgadget import (build_family, classical_only_report, girths, graph_from_edges,
                      quantum_core_certificate, verify_quantum_core_certificate)
 
 
@@ -62,6 +62,16 @@ def test_certificate_inconclusive_on_bipartite():
     # column condition already fails: distinct same-side pairs need even
     # lengths, and even closed walks always exist
     assert quantum_core_certificate(build_family("C:6"), 20) is None
+
+
+@pytest.mark.parametrize("g", [build_family("C:6"), build_family("P:3"),
+                               build_family("diamond"), graph_from_edges(4, [])],
+                         ids=["C:6", "P:3", "diamond", "edgeless"])
+def test_certificate_inconclusive_beyond_the_no_walk_sentinel(g):
+    # a pair with no valid length must stay missing however large lmax is,
+    # also past the int32 "no walk" sentinel of the parity distances
+    for lmax in (2**31 - 2, 2**31 - 1, 2**31, 10**12):
+        assert quantum_core_certificate(g, lmax) is None
 
 
 def test_certificate_lmax_monotone():
