@@ -251,6 +251,37 @@ def test_malformed_pair_dist_in_a_fresh_process(tmp_path, name):
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+def _nan_strategy(tmp_path):
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1]).to_json()
+    doc["vertex_pvms"]["0"][0] = [[[float("nan"), 0.0]]]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_defect_nan_strategy_exit_1(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "defect", str(_nan_strategy(tmp_path)), "--model", "a",
+                             "--json")
+    assert code == 1 and err.startswith("error:") and "not hermitian" in err
+    assert out == ""
+
+
+def test_defect_nan_strategy_in_a_fresh_process(tmp_path):
+    proc = _run_fresh("defect", str(_nan_strategy(tmp_path)), "--model", "a", "--json")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("x, y", [("99", "0"), ("-1", "0")])
+def test_defect_commutator_vertex_out_of_range_in_a_fresh_process(tmp_path, x, y):
+    proc = _run_fresh("defect", str(_c_c_strategy(tmp_path)), "--model", "commutator",
+                      "--x", x, "--y", y)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert "not an instance vertex" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [["qcore", "C:7"], ["qcore", "O:3"],
                                   ["qcore", "C:6"], ["qcore", "P:3"],
                                   ["gadget-check", "cmpl(C:8)", "0", "1", "K:4"],

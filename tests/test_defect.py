@@ -1,5 +1,6 @@
 """Weighted-algebra defects for finite-dimensional strategies."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qgadget import (assignment_defect, build_family, cc_defect, classical_strategy,
                      commutator_defect, cv_defect, enumerate_homomorphisms, projector,
                      strategy_from_json, strategy_from_vertex_pvms, validate_strategy)
-from qgadget.qrep import KET0, KET1, KETMINUS, KETPLUS
+from qgadget.qrep import KET0, KET1, KETMINUS, KETPLUS, MAX_STACK_ENTRIES
 from conftest import assignment_game_value
 
 
@@ -58,9 +59,9 @@ def test_cv_defect_positive_when_vertex_pvm_permuted():
     h, g = build_family("K:2"), build_family("K:3")
     hom = enumerate_homomorphisms(h, g, limit=1)[0]
     s = classical_strategy(h, g, hom, with_edge_pvms=True)
-    # permute one vertex PVM so the edge outcomes disagree with it
-    fam = s.vertex_pvms[0]
-    s.vertex_pvms[0] = [fam[1], fam[2], fam[0]]
+    # permute one vertex PVM so the edge outcomes disagree with it (the fancy
+    # index copies, so the stacked family is not read while it is written)
+    s.vertex_pvms[0] = s.vertex_pvms[0][[1, 2, 0]]
     # oracle at dimension 1: each directed edge has one Phi outcome, and the
     # slot at vertex 0 now mismatches, contributing w/2 * 1 each
     expected = sum(float(w) / 2 for (x, y), w in s.dist.items())
@@ -219,3 +220,92 @@ def test_strategy_json_round_trip():
     assert back.dist == s.dist
     assert assignment_defect(back) == assignment_defect(s)
     assert cv_defect(back) == cv_defect(s)
+
+
+def test_nan_strategy_fails_validation():
+    # a NaN residual compares false against the tolerance; it must still fail
+    h = build_family("K:2")
+    nan = np.full((2, 2), np.nan, dtype=complex)
+    s = strategy_from_vertex_pvms(h, h, 2, {0: [nan, Z2], 1: [Q0, Q1]})
+    with pytest.raises(ValueError, match="vertex 0 PVM: element 0 is not hermitian"):
+        assignment_defect(s)
+    s = strategy_from_vertex_pvms(h, h, 2, {0: [P0, P1], 1: [Q0, Q1]})
+    s.vertex_pvms[1, 1, 1, 1] = complex(1.0, np.nan)
+    with pytest.raises(ValueError, match="vertex 1 PVM: element 1 is not hermitian"):
+        validate_strategy(s)
+
+
+def test_commutator_vertices_must_be_instance_vertices():
+    h = build_family("K:2")
+    s = strategy_from_vertex_pvms(h, h, 2, {0: [P0, P1], 1: [Q0, Q1]})
+    for x, y in ((99, 0), (0, 2), (-1, 0), (1, -1)):
+        with pytest.raises(ValueError, match="is not an instance vertex"):
+            commutator_defect(s, x, y)
+
+
+@pytest.mark.parametrize("key", ["-1", "5", "2"])
+def test_vertex_pvm_keys_must_be_instance_vertices(key):
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1]).to_json()
+    doc["vertex_pvms"][key] = doc["vertex_pvms"].pop("1")
+    with pytest.raises(ValueError, match=f"key {key} is not an instance vertex"):
+        strategy_from_json(doc)
+    with pytest.raises(ValueError, match=f"key {key} is not an instance vertex"):
+        strategy_from_vertex_pvms(h, h, 2, {0: [P0, P1], int(key): [Q0, Q1]})
+
+
+def test_strategy_families_must_be_complete():
+    h, g = build_family("K:2"), build_family("K:3")
+    with pytest.raises(ValueError, match="vertex 1 has no PVM"):
+        strategy_from_vertex_pvms(h, g, 2, {0: [P0, P1, Z2]})
+    with pytest.raises(ValueError, match="vertex 1 PVM has 2 outcomes, expected 3"):
+        strategy_from_vertex_pvms(h, g, 2, {0: [P0, P1, Z2], 1: [Q0, Q1]})
+    with pytest.raises(ValueError, match=r"matrix has shape \(1, 1\), expected \(2,2\)"):
+        strategy_from_vertex_pvms(h, g, 2, {0: [P0, P1, Z2], 1: [Q0, Q1, np.zeros((1, 1))]})
+
+
+def test_vertex_stack_bound_refused_before_allocation():
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1]).to_json()
+    doc["dim"] = 2 ** 11  # 2 * 2 * 2^22 numbers, stated over 1x1 matrices
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_STACK_ENTRIES)):
+            strategy_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_edge_pvm_checks_run_in_family_order():
+    # a broken family listed before one with a stray outcome raises first
+    h, g = build_family("K:2"), build_family("K:3")
+    s = classical_strategy(h, g, [0, 1], with_edge_pvms=True)
+    s.edge_pvms = {(0, 1): {(0, 1): np.full((1, 1), 1j)}, (1, 0): {(0, 0): np.ones((1, 1))}}
+    with pytest.raises(ValueError, match=r"edge \(0,1\) PVM: element 0 is not hermitian"):
+        cv_defect(s)
+    s.edge_pvms[(0, 1)] = {(0, 1): np.ones((1, 1))}
+    with pytest.raises(ValueError, match=r"edge PVM \(1,0\) outcome \(0, 0\) is not a directed"):
+        cv_defect(s)
+
+
+@pytest.mark.parametrize("assignment", [[0], [0, 3], [0, -1]])
+def test_classical_strategy_rejects_bad_assignment(assignment):
+    # a negative value would otherwise index the stack from its end
+    with pytest.raises(ValueError):
+        classical_strategy(build_family("K:2"), build_family("K:3"), assignment)
+
+
+def test_sparse_edge_pvms_on_a_large_target_stay_small():
+    # edge families are stacked over all 4032 directed edges of K:64, but
+    # only the listed outcomes are multiplied pairwise
+    h, g = build_family("K:2"), build_family("K:64")
+    s = classical_strategy(h, g, [0, 1], with_edge_pvms=True)
+    tracemalloc.start()
+    try:
+        assert cv_defect(s) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
