@@ -25,8 +25,8 @@ from typing import Optional
 from . import __version__
 from .graphs import Graph, build_family, parse_graph, serialize_graph
 from .walks import decide_bipartite_target, girths, is_bipartite, is_oracularisable
-from .endo import (DEFAULT_MAX_VERTICES, enumerate_endomorphisms, enumerate_homomorphisms,
-                   find_schmidt_pair, nogo_verdict)
+from .endo import (DEFAULT_MAX_VERTICES, _all_bijective, endomorphism_rows,
+                   enumerate_homomorphisms, find_schmidt_pair, nogo_verdict)
 from .qrep import VerificationFailure, compose_reps, load_rep, verify_rep
 from .defect import (assignment_defect, cc_defect, commutator_defect, cv_defect,
                      pair_dist_from_json, strategy_from_json)
@@ -67,7 +67,9 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        # plain ints (most elements of map lists) need no conversion; a bool
+        # fails the exact type test and still goes through _jsonable
+        return [v if type(v) is int else _jsonable(v) for v in obj]
     if hasattr(obj, "to_json"):
         return _jsonable(obj.to_json())
     raise TypeError(f"cannot serialise {type(obj)} into a report")
@@ -146,13 +148,14 @@ def cmd_schmidt(args):
 
 def cmd_endos(args):
     g = load_graph_arg(args.graph)
-    endos = enumerate_endomorphisms(g, _bound(args))
-    maps = [list(e.mapping) for e in endos]
+    rows = endomorphism_rows(g, _bound(args))
+    ident = list(range(g.n))
+    maps = [ident] + [m for m in rows.tolist() if m != ident]
     if args.limit is not None:
         maps = maps[:args.limit]
     emit_report(args, {"graph": args.graph, "limit": args.limit,
                        "max_vertices": args.max_vertices, "i_know": args.i_know},
-                {"graph": g, "count": len(endos), "is_core": all(len(set(m)) == g.n for m in maps)
+                {"graph": g, "count": len(rows), "is_core": _all_bijective(rows)
                  if args.limit is None else None, "endomorphisms": maps})
 
 

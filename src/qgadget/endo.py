@@ -11,13 +11,21 @@ variant is ruled out as well.
 All searches are exhaustive and deterministic so that "none exists" verdicts
 are trustworthy and certificates are reproducible run to run.
 
-Finding and checking take separate code paths.  The searches work on
-Python-int bitmasks: homomorphism backtracking ANDs the target's neighbour
-masks (``Graph.nbr_masks``), and the Schmidt-pair scan rules out partners by
-support masks.  Every pair it finds is then re-checked by
-:func:`verify_schmidt_certificate`, whose predicates (:func:`is_wac`,
-:func:`supports_disjoint`, :func:`supports_disconnected`) work on frozenset
-supports and ``Graph.has_edge``.
+The endomorphism set of a graph is one integer array, one map per row, rows
+in lexicographic order (:func:`endomorphism_rows`).  A full enumeration
+expands partial maps level by level, one vertex at a time, in blocks of at
+most ``_BLOCK`` rows taken depth first; besides the maps it returns, its
+live memory is about h.n * g.n blocks of ``_BLOCK`` rows, whatever the size
+of the frontier.  A query with a limit wants the first hits only and
+backtracks over Python-int neighbour bitmasks (``Graph.nbr_masks``) instead.
+
+Finding and checking take separate code paths.  Every enumerated
+endomorphism is re-checked against ``Graph.adj`` in one batched edge test.
+The Schmidt-pair scan rules out partners by support bitmasks over the rows,
+and every pair it finds is re-checked by :func:`verify_schmidt_certificate`,
+whose predicates (:func:`is_wac`, :func:`supports_disjoint`,
+:func:`supports_disconnected`) work on frozenset supports and
+``Graph.has_edge``.  A failed re-check raises :class:`VerificationFailure`.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ import numpy as np
 from .graphs import Graph, adjacency_equal
 
 DEFAULT_MAX_VERTICES = 12
+
+
+class VerificationFailure(RuntimeError):
+    """A construction failed its own internal consistency check."""
 
 
 @dataclass(frozen=True)
@@ -120,11 +132,14 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
                             limit: Optional[int] = None) -> list[tuple[int, ...]]:
     """All homomorphisms h -> g extending the pinned assignments.
 
-    Backtracking over vertices 0..n-1 in order, so results come out in
-    lexicographic order of the map tuple; with a limit, the first `limit`
-    maps in that order are returned.  A vertex's candidate images are a
-    bitmask: its pin (or every target vertex) ANDed with the target
-    neighbourhoods of its already-placed neighbours, tried low bit first.
+    Results come out in lexicographic order of the map tuple; with a limit,
+    the first `limit` maps in that order are returned.  Without a limit every
+    map is wanted, and the level search of :func:`_homomorphism_rows` builds
+    them in blocks.  With a limit the first hit is wanted, and a backtracking
+    search over vertices 0..n-1 stops as soon as it has `limit` maps.  A
+    vertex's candidate images are a bitmask: its pin (or every target vertex)
+    ANDed with the target neighbourhoods of its already-placed neighbours,
+    tried low bit first.
     """
     pins = pins or {}
     for u, a in pins.items():
@@ -134,6 +149,8 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
             raise ValueError(f"pin target {a} out of range for target graph")
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
+    if limit is None:
+        return [tuple(r) for r in _homomorphism_rows(h, g, pins).tolist()]
 
     n = h.n
     if n == 0:
@@ -159,7 +176,7 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
         assigned[u] = low.bit_length() - 1
         if u == n - 1:
             results.append(tuple(assigned))
-            if limit is not None and len(results) >= limit:
+            if len(results) >= limit:
                 break
             continue
         u += 1
@@ -170,22 +187,96 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
     return results
 
 
+# Rows per block of the level search: the largest partial-map array it
+# expands at once, which bounds its memory (see the module docstring).
+_BLOCK = 2 ** 10
+
+
+def _homomorphism_rows(h: Graph, g: Graph, pins: dict[int, int]) -> np.ndarray:
+    """Every homomorphism h -> g extending the (already validated) pins, one
+    map per row of a ``(count, h.n)`` integer array, rows in lexicographic
+    order.
+
+    Partial maps of vertices 0..u-1 are extended by vertex u for a whole
+    block at once: the candidate images are u's allowed row ANDed with the
+    rows of ``g.adj`` at ``part[:, v]`` for every neighbour v < u, and the
+    nonzero positions of that block, taken row-major, are the children in
+    lexicographic order.  Blocks of at most ``_BLOCK`` rows are expanded
+    depth first, which keeps that order and bounds memory.
+    """
+    n = h.n
+    dtype = np.int8 if g.n <= 127 else np.int16
+    allowed = np.ones((n, g.n), dtype=bool)
+    for u, a in pins.items():
+        allowed[u] = False
+        allowed[u, a] = True
+    back_nbrs = [[int(v) for v in h.neighbors(u) if v < u] for u in range(n)]
+    done: list[np.ndarray] = []
+    # (depth, block) pairs; the top of the stack holds the lexicographically
+    # smallest unexpanded block
+    stack = [(0, np.zeros((1, 0), dtype=dtype))]
+    while stack:
+        u, part = stack.pop()
+        if u == n:
+            done.append(part)
+            continue
+        cand = np.broadcast_to(allowed[u], (len(part), g.n))
+        for v in back_nbrs[u]:
+            cand = cand & g.adj.take(part[:, v], axis=0)
+        # row-major positions of the candidates: children in lexicographic order
+        rows, images = np.divmod(np.flatnonzero(cand), g.n)
+        if not len(rows):
+            continue
+        children = np.empty((len(rows), u + 1), dtype=dtype)
+        children[:, :u] = part.take(rows, axis=0)
+        children[:, u] = images
+        stack.extend((u + 1, children[i:i + _BLOCK])
+                     for i in reversed(range(0, len(children), _BLOCK)))
+    if not done:
+        return np.zeros((0, n), dtype=dtype)
+    return np.concatenate(done)
+
+
+def endomorphism_rows(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> np.ndarray:
+    """Every endomorphism of g as one row of a ``(count, g.n)`` integer array,
+    rows in lexicographic order (the identity among them).
+
+    Refuses graphs above the size bound because the downstream verdicts
+    depend on this enumeration being exhaustive.  Every row is re-checked
+    against ``g.adj`` edge by edge in one batch; a row that breaks an edge
+    raises :class:`VerificationFailure`.
+    """
+    if g.n > max_vertices:
+        raise ValueError(f"graph has {g.n} vertices, above the exhaustive-search bound "
+                         f"{max_vertices}; raise max_vertices explicitly to override")
+    rows = _homomorphism_rows(g, g, {})
+    iu, iv = np.nonzero(np.triu(g.adj))
+    kept = g.adj[rows[:, iu], rows[:, iv]]
+    if not kept.all():
+        r, e = np.argwhere(~kept)[0]
+        raise VerificationFailure(f"enumerated map {rows[r].tolist()} does not preserve "
+                                  f"edge ({iu[e]},{iv[e]})")
+    return rows
+
+
+def _all_bijective(rows: np.ndarray) -> bool:
+    """True iff every row of an endomorphism array is a permutation."""
+    return bool((np.sort(rows, axis=1) == np.arange(rows.shape[1])).all())
+
+
 def enumerate_endomorphisms(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[Endomorphism]:
     """Every endomorphism of g, with the identity first and the rest in
     lexicographic order.  Refuses graphs above the size bound because the
     downstream verdicts depend on this enumeration being exhaustive."""
-    if g.n > max_vertices:
-        raise ValueError(f"graph has {g.n} vertices, above the exhaustive-search bound "
-                         f"{max_vertices}; raise max_vertices explicitly to override")
     ident = tuple(range(g.n))
-    maps = enumerate_homomorphisms(g, g)
+    maps = [tuple(r) for r in endomorphism_rows(g, max_vertices).tolist()]
     ordered = [ident] + [m for m in maps if m != ident]
     return [Endomorphism(g, m) for m in ordered]
 
 
 def is_core(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
     """True iff every endomorphism is bijective."""
-    return all(e.is_bijective() for e in enumerate_endomorphisms(g, max_vertices))
+    return _all_bijective(endomorphism_rows(g, max_vertices))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +339,7 @@ def find_schmidt_pair(g: Graph, oracular: bool,
     (f, g) and the first hit is returned, so output is deterministic.
     Returns None only after checking every pair.
     """
-    return _scan_schmidt_pairs(g, enumerate_endomorphisms(g, max_vertices), oracular)
+    return _scan_schmidt_pairs(g, endomorphism_rows(g, max_vertices), oracular)
 
 
 def _bits(mask: int) -> list[int]:
@@ -261,30 +352,36 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _scan_schmidt_pairs(g: Graph, endos: list[Endomorphism],
+def _scan_schmidt_pairs(g: Graph, rows: np.ndarray,
                         oracular: bool) -> Optional[SchmidtCertificate]:
-    """The pair scan of :func:`find_schmidt_pair` over an already enumerated
-    endomorphism list, so one enumeration can serve several scans.
+    """The pair scan of :func:`find_schmidt_pair` over the lexicographically
+    ordered rows of :func:`endomorphism_rows`, so one enumeration can serve
+    several scans.
 
-    Partners are ruled out by bitmasks over endomorphism indices:
-    ``movers[u]`` has bit i set iff endos[i] moves u, so OR-ing it over f's
+    Partners are ruled out by bitmasks over non-identity row indices:
+    ``movers[u]`` has bit i set iff map i moves u, so OR-ing it over f's
     support (plus its neighbourhood, when oracular) gives every partner whose
     support meets (or touches) f's.  The remaining bits are the candidates,
     taken in ascending index, so the first hit is the lexicographically first
     pair.  A hit is re-checked by :func:`verify_schmidt_certificate`, which
-    uses the frozenset predicates instead of these masks.
+    uses the frozenset predicates instead of these masks; a hit it rejects
+    raises :class:`VerificationFailure`.
     """
-    ident = tuple(range(g.n))
-    endos = sorted((e for e in endos if e.mapping != ident), key=lambda e: e.mapping)
-    if not endos:
+    moved = rows != np.arange(g.n)
+    keep = moved.any(axis=1)
+    rows, moved = rows[keep], moved[keep]
+    if not len(rows):
         return None
+    # the support of map i is where[starts[i]:starts[i + 1]], ascending
+    which, where = np.nonzero(moved)
+    starts = np.searchsorted(which, np.arange(len(rows) + 1)).tolist()
     masks = g.nbr_masks
-    moved = np.array([e.mapping for e in endos]) != np.arange(g.n)
     movers = [int.from_bytes(col.tobytes(), "little")
               for col in np.packbits(moved.T, axis=1, bitorder="little")]
-    everyone = (1 << len(endos)) - 1
-    for f, moved_f in zip(endos, moved):
-        sf = np.flatnonzero(moved_f).tolist()
+    everyone = (1 << len(rows)) - 1
+    for i in range(len(rows)):
+        fm = rows[i].tolist()
+        sf = where[starts[i]:starts[i + 1]].tolist()
         reach = sf
         if oracular:
             near = 0
@@ -299,26 +396,30 @@ def _scan_schmidt_pairs(g: Graph, endos: list[Endomorphism],
             low = partners & -partners
             partners ^= low
             j = low.bit_length() - 1
-            h = endos[j]
+            hm = rows[j].tolist()
             if oracular:
                 mode = MODE_DISCONNECTED
-            elif _wac_masks(f, h, sf, masks):
+            elif _wac_masks(fm, hm, sf, masks):
                 mode = MODE_DISJOINT_WAC
             else:
                 continue
-            cert = SchmidtCertificate(f, h, mode, (sf[0], int(np.argmax(moved[j]))))
-            verify_schmidt_certificate(cert)
+            try:
+                cert = SchmidtCertificate(Endomorphism(g, tuple(fm)), Endomorphism(g, tuple(hm)),
+                                          mode, (sf[0], int(where[starts[j]])))
+                verify_schmidt_certificate(cert)
+            except ValueError as exc:
+                raise VerificationFailure(f"Schmidt pair failed re-verification: {exc}") from exc
             return cert
     return None
 
 
-def _wac_masks(f: Endomorphism, h: Endomorphism, sf: list[int],
+def _wac_masks(fm: list[int], hm: list[int], sf: list[int],
                masks: tuple[int, ...]) -> bool:
-    """:func:`is_wac` for h with support disjoint from f's support sf: every
-    neighbour y of x in sf that h moves needs f(x) ~ h(y)."""
-    hm = h.mapping
+    """:func:`is_wac` for maps fm, hm with hm's support disjoint from fm's
+    support sf: every neighbour y of x in sf that hm moves needs
+    fm[x] ~ hm[y]."""
     for x in sf:
-        fx = masks[f.mapping[x]]
+        fx = masks[fm[x]]
         for y in _bits(masks[x]):
             if hm[y] != y and not fx >> hm[y] & 1:
                 return False
@@ -389,13 +490,13 @@ def nogo_verdict(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Verdict:
     known positive family or 'unknown'.
     """
     known = _known_oracular_gadget(g.label)
-    endos = enumerate_endomorphisms(g, max_vertices)
-    cert = _scan_schmidt_pairs(g, endos, oracular=True)
+    rows = endomorphism_rows(g, max_vertices)
+    cert = _scan_schmidt_pairs(g, rows, oracular=True)
     if cert is not None:
         return Verdict(KIND_NO_GADGET_AT_ALL, cert, None,
                        ("disconnected-support pair excludes oracular and non-oracular "
                         "commutativity gadgets",))
-    cert = _scan_schmidt_pairs(g, endos, oracular=False)
+    cert = _scan_schmidt_pairs(g, rows, oracular=False)
     if cert is not None:
         notes = ["disjoint WAC pair excludes a non-oracular commutativity gadget; "
                  "the oracular case is not settled by this certificate"]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .graphs import Graph
 from .walks import NO_WALK, walk_table
-from .endo import DEFAULT_MAX_VERTICES, _scan_schmidt_pairs, enumerate_endomorphisms
+from .endo import DEFAULT_MAX_VERTICES, _all_bijective, _scan_schmidt_pairs, endomorphism_rows
 
 
 @dataclass(frozen=True)
@@ -176,9 +176,9 @@ def classical_only_report(g: Graph, assume_no_quantum_symmetry: bool,
     core: Optional[bool] = None
     schmidt: Optional[bool] = None
     if g.n <= max_vertices:
-        endos = enumerate_endomorphisms(g, max_vertices)
-        core = all(e.is_bijective() for e in endos)
-        schmidt = _scan_schmidt_pairs(g, endos, oracular=False) is not None
+        rows = endomorphism_rows(g, max_vertices)
+        core = _all_bijective(rows)
+        schmidt = _scan_schmidt_pairs(g, rows, oracular=False) is not None
     if cert is not None and core and assume_no_quantum_symmetry:
         conclusion = ("only classical endomorphisms (quantum core certified, classical core "
                       "verified, no quantum symmetry assumed from external input)")

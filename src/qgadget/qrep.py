@@ -29,7 +29,7 @@ import numpy as np
 
 from .graphs import (Graph, adjacency_equal, box_product, complete_graph, cycle_graph,
                      graph_from_json, path_graph)
-from .endo import Endomorphism, is_wac, support, supports_disjoint
+from .endo import Endomorphism, VerificationFailure, is_wac, support, supports_disjoint
 
 DEFAULT_TOL = 1e-9
 # largest stack (domain.n * codomain.n * dim * dim numbers) a document may ask for
@@ -47,10 +47,6 @@ def projector(vec: np.ndarray) -> np.ndarray:
     """Rank-1 projection onto a unit vector."""
     v = np.asarray(vec, dtype=complex)
     return np.outer(v, v.conj())
-
-
-class VerificationFailure(RuntimeError):
-    """A construction failed its own internal consistency check."""
 
 
 @dataclass(eq=False)

@@ -1,14 +1,18 @@
 """CLI subcommands, exit codes, JSON report shape, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgadget.cli
+import qgadget.endo
 import qgadget.qcore
 from qgadget import (build_family, classical_strategy, enumerate_homomorphisms, graph_from_edges,
                      pair_swap_rep)
@@ -85,6 +89,11 @@ def test_schmidt_subcommand(capsys):
 def test_endos_and_homs(capsys):
     report = run_json(capsys, "endos", "C:5")
     assert report["result"]["count"] == 10 and report["result"]["is_core"]
+    # the fold (0, 1, 0, 3) sorts before the identity, which still comes first
+    maps = run_json(capsys, "endos", "diamond")["result"]["endomorphisms"]
+    assert maps[0] == [0, 1, 2, 3] and maps[1:] == sorted(maps[1:]) and [0, 1, 0, 3] in maps
+    report = run_json(capsys, "endos", "diamond", "--limit", "2")
+    assert report["result"]["endomorphisms"] == maps[:2] and report["result"]["is_core"] is None
     report = run_json(capsys, "homs", "cmpl(C:6)", "K:3", "--pin", "0=1", "--pin", "1=2",
                       "--limit", "1")
     assert report["result"]["count"] == 1
@@ -323,6 +332,16 @@ def test_rep_compose_rejects_broken_rep_exit_2(tmp_path, capsys):
     assert code == 2 and "verification failure" in err
 
 
+@pytest.mark.parametrize("argv", [["schmidt", "C:10"], ["analyze", "cmpl(C:10)"]])
+def test_rejected_schmidt_pair_exit_2(monkeypatch, capsys, argv):
+    # a scan that proposes a non-WAC pair fails its own re-check: that is a
+    # verification failure, not a usage error
+    monkeypatch.setattr(qgadget.endo, "_wac_masks", lambda *args: True)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2 and "verification failure" in err
+    assert "not WAC" in err
+
+
 def test_defect_subcommand(tmp_path, capsys):
     h, g = build_family("C:6"), build_family("K:3")
     hom = enumerate_homomorphisms(h, g, limit=1)[0]
@@ -365,3 +384,46 @@ def test_json_round_trips(capsys):
     code, out, err = run_cli(capsys, "analyze", "K:4", "--json")
     payload = json.loads(out)
     assert json.loads(json.dumps(payload)) == payload
+
+
+def _jsonable_reference(obj):
+    """The report encoder before plain ints in lists skipped the recursion."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return "infinity" if math.isinf(obj) else obj
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, dict):
+        return {str(k): _jsonable_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable_reference(v) for v in obj]
+    if hasattr(obj, "to_json"):
+        return _jsonable_reference(obj.to_json())
+    raise TypeError(f"cannot serialise {type(obj)} into a report")
+
+
+class _ToJson:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def to_json(self):
+        return self.payload
+
+
+_REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+                  | st.floats(allow_nan=False) | st.fractions())
+_REPORT_PAYLOADS = st.recursive(
+    _REPORT_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
+                  | st.dictionaries(st.integers() | st.text(max_size=3), kids, max_size=3)
+                  | kids.map(_ToJson)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_REPORT_PAYLOADS)
+def test_jsonable_matches_the_recursive_reference(payload):
+    # json.dumps tells true from 1 and 1.0 from 1, which == does not
+    assert json.dumps(qgadget.cli._jsonable(payload), sort_keys=True) == \
+        json.dumps(_jsonable_reference(payload), sort_keys=True)

@@ -1,15 +1,19 @@
 """Endomorphism enumeration, WAC, Schmidt certificates, verdicts."""
 
+import tracemalloc
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgadget.endo
-from qgadget import (Endomorphism, build_family, enumerate_endomorphisms,
-                     enumerate_homomorphisms, find_schmidt_pair, graph_from_edges,
-                     identity_endomorphism, is_core, is_wac, nogo_verdict, support,
-                     supports_disconnected, supports_disjoint, verify_schmidt_certificate)
+import qgadget.qrep
+from qgadget import (Endomorphism, VerificationFailure, build_family, endomorphism_rows,
+                     enumerate_endomorphisms, enumerate_homomorphisms, find_schmidt_pair,
+                     graph_from_edges, identity_endomorphism, is_core, is_wac, nogo_verdict,
+                     support, supports_disconnected, supports_disjoint,
+                     verify_schmidt_certificate)
 
 
 def test_homs_k3_to_k3_are_the_six_permutations():
@@ -69,14 +73,69 @@ def _hom_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(_hom_instances())
 def test_homomorphisms_match_bruteforce_product(inst):
-    # oracle: filter every vertex map, in itertools.product (lexicographic) order
+    # oracle: filter every vertex map, in itertools.product (lexicographic)
+    # order; tiny blocks make the level search split and stack its frontier
     h, g, pins, limit = inst
     expected = [m for m in product(range(g.n), repeat=h.n)
                 if all(m[u] == a for u, a in pins.items())
                 and all(g.has_edge(m[u], m[v]) for u, v in h.edges())]
     if limit is not None:
         expected = expected[:limit]
-    assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == expected
+    for block in (1, 2, 3, 1024):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qgadget.endo, "_BLOCK", block)
+            assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == expected, block
+
+
+def test_level_search_uses_int16_above_127_target_vertices():
+    # vertex indices up to 129 do not fit int8; every directed edge of C:130
+    # is one map of K:2, in lexicographic order
+    c130 = build_family("C:130")
+    assert enumerate_homomorphisms(build_family("K:2"), c130) == \
+        [tuple(e) for e in c130.directed_edges()]
+
+
+def test_level_search_memory_stays_bounded():
+    # P:16 with a K:4 hung off its last vertex has no map into K:3, but the
+    # path alone leaves a frontier of 3 * 2^16 partial maps; expanded as one
+    # level that takes tens of MB, in blocks well under a MB
+    path = [(i, i + 1) for i in range(16)]
+    clique = list(combinations(range(16, 20), 2))
+    h = graph_from_edges(20, path + clique)
+    tracemalloc.start()
+    try:
+        maps = enumerate_homomorphisms(h, build_family("K:3"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert maps == []
+    assert peak < 4 * 2 ** 20, peak
+
+
+def test_endomorphism_rows_match_the_backtracking_search(endo_battery):
+    # a limit no graph here reaches sends the search down the bitmask path
+    for g in endo_battery:
+        rows = endomorphism_rows(g)
+        assert rows.dtype == np.int8
+        assert [tuple(r) for r in rows.tolist()] == \
+            enumerate_homomorphisms(g, g, limit=10 ** 9), g.label
+
+
+def test_corrupted_endomorphism_row_is_a_verification_failure(monkeypatch):
+    search = qgadget.endo._homomorphism_rows
+
+    def corrupted(h, g, pins):
+        rows = search(h, g, pins).copy()
+        rows[3, 1] = rows[3, 0]  # edge (0, 1) now maps onto a single vertex
+        return rows
+
+    monkeypatch.setattr(qgadget.endo, "_homomorphism_rows", corrupted)
+    # the CLI catches the one class, wherever it is raised from
+    assert qgadget.qrep.VerificationFailure is VerificationFailure
+    with pytest.raises(VerificationFailure, match="does not preserve edge"):
+        endomorphism_rows(build_family("C:5"))
+    with pytest.raises(VerificationFailure):
+        nogo_verdict(build_family("C:5"))
 
 
 def test_endos_of_c5_are_the_ten_automorphisms():
@@ -266,13 +325,13 @@ def test_schmidt_pair_is_lexicographically_first(endo_battery):
 @pytest.mark.parametrize("spec", ["K:4", "C:5", "diamond"])
 def test_nogo_verdict_enumerates_once(monkeypatch, spec):
     calls = []
-    search = qgadget.endo.enumerate_homomorphisms
+    search = qgadget.endo._homomorphism_rows
 
     def counted(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(qgadget.endo, "enumerate_homomorphisms", counted)
+    monkeypatch.setattr(qgadget.endo, "_homomorphism_rows", counted)
     nogo_verdict(build_family(spec))
     assert len(calls) == 1
 
