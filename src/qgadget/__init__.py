@@ -39,7 +39,6 @@ from .defect import (Strategy, assignment_defect, cc_defect, classical_strategy,
 from .gadget import (CandidateClass, DisproofReport, GadgetCandidate, PropertyITable,
                      WalkObstruction, check_property_i_classical, complement_cycle_gadget,
                      disprove_box_path_gadget, enumerate_candidate_classes,
-                     odd_cycle_distance_bound, product_transfer, splice_gadget,
-                     walk_obstruction)
+                     product_transfer, splice_gadget, walk_obstruction)
 from .qcore import (ClassicalOnlyReport, QuantumCoreCertificate, classical_only_report,
                     quantum_core_certificate, verify_quantum_core_certificate)

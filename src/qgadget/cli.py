@@ -15,6 +15,7 @@ edge-list file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -56,8 +57,22 @@ def load_graph_arg(text: str) -> Graph:
     return build_family(text)
 
 
+def _default(obj):
+    """``json.dumps`` hook for the types a report holds beyond plain JSON.
+
+    Report dicts must have string keys: every ``to_json`` and ``cmd_*``
+    writes them that way, and under ``sort_keys`` int keys would sort as
+    numbers, not as the strings they are written as."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    raise TypeError(f"cannot serialise {type(obj)} into a report")
+
+
 def _jsonable(obj):
-    """Recursively convert report payloads to plain JSON types."""
+    """Recursively convert report payloads to plain JSON types, writing an
+    infinite float as "infinity"."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -98,13 +113,19 @@ def _render_text(obj, indent=0):
 
 
 def emit_report(args, inputs: dict, result: dict) -> None:
-    report = {"command": args.command, "inputs": _jsonable(inputs),
-              "result": _jsonable(result), "tool_version": __version__,
+    report = {"command": args.command, "inputs": inputs, "result": result,
+              "tool_version": __version__,
               "elapsed_seconds": round(time.monotonic() - args._t0, 6)}
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-    else:
-        print("\n".join(_render_text(report)))
+    if not args.json:
+        print("\n".join(_render_text(_jsonable(report))))
+        return
+    try:
+        text = json.dumps(report, sort_keys=True, default=_default, allow_nan=False)
+    except ValueError:
+        # a non-finite float: json would write inf as Infinity, and reports
+        # write "infinity", so only such reports take the recursive walk
+        text = json.dumps(_jsonable(report), sort_keys=True)
+    print(text)
 
 
 def _bound(args) -> int:
@@ -328,20 +349,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="no-go verdict plus girth/oracularisability summary")
     p.add_argument("graph")
     _add_bound_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("schmidt", help="search for a Schmidt pair certificate")
     p.add_argument("graph")
     p.add_argument("--oracular", action="store_true",
                    help="require disconnected supports (rules out oracular gadgets too)")
     _add_bound_flags(p)
-    p.set_defaults(func=cmd_schmidt)
 
     p = sub.add_parser("endos", help="enumerate endomorphisms")
     p.add_argument("graph")
     p.add_argument("--limit", type=int, default=None)
     _add_bound_flags(p)
-    p.set_defaults(func=cmd_endos)
 
     p = sub.add_parser("homs", help="enumerate homomorphisms, optionally pinned")
     p.add_argument("source")
@@ -349,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pin", action="append", metavar="U=A",
                    help="pin source vertex U to target vertex A (repeatable)")
     p.add_argument("--limit", type=int, default=0, help="0 means all")
-    p.set_defaults(func=cmd_homs)
 
     p = sub.add_parser("gadget-check", help="property-(i) table and walk obstruction")
     p.add_argument("gadget")
@@ -357,12 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", type=int)
     p.add_argument("target")
     p.add_argument("--lmax", type=int, default=None)
-    p.set_defaults(func=cmd_gadget_check)
 
     p = sub.add_parser("gadget-build", help="build a known gadget family")
     p.add_argument("family", choices=["complement-cycle"])
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_gadget_build)
 
     p = sub.add_parser("splice", help="glue gadget copies onto designated vertex pairs")
     p.add_argument("instance")
@@ -371,31 +386,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("y", type=int)
     p.add_argument("target")
     p.add_argument("--pairs", default="", metavar="U,V;U,V;...")
-    p.set_defaults(func=cmd_splice)
 
     p = sub.add_parser("disprove-prism", help="refute all box-product prism candidates "
                                               "for an odd cycle")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(func=cmd_disprove_prism)
 
     p = sub.add_parser("qcore", help="quantum-core certificate and classicality chain")
     p.add_argument("graph")
     p.add_argument("--lmax", type=int, default=None)
     p.add_argument("--assume-no-quantum-symmetry", action="store_true")
     _add_bound_flags(p)
-    p.set_defaults(func=cmd_qcore)
 
     p = sub.add_parser("rep-verify", help="verify a representation from JSON")
     p.add_argument("path")
     p.add_argument("--oracular", action="store_true")
-    p.set_defaults(func=cmd_rep_verify)
 
     p = sub.add_parser("rep-compose", help="compose two representations")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=cmd_rep_compose)
 
     p = sub.add_parser("defect", help="weighted-algebra defect of a strategy JSON")
     p.add_argument("path")
@@ -403,12 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pair-dist", default=None)
     p.add_argument("--x", type=int, default=None)
     p.add_argument("--y", type=int, default=None)
-    p.set_defaults(func=cmd_defect)
 
     p = sub.add_parser("bipartite-decide", help="morphism existence into a bipartite target")
     p.add_argument("instance")
     p.add_argument("target")
-    p.set_defaults(func=cmd_bipartite_decide)
 
     p = sub.add_parser("product-transfer", help="transfer a gadget to a categorical product")
     p.add_argument("gadget")
@@ -420,19 +428,25 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["candidate", "proven_oracular"])
     p.add_argument("--status2", default="candidate",
                    choices=["candidate", "proven_oracular"])
-    p.set_defaults(func=cmd_product_transfer)
 
     for sp in sub.choices.values():
         sp.add_argument("--json", action="store_true", help="emit the report as JSON")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every main call uses, built on the first call."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     args._t0 = time.monotonic()
+    # looked up at call time, so a handler rebound on the module is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.func(args)
+        handler(args)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

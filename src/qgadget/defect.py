@@ -42,7 +42,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, graph_from_json
-from .qrep import MAX_STACK_ENTRIES, _residuals
+from .qrep import MAX_STACK_ENTRIES, _complex_array, _complex_stack, _residuals
 
 DEFAULT_TOL = 1e-9
 # numbers per batched temporary in validation and the defects; batches of
@@ -87,15 +87,26 @@ def _as_matrix(m, dim: int) -> np.ndarray:
     return m
 
 
-def _parse_matrix(rows, dim) -> np.ndarray:
-    return _as_matrix([[complex(re, im) for re, im in row] for row in rows], dim)
+def _as_family(fam, dim: int) -> np.ndarray:
+    out = np.zeros((len(fam), dim, dim), dtype=complex)
+    for a, m in enumerate(fam):
+        out[a] = _as_matrix(m, dim)
+    return out
+
+
+def _parse_family(fam, dim: int) -> np.ndarray:
+    """A JSON family of [re, im] matrices as one (len(fam), dim, dim) array."""
+    stack = _complex_stack(fam, dim)
+    if stack is None:  # matrix by matrix, to name the first bad one
+        return _as_family([_complex_array(m) for m in fam], dim)
+    return stack
 
 
 def _vertex_stack(h: Graph, g: Graph, dim: int, fams,
-                  matrix: Callable[[object, int], np.ndarray]) -> np.ndarray:
+                  family: Callable[[object, int], np.ndarray]) -> np.ndarray:
     """The (h.n, g.n, dim, dim) stack of the (vertex, family) pairs ``fams``,
-    each family's elements converted by ``matrix``; every instance vertex
-    needs exactly one family of g.n elements."""
+    each family converted by ``family``; every instance vertex needs exactly
+    one family of g.n elements."""
     stack = np.zeros((h.n, g.n, dim, dim), dtype=complex)
     seen = np.zeros(h.n, dtype=bool)
     for u, fam in fams:
@@ -104,8 +115,7 @@ def _vertex_stack(h: Graph, g: Graph, dim: int, fams,
             raise ValueError(f"vertex_pvms key {u} is not an instance vertex (0..{h.n - 1})")
         if len(fam) != g.n:
             raise ValueError(f"vertex {u} PVM has {len(fam)} outcomes, expected {g.n}")
-        for a, p in enumerate(fam):
-            stack[u, a] = matrix(p, dim)
+        stack[u] = family(fam, dim)
         seen[u] = True
     if not seen.all():
         raise ValueError(f"vertex {int(np.argmin(seen))} has no PVM")
@@ -125,7 +135,7 @@ def strategy_from_json(obj: dict) -> Strategy:
         if size > MAX_STACK_ENTRIES:
             raise ValueError(f"{inst.n} vertex PVMs of {targ.n} outcomes in dimension {dim} "
                              f"need {size} matrix elements, more than {MAX_STACK_ENTRIES}")
-        vertex_pvms = _vertex_stack(inst, targ, dim, obj["vertex_pvms"].items(), _parse_matrix)
+        vertex_pvms = _vertex_stack(inst, targ, dim, obj["vertex_pvms"].items(), _parse_family)
         dist = {}
         for key, val in obj["dist"].items():
             x, y = (int(t) for t in key.split(","))
@@ -135,10 +145,8 @@ def strategy_from_json(obj: dict) -> Strategy:
             edge_pvms = {}
             for ekey, fam in obj["edge_pvms"].items():
                 x, y = (int(t) for t in ekey.split(","))
-                edge_pvms[(x, y)] = {}
-                for okey, rows in fam.items():
-                    a, b = (int(t) for t in okey.split(","))
-                    edge_pvms[(x, y)][(a, b)] = _parse_matrix(rows, dim)
+                outcomes = [tuple(int(t) for t in okey.split(",")) for okey in fam]
+                edge_pvms[(x, y)] = dict(zip(outcomes, _parse_family(list(fam.values()), dim)))
         tol = float(obj.get("tol", DEFAULT_TOL))
     except KeyError as exc:
         raise ValueError(f"strategy document lacks field {exc}") from None
@@ -451,5 +459,5 @@ def strategy_from_vertex_pvms(h: Graph, g: Graph, dim: int,
                               dist: Optional[dict[DirectedEdge, Fraction]] = None) -> Strategy:
     """Strategy from one family of g.n matrices per instance vertex, with the
     uniform edge weight unless ``dist`` is given."""
-    return Strategy(h, g, dim, _vertex_stack(h, g, dim, pvms.items(), _as_matrix),
+    return Strategy(h, g, dim, _vertex_stack(h, g, dim, pvms.items(), _as_family),
                     dist if dist is not None else uniform_edge_dist(h))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .graphs import (Graph, adjacency_equal, box_product, categorical_product, complement,
                      complete_graph, cycle_graph, graph_from_edges, path_graph)
-from .walks import distance, walk_table
+from .walks import walk_table
 from .endo import enumerate_homomorphisms
 from .qrep import (VerificationFailure, commutator_norm, lift_box_rep,
                    path_to_cycle_rep, verify_rep)
@@ -132,15 +132,6 @@ def walk_obstruction(c: GadgetCandidate, lmax: Optional[int] = None) -> Optional
             a, b = np.unravel_index(np.argmax(missing), missing.shape)
             return WalkObstruction(ell, (int(a), int(b)))
     return None
-
-
-def odd_cycle_distance_bound(c: GadgetCandidate, n: int) -> bool:
-    """Necessary condition for a gadget aimed at the (2n+1)-cycle: the
-    distinguished vertices must be at distance at least 2n."""
-    if not adjacency_equal(c.target, cycle_graph(2 * n + 1)):
-        raise ValueError(f"target is not the {2 * n + 1}-cycle")
-    t = walk_table(c.gadget, "auto")
-    return distance(t, c.x, c.y) >= 2 * n
 
 
 # ---------------------------------------------------------------------------

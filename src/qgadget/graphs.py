@@ -70,9 +70,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return np.flatnonzero(self.adj[u])
 
-    def degree(self, u: int) -> int:
-        return int(self.adj[u].sum())
-
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each edge once as (u, v) with u < v."""
         return list(self._edges)

@@ -153,9 +153,10 @@ class ClassicalOnlyReport:
     conclusion: str
 
     def to_json(self) -> dict:
+        # the certificate itself is left out: a qcore report carries it once,
+        # as result.certificate
         return {"graph": self.graph_label,
                 "quantum_core_certified": self.quantum_core_certified,
-                "certificate": self.certificate.to_json() if self.certificate else None,
                 "classical_core": self.classical_core,
                 "schmidt_pair_found": self.schmidt_pair_found,
                 "no_quantum_symmetry_assumed": self.no_quantum_symmetry_assumed,

@@ -78,6 +78,30 @@ def _nonzero_rep(domain: Graph, codomain: Graph, mats: np.ndarray,
     return QuantumRep(domain, codomain, mats.shape[2], mats, _residuals(mats) > 0.0, tol)
 
 
+def _complex_array(data) -> np.ndarray:
+    """Nested lists ending in [re, im] pairs as one complex array, read
+    through a single float array; TypeError on ragged nesting, on an element
+    that is not a number or on a last axis that is not a pair."""
+    try:
+        a = np.asarray(data)
+    except ValueError:
+        a = None
+    if a is None or a.dtype.kind not in "biuf" or a.shape[-1:] != (2,):
+        raise TypeError("matrix entries must be [re, im] pairs of numbers, "
+                        "in rows of equal length")
+    return a.astype(float, copy=False).view(complex)[..., 0]
+
+
+def _complex_stack(data, dim: int):
+    """A list of [re, im] matrices as one (len(data), dim, dim) complex
+    array, or None when it is empty or does not stack to that shape."""
+    try:
+        stack = _complex_array(data)
+    except TypeError:
+        return None
+    return stack if stack.shape[1:] == (dim, dim) else None
+
+
 def rep_from_json(obj: dict) -> QuantumRep:
     """Inverse of :meth:`QuantumRep.to_json`; raises ValueError on a malformed
     document, or on one whose stack would exceed MAX_STACK_ENTRIES numbers."""
@@ -93,11 +117,14 @@ def rep_from_json(obj: dict) -> QuantumRep:
                              f"{size} matrix elements, more than {MAX_STACK_ENTRIES}")
         mats = np.zeros((domain.n, codomain.n, dim, dim), dtype=complex)
         present = np.zeros((domain.n, codomain.n), dtype=bool)
-        for key, rows in obj["mats"].items():
+        entries = list(obj["mats"].items())
+        # one array for all entries; entry by entry only if they do not stack
+        stack = _complex_stack([rows for _, rows in entries], dim)
+        for i, (key, rows) in enumerate(entries):
             u, v = (int(t) for t in key.split(","))
             if not (0 <= u < domain.n and 0 <= v < codomain.n):
                 raise ValueError(f"entry key {key} out of range for the stated graphs")
-            m = np.array([[complex(re, im) for re, im in row] for row in rows])
+            m = _complex_array(rows) if stack is None else stack[i]
             if m.shape != (dim, dim):
                 raise ValueError(f"matrix at {key} has shape {m.shape}, expected ({dim},{dim})")
             mats[u, v] = m
@@ -185,18 +212,21 @@ def verify_rep(rep: QuantumRep, oracular: bool = False) -> VerificationReport:
             violations.append(Violation(relations[j], tuple(int(t) for t in where[i]),
                                         float(residuals[i, j])))
 
-    us, vs = np.nonzero(rep.present)
-    m = rep.mats[us, vs]
-    record(("hermitian", "idempotent"), np.stack([us, vs], axis=1),
-           np.stack([_residuals(m - m.conj().swapaxes(1, 2)), _residuals(m @ m - m)], axis=1))
-    rows = rep.mats.sum(axis=1) - np.eye(rep.dim)
-    record(("row_sum_identity",), np.arange(rep.domain.n)[:, None], _residuals(rows)[:, None])
-    adj = rep.domain.adj
-    where, res = _pair_residuals(rep, np.argwhere(adj), ~rep.codomain.adj, False)
-    record(("adjacency_zero_product",), where, res[:, None])  # ~adj includes v == w
-    if oracular:
-        where, res = _pair_residuals(rep, np.argwhere(np.triu(adj)), True, True)
-        record(("oracular_commutator",), where, res[:, None])
+    # an infinite entry gives inf - inf = NaN residuals, which fail quietly
+    with np.errstate(invalid="ignore", over="ignore"):
+        us, vs = np.nonzero(rep.present)
+        m = rep.mats[us, vs]
+        record(("hermitian", "idempotent"), np.stack([us, vs], axis=1),
+               np.stack([_residuals(m - m.conj().swapaxes(1, 2)), _residuals(m @ m - m)],
+                        axis=1))
+        rows = rep.mats.sum(axis=1) - np.eye(rep.dim)
+        record(("row_sum_identity",), np.arange(rep.domain.n)[:, None], _residuals(rows)[:, None])
+        adj = rep.domain.adj
+        where, res = _pair_residuals(rep, np.argwhere(adj), ~rep.codomain.adj, False)
+        record(("adjacency_zero_product",), where, res[:, None])  # ~adj includes v == w
+        if oracular:
+            where, res = _pair_residuals(rep, np.argwhere(np.triu(adj)), True, True)
+            record(("oracular_commutator",), where, res[:, None])
     worst = float(np.max(maxima))
     return VerificationReport(not violations, oracular, worst, tuple(violations))
 

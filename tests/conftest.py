@@ -94,6 +94,10 @@ def assignment_game_value(h: Graph, g: Graph, assignment) -> float:
     return wins / len(directed)
 
 
+def degree(g: Graph, u: int) -> int:
+    return int(g.adj[u].sum())
+
+
 def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
     """Exhaustive backtracking search for a graph isomorphism g -> h.
 
@@ -113,9 +117,9 @@ def find_isomorphism(g: Graph, h: Graph) -> Optional[list[int]]:
     def extend(u: int) -> bool:
         if u == n:
             return True
-        du = g.degree(u)
+        du = degree(g, u)
         for cand in range(n):
-            if used[cand] or h.degree(cand) != du:
+            if used[cand] or degree(h, cand) != du:
                 continue
             ok = True
             for v in range(u):

@@ -1,10 +1,15 @@
 """CLI subcommands, exit codes, JSON report shape, determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,8 +19,9 @@ from hypothesis import given, settings, strategies as st
 import qgadget.cli
 import qgadget.endo
 import qgadget.qcore
-from qgadget import (build_family, classical_strategy, enumerate_homomorphisms, graph_from_edges,
-                     pair_swap_rep)
+from qgadget import (QuantumCoreCertificate, build_family, classical_strategy,
+                     enumerate_homomorphisms, graph_from_edges, pair_swap_rep,
+                     verify_quantum_core_certificate)
 from qgadget.cli import main
 
 
@@ -158,7 +164,14 @@ def test_qcore_builds_certificate_once(monkeypatch, capsys):
     monkeypatch.setattr(qgadget.cli, "quantum_core_certificate", counted, raising=False)
     report = run_json(capsys, "qcore", "C:7")
     assert report["result"]["certified"] and report["result"]["re_verified"]
-    assert report["result"]["certificate"] == report["result"]["classical_only"]["certificate"]
+    # the certificate is emitted once, at the top of the result
+    assert "certificate" not in report["result"]["classical_only"]
+    cert = report["result"]["certificate"]
+    assert cert is not None
+    verify_quantum_core_certificate(build_family("C:7"), QuantumCoreCertificate(
+        cert["graph"],
+        {tuple(map(int, k.split(","))): v for k, v in cert["column_lengths"].items()},
+        {tuple(map(int, k.split(","))): v for k, v in cert["cross_lengths"].items()}))
     assert len(calls) == 1
 
 
@@ -178,6 +191,9 @@ def _malformed_rep_docs():
         "entry-not-pairs": edit(lambda d: d["mats"].update({"0,0": [[1, 0], [0, 1]]})),
         "ragged-matrix": edit(lambda d: d["mats"].update({"0,0": [[[1, 0]], [[0, 0], [1, 0]]]})),
         "wrong-shape": edit(lambda d: d["mats"].update({"0,0": [[[1, 0]]]})),
+        # a numeric string would pass a plain float conversion
+        "string-element": edit(lambda d: d["mats"]["0,0"][0][0].__setitem__(0, "1.0")),
+        "null-element": edit(lambda d: d["mats"]["0,0"][0][0].__setitem__(1, None)),
         "bad-key": edit(lambda d: d["mats"].update({"0": d["mats"]["0,0"]})),
         "edge-not-pair": edit(lambda d: d["domain"].update(edges=[[0]])),
         "n-missing": edit(lambda d: d["codomain"].pop("n")),
@@ -412,11 +428,12 @@ class _ToJson:
 
 
 _REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
-                  | st.floats(allow_nan=False) | st.fractions())
+                  | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
+                  | st.fractions())
 _REPORT_PAYLOADS = st.recursive(
     _REPORT_LEAVES,
     lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
-                  | st.dictionaries(st.integers() | st.text(max_size=3), kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)
                   | kids.map(_ToJson)),
     max_leaves=20)
 
@@ -424,6 +441,104 @@ _REPORT_PAYLOADS = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_REPORT_PAYLOADS)
 def test_jsonable_matches_the_recursive_reference(payload):
-    # json.dumps tells true from 1 and 1.0 from 1, which == does not
-    assert json.dumps(qgadget.cli._jsonable(payload), sort_keys=True) == \
-        json.dumps(_jsonable_reference(payload), sort_keys=True)
+    # the emitted bytes, fast path or the non-finite fallback, against the
+    # recursive encoder; json.dumps tells true from 1 and 1.0 from 1
+    args = argparse.Namespace(command="analyze", json=True, _t0=time.monotonic())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        qgadget.cli.emit_report(args, {"payload": payload}, {"value": payload})
+    report = {"command": "analyze", "inputs": {"payload": payload}, "result": {"value": payload},
+              "tool_version": qgadget.__version__,
+              "elapsed_seconds": json.loads(out.getvalue())["elapsed_seconds"]}
+    assert out.getvalue() == json.dumps(_jsonable_reference(report), sort_keys=True) + "\n"
+
+
+def _help_text(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_cached_parser_prints_what_a_fresh_parser_prints(capsys):
+    commands = sorted(name[4:].replace("_", "-") for name in vars(qgadget.cli)
+                      if name.startswith("cmd_"))
+    assert len(commands) == 14
+    for argv in [["--help"]] + [[c, "--help"] for c in commands] + [["analyze"], ["nope"]]:
+        for _ in range(2):  # the second call reuses the parser the first one built
+            cached = _help_text(capsys, main, argv)
+            assert cached == _help_text(capsys, qgadget.cli.build_parser().parse_args, argv)
+        assert cached[0] == (0 if argv[-1] == "--help" else 1)
+        assert (cached[1] if cached[0] == 0 else cached[2]).startswith("usage: qgadget")
+
+
+def _normal(text):
+    return re.sub(r'"elapsed_seconds": [-+0-9.eE]+', '"elapsed_seconds": 0', text)
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
+    # an appended --pin list must not leak from one call into the next
+    pinned = ["homs", "C:6", "K:3", "--pin", "0=1", "--json"]
+    plain = ["homs", "C:6", "K:3", "--json"]
+    seen = []
+    for argv in (pinned, pinned, plain):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        seen.append(_normal(out))
+    fresh = [_normal(_run_fresh(*argv).stdout) for argv in (pinned, plain)]
+    assert seen == [fresh[0], fresh[0], fresh[1]]
+    assert json.loads(seen[0])["result"]["count"] < json.loads(seen[2])["result"]["count"]
+
+
+def test_handler_rebound_after_the_first_call_is_the_one_run(monkeypatch, capsys):
+    run_json(capsys, "analyze", "diamond")
+    calls = []
+    monkeypatch.setattr(qgadget.cli, "cmd_analyze", lambda args: calls.append(args.graph))
+    code, out, err = run_cli(capsys, "analyze", "C:5")
+    assert code == 0 and out == "" and calls == ["C:5"]
+
+
+def _inf_rep_doc(tmp_path):
+    doc = json.dumps(pair_swap_rep(4).to_json())
+    path = tmp_path / "inf.json"
+    # 1e400 overflows to an infinite float when the document is read
+    path.write_text(doc.replace('"0,0": [[[1.0,', '"0,0": [[[1e400,', 1))
+    assert "1e400" in path.read_text()
+    return path
+
+
+INF_REP_RESULT = (
+    '"result": {"dim": 2, "entries": 8, "report": {"max_residual": NaN, "oracular": false, '
+    '"passed": false, "violations": [{"relation": "hermitian", "residual": NaN, "where": [0, 0]}, '
+    '{"relation": "idempotent", "residual": NaN, "where": [0, 0]}, '
+    '{"relation": "row_sum_identity", "residual": "infinity", "where": [0]}, '
+    '{"relation": "adjacency_zero_product", "residual": NaN, "where": [0, 0, 1, 0]}, '
+    '{"relation": "adjacency_zero_product", "residual": NaN, "where": [1, 0, 0, 0]}]}}')
+
+ANALYZE_P4 = (
+    '{"command": "analyze", "elapsed_seconds": 0, '
+    '"inputs": {"graph": "P:4", "i_know": false, "max_vertices": 12}, '
+    '"result": {"four_cycle": null, "girths": {"diameter": 4, "girth": "infinity", '
+    '"odd_girth": "infinity", "odd_walk_girth": "infinity"}, "graph": {"edges": '
+    '[[0, 1], [1, 2], [2, 3], [3, 4]], "label": "P:4", "m": 4, "n": 5}, "oracularisable": true, '
+    '"verdict": {"certificate": {"f": [0, 1, 0, 1, 0], "g": [2, 1, 2, 3, 4], "mode": '
+    '"disconnected", "witness_vertices": [2, 0]}, "kind": "no_gadget_at_all", "known_gadget": '
+    'null, "notes": ["disconnected-support pair excludes oracular and non-oracular '
+    'commutativity gadgets"]}}, "tool_version": "0.1.0"}\n')
+
+
+def test_non_finite_reports_keep_their_bytes(tmp_path, capsys):
+    path = _inf_rep_doc(tmp_path)
+    want = ('{"command": "rep-verify", "elapsed_seconds": 0, '
+            '"inputs": {"oracular": false, "path": '
+            + json.dumps(str(path)) + '}, ' + INF_REP_RESULT + ', "tool_version": "0.1.0"}\n')
+    code, out, err = run_cli(capsys, "rep-verify", str(path), "--json")
+    assert code == 0 and _normal(out) == want
+    code, out, err = run_cli(capsys, "analyze", "P:4", "--json")
+    assert code == 0 and _normal(out) == ANALYZE_P4
+
+
+def test_infinite_entry_warns_nothing_in_a_fresh_process(tmp_path):
+    proc = _run_fresh("rep-verify", str(_inf_rep_doc(tmp_path)), "--json")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert INF_REP_RESULT in proc.stdout

@@ -264,6 +264,30 @@ def test_strategy_families_must_be_complete():
         strategy_from_vertex_pvms(h, g, 2, {0: [P0, P1, Z2], 1: [Q0, Q1, np.zeros((1, 1))]})
 
 
+@pytest.mark.parametrize("element", ["1.0", None, [1.0]])
+def test_strategy_elements_must_be_numbers(element):
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1], with_edge_pvms=True).to_json()
+    doc["vertex_pvms"]["1"][0][0][0][0] = element
+    with pytest.raises(ValueError, match="malformed strategy document"):
+        strategy_from_json(doc)
+    doc = classical_strategy(h, h, [0, 1], with_edge_pvms=True).to_json()
+    doc["edge_pvms"]["0,1"]["0,1"][0][0][1] = element
+    with pytest.raises(ValueError, match="malformed strategy document"):
+        strategy_from_json(doc)
+
+
+def test_json_family_names_the_matrix_of_the_wrong_shape():
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1]).to_json()
+    doc["vertex_pvms"]["1"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    with pytest.raises(ValueError, match=r"matrix has shape \(2, 2\), expected \(1,1\)"):
+        strategy_from_json(doc)
+    doc["vertex_pvms"]["1"] = [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]
+    doc["edge_pvms"] = {"0,1": {}}  # an edge family may list no outcome
+    assert strategy_from_json(doc).edge_pvms == {(0, 1): {}}
+
+
 def test_vertex_stack_bound_refused_before_allocation():
     h = build_family("K:2")
     doc = classical_strategy(h, h, [0, 1]).to_json()

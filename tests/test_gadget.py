@@ -2,11 +2,10 @@
 
 import pytest
 
-from qgadget import (GadgetCandidate, build_family, check_property_i_classical,
-                     complement_cycle_gadget, disprove_box_path_gadget, distance,
-                     enumerate_candidate_classes,
-                     odd_cycle_distance_bound, product_transfer, splice_gadget,
-                     walk_obstruction, walk_table)
+from qgadget import (GadgetCandidate, adjacency_equal, build_family,
+                     check_property_i_classical, complement_cycle_gadget, cycle_graph,
+                     disprove_box_path_gadget, distance, enumerate_candidate_classes,
+                     product_transfer, splice_gadget, walk_obstruction, walk_table)
 from qgadget.gadget import analyze_candidate_pair
 from conftest import find_isomorphism
 
@@ -65,6 +64,14 @@ def test_obstruction_never_fires_on_complete_tables():
         cand = complement_cycle_gadget(k)
         assert check_property_i_classical(cand).complete
         assert walk_obstruction(cand) is None
+
+
+def odd_cycle_distance_bound(c: GadgetCandidate, n: int) -> bool:
+    """Necessary condition for a gadget aimed at the (2n+1)-cycle: the
+    distinguished vertices must be at distance at least 2n."""
+    if not adjacency_equal(c.target, cycle_graph(2 * n + 1)):
+        raise ValueError(f"target is not the {2 * n + 1}-cycle")
+    return distance(walk_table(c.gadget, "auto"), c.x, c.y) >= 2 * n
 
 
 def test_odd_cycle_distance_bound():
