@@ -186,7 +186,9 @@ def cmd_homs(args):
     pins = {}
     for item in args.pin or []:
         u, _, a = item.partition("=")
-        pins[int(u)] = int(a)
+        u, a = int(u), int(a)
+        if pins.setdefault(u, a) != a:
+            raise ValueError(f"vertex {u} is pinned to both {pins[u]} and {a}")
     maps = enumerate_homomorphisms(h, g, pins=pins,
                                    limit=None if args.limit == 0 else args.limit)
     emit_report(args, {"source": args.source, "target": args.target,

@@ -137,9 +137,15 @@ def strategy_from_json(obj: dict) -> Strategy:
                              f"need {size} matrix elements, more than {MAX_STACK_ENTRIES}")
         vertex_pvms = _vertex_stack(inst, targ, dim, obj["vertex_pvms"].items(), _parse_family)
         dist = {}
+        weights: dict = {}  # each distinct weight value is parsed once
         for key, val in obj["dist"].items():
             x, y = (int(t) for t in key.split(","))
-            dist[(x, y)] = Fraction(val)
+            try:
+                w = weights[val]
+            except (KeyError, TypeError):
+                # an unhashable value raises Fraction's own error here
+                w = weights[val] = Fraction(val)
+            dist[(x, y)] = w
         edge_pvms = None
         if obj.get("edge_pvms") is not None:
             edge_pvms = {}

@@ -16,8 +16,10 @@ in lexicographic order (:func:`endomorphism_rows`).  A full enumeration
 expands partial maps level by level, one vertex at a time, in blocks of at
 most ``_BLOCK`` rows taken depth first; besides the maps it returns, its
 live memory is about h.n * g.n blocks of ``_BLOCK`` rows, whatever the size
-of the frontier.  A query with a limit wants the first hits only and
-backtracks over Python-int neighbour bitmasks (``Graph.nbr_masks``) instead.
+of the frontier.  A query with a limit wants the first hits only: it keeps
+a domain per vertex as a Python-int bitmask over ``Graph.nbr_masks``,
+restores arc consistency after each assignment, and backtracks over the
+vertices in order, so its hits are still the lexicographically first maps.
 
 Finding and checking take separate code paths.  Every enumerated
 endomorphism is re-checked against ``Graph.adj`` in one batched edge test.
@@ -35,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, adjacency_equal
+from .graphs import Graph, _bits, adjacency_equal
 
 DEFAULT_MAX_VERTICES = 12
 
@@ -135,11 +137,9 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
     Results come out in lexicographic order of the map tuple; with a limit,
     the first `limit` maps in that order are returned.  Without a limit every
     map is wanted, and the level search of :func:`_homomorphism_rows` builds
-    them in blocks.  With a limit the first hit is wanted, and a backtracking
-    search over vertices 0..n-1 stops as soon as it has `limit` maps.  A
-    vertex's candidate images are a bitmask: its pin (or every target vertex)
-    ANDed with the target neighbourhoods of its already-placed neighbours,
-    tried low bit first.
+    them in blocks.  With a limit the first hits are wanted, and the
+    arc-consistent search of :func:`_first_homomorphisms` stops as soon as it
+    has `limit` maps.
     """
     pins = pins or {}
     for u, a in pins.items():
@@ -151,39 +151,84 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
         raise ValueError("limit must be >= 1")
     if limit is None:
         return [tuple(r) for r in _homomorphism_rows(h, g, pins).tolist()]
+    return _first_homomorphisms(h, g, pins, limit)
 
+
+def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
+                         limit: int) -> list[tuple[int, ...]]:
+    """The lexicographically first `limit` homomorphisms h -> g extending the
+    (already validated) pins.
+
+    Each vertex of h has a domain, a bitmask of target vertices; a pin is a
+    one-bit domain.  Arc consistency (D[z] &= N(D[w]) for every edge wz,
+    where N(D) is the union of the target neighbourhoods of D) is propagated
+    from a queue once at the root and again after each assignment
+    (Mackworth's AC-3).  It only removes values that no solution uses, so
+    taking vertices 0..n-1 in order and values low bit first still finds the
+    maps in lexicographic order.  N(D) is cached per search by the mask, and
+    a vertex whose N(D) is the whole target is skipped, which keeps dense
+    targets cheap.  The search is iterative, so a long instance graph cannot
+    exhaust the interpreter's recursion limit.
+    """
     n = h.n
     if n == 0:
         return [()]
     masks = g.nbr_masks
-    allowed = [1 << pins[u] if u in pins else (1 << g.n) - 1 for u in range(n)]
-    # neighbours of u among already-placed vertices, precomputed once
-    back_nbrs = [[int(v) for v in h.neighbors(u) if v < u] for u in range(n)]
-    assigned = [0] * n
-    # untried candidates per depth; the search is iterative, so a long
-    # instance graph cannot exhaust the interpreter's recursion limit
-    untried = [0] * n
-    untried[0] = allowed[0]
+    full = (1 << g.n) - 1
+    nbrs = [_bits(m) for m in h.nbr_masks]
+    reach: dict[int, int] = {}
+
+    def propagate(dom: list[int], queue: list[int]) -> bool:
+        """Restore arc consistency after the domains in queue shrank; False
+        when a domain empties."""
+        while queue:
+            w = queue.pop()
+            d = dom[w]
+            nd = reach.get(d)
+            if nd is None:
+                nd = 0
+                for a in _bits(d):
+                    nd |= masks[a]
+                reach[d] = nd
+            if nd == full:
+                continue
+            for z in nbrs[w]:
+                dz = dom[z]
+                if dz & ~nd:
+                    dz &= nd
+                    if not dz:
+                        return False
+                    dom[z] = dz
+                    queue.append(z)
+        return True
+
+    dom = [1 << pins[u] if u in pins else full for u in range(n)]
+    if not propagate(dom, list(range(n))):
+        return []
+    # per depth u: the arc-consistent domains before u is assigned, and u's
+    # untried values
+    stack = [(dom, dom[0])]
     results: list[tuple[int, ...]] = []
-    u = 0
-    while u >= 0:
-        cand = untried[u]
-        if not cand:
-            u -= 1
+    while stack:
+        u = len(stack) - 1
+        dom, untried = stack[-1]
+        if not untried:
+            stack.pop()
             continue
-        low = cand & -cand
-        untried[u] = cand ^ low
-        assigned[u] = low.bit_length() - 1
+        low = untried & -untried
+        stack[-1] = (dom, untried ^ low)
+        if low != dom[u]:
+            # domains are shared down the stack until one shrinks
+            dom = dom.copy()
+            dom[u] = low
+            if not propagate(dom, [u]):
+                continue
         if u == n - 1:
-            results.append(tuple(assigned))
+            results.append(tuple(d.bit_length() - 1 for d in dom))
             if len(results) >= limit:
                 break
             continue
-        u += 1
-        cand = allowed[u]
-        for v in back_nbrs[u]:
-            cand &= masks[assigned[v]]
-        untried[u] = cand
+        stack.append((dom, dom[u + 1]))
     return results
 
 
@@ -340,16 +385,6 @@ def find_schmidt_pair(g: Graph, oracular: bool,
     Returns None only after checking every pair.
     """
     return _scan_schmidt_pairs(g, endomorphism_rows(g, max_vertices), oracular)
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _scan_schmidt_pairs(g: Graph, rows: np.ndarray,

@@ -84,18 +84,33 @@ def check_property_i_classical(c: GadgetCandidate) -> PropertyITable:
 
     A complete table shows property (i) holds with classical witnesses; a
     miss only shows no *classical* witness exists for that pair, which is
-    inconclusive for quantum witnesses.
+    inconclusive for quantum witnesses.  Every witness the search finds is
+    re-checked against ``target.adj`` over the gadget's edges, and against
+    its two pins, in one batched test; a witness that fails raises
+    :class:`VerificationFailure`.
     """
     witnesses: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
-    complete = True
     for a in range(c.target.n):
         for b in range(c.target.n):
             found = enumerate_homomorphisms(c.gadget, c.target,
                                             pins={c.x: a, c.y: b}, limit=1)
             witnesses[(a, b)] = found[0] if found else None
-            if not found:
-                complete = False
-    return PropertyITable(complete, witnesses)
+    hits = [(pair, w) for pair, w in witnesses.items() if w is not None]
+    if hits:
+        pins = np.array([p for p, _ in hits])
+        maps = np.array([w for _, w in hits])
+        iu, iv = np.nonzero(np.triu(c.gadget.adj))
+        kept = c.target.adj[maps[:, iu], maps[:, iv]]
+        missed = (maps[:, [c.x, c.y]] != pins).any(axis=1)
+        if missed.any():
+            r = int(np.argmax(missed))
+            raise VerificationFailure(f"property (i) witness {maps[r].tolist()} misses its pins "
+                                      f"{tuple(pins[r].tolist())}")
+        if not kept.all():
+            r, e = np.argwhere(~kept)[0]
+            raise VerificationFailure(f"property (i) witness {maps[r].tolist()} does not "
+                                      f"preserve edge ({iu[e]},{iv[e]})")
+    return PropertyITable(len(hits) == len(witnesses), witnesses)
 
 
 # ---------------------------------------------------------------------------

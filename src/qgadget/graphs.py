@@ -96,6 +96,16 @@ class Graph:
                 "edges": [[u, v] for u, v in self.edges()]}
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of a vertex bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None) -> Graph:
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")

@@ -9,8 +9,10 @@ only walk is the one of length 0.  So a table holds two parity-distance
 matrices plus a per-vertex "has a neighbour" mask, whatever the length bound.
 They are filled by iterating reach matrices through bool-dtype matrix
 products, which cannot overflow, until the reach sequence repeats with
-period 2.  Girth quantities are computed by entirely separate BFS routines
-so that table-vs-path identities can be cross-checked for real.
+period 2.  Girth and odd girth come from a separate layered BFS over
+neighbour bitmasks, whose odd girth is checked again by a parent-tracking
+BFS on the bipartite double cover from one root, so that table-vs-path
+identities can be cross-checked for real.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 Length = Union[int, float]  # int, or math.inf for "no such walk/cycle"
 
@@ -126,71 +128,77 @@ class GirthReport:
     diameter: Length
 
 
-def _girth_bfs(g: Graph) -> Length:
-    """Shortest cycle length via BFS from every root.
+def _layered_girths(g: Graph) -> tuple[Length, Length, int]:
+    """Girth, odd girth, and a root of a shortest odd cycle (-1 if none).
 
-    For each root, every non-tree edge (u, v) with both endpoints reached
-    closes a walk of length dist[u]+dist[v]+1 through the root; the minimum
-    over all roots and edges is the girth.
+    One layered BFS per root over ``Graph.nbr_masks`` (Itai and Rodeh's
+    minimum-circuit search).  An edge inside layer k closes an odd walk of
+    length 2k+1 through the root, and a layer-(k+1) vertex with two
+    neighbours in layer k closes a walk of length 2k+2; either contains a
+    cycle no longer than that, so every hit bounds the girth, and an odd hit
+    the odd girth.  Shortest cycles and shortest odd cycles are isometric,
+    so a root on one of them hits its exact length.  A root stops once 2k+1
+    is at least both bests, since no later layer can improve either.
     """
-    best: Length = math.inf
+    masks = g.nbr_masks
+    girth: Length = math.inf
+    odd: Length = math.inf
+    odd_root = -1
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        q = deque([root])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors(u):
-                v = int(v)
-                if dist[v] == -1:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    q.append(v)
-        for u, v in g.edges():
-            if dist[u] == -1 or dist[v] == -1:
-                continue
-            if parent[u] == v or parent[v] == u:
-                continue
-            cand = dist[u] + dist[v] + 1
-            if cand < best:
-                best = cand
-    return best
-
-
-def _shortest_odd_closed_walk_witness(g: Graph) -> Optional[list[int]]:
-    """Shortest odd closed walk, found by BFS on the bipartite double cover.
-
-    Returns the walk as a vertex sequence v0, ..., vL with v0 == vL and L odd,
-    or None when the graph is bipartite.  Independent of any walk table.
-    """
-    best_len: Length = math.inf
-    best_walk: Optional[list[int]] = None
-    n = g.n
-    for s in range(n):
-        # states (v, parity); search min odd-parity return to s
-        dist = {(s, 0): 0}
-        pred: dict[tuple[int, int], tuple[int, int]] = {}
-        q = deque([(s, 0)])
-        target = (s, 1)
-        while q:
-            state = q.popleft()
-            if state == target:
+        seen = frontier = 1 << root
+        k = 0
+        # odd >= girth, so this asks for 2k+1 below both bests
+        while frontier and 2 * k + 1 < odd:
+            layer = _bits(frontier)
+            if any(masks[v] & frontier for v in layer):
+                # an edge inside layer k; no later layer of this root does better
+                girth = min(girth, 2 * k + 1)
+                odd, odd_root = 2 * k + 1, root
                 break
-            u, par = state
-            for w in g.neighbors(u):
-                nxt = (int(w), par ^ 1)
-                if nxt not in dist:
-                    dist[nxt] = dist[state] + 1
-                    pred[nxt] = state
-                    q.append(nxt)
-        if target in dist and dist[target] < best_len:
-            best_len = dist[target]
-            walk = [target]
-            while walk[-1] != (s, 0):
-                walk.append(pred[walk[-1]])
-            best_walk = [v for v, _ in reversed(walk)]
-    return best_walk
+            # once: layer k+1; twice: its vertices with two neighbours in layer k
+            once = twice = 0
+            for v in layer:
+                nbrs = masks[v] & ~seen
+                twice |= once & nbrs
+                once |= nbrs
+            if twice:
+                girth = min(girth, 2 * k + 2)
+            seen |= once
+            frontier = once
+            k += 1
+    return girth, odd, odd_root
+
+
+def _shortest_odd_closed_walk(g: Graph, s: int) -> Optional[list[int]]:
+    """Shortest odd closed walk through s, found by BFS on the bipartite
+    double cover with parent tracking.
+
+    Returns the walk as a vertex sequence v0, ..., vL with v0 == vL == s and
+    L odd, or None when no odd closed walk passes through s.  Independent of
+    the layered search and of any walk table.
+    """
+    # states (v, parity); search the first odd-parity return to s
+    dist = {(s, 0): 0}
+    pred: dict[tuple[int, int], tuple[int, int]] = {}
+    q = deque([(s, 0)])
+    target = (s, 1)
+    while q:
+        state = q.popleft()
+        if state == target:
+            break
+        u, par = state
+        for w in g.neighbors(u):
+            nxt = (int(w), par ^ 1)
+            if nxt not in dist:
+                dist[nxt] = dist[state] + 1
+                pred[nxt] = state
+                q.append(nxt)
+    if target not in dist:
+        return None
+    walk = [target]
+    while walk[-1] != (s, 0):
+        walk.append(pred[walk[-1]])
+    return [v for v, _ in reversed(walk)]
 
 
 def _extract_odd_cycle(g: Graph, walk: list[int]) -> list[int]:
@@ -222,26 +230,26 @@ def _extract_odd_cycle(g: Graph, walk: list[int]) -> list[int]:
 def girths(g: Graph) -> GirthReport:
     """Girth, odd girth, odd walk girth, and diameter.
 
-    odd_girth comes from double-cover BFS plus explicit extraction of a simple
-    odd cycle witness; odd_walk_girth comes from the diagonal of the walk
-    table's odd parity distances.  The two are computed by disjoint code paths
-    so their equality is a genuine cross-check rather than a tautology.  The
-    diameter is the largest shortest-walk length of the same table.
+    Girth and odd girth come from the layered bitmask BFS.  The odd girth is
+    cross-checked by a second path: a parent-tracking BFS on the bipartite
+    double cover from the root of the best odd hit, whose odd closed walk is
+    split into a simple odd cycle of the same length with every edge present.
+    odd_walk_girth comes from the diagonal of the walk table's odd parity
+    distances, so its equality with odd_girth is a genuine cross-check
+    rather than a tautology.  The diameter is the largest shortest-walk
+    length of the same table.
     """
-    girth = _girth_bfs(g)
-
-    witness = _shortest_odd_closed_walk_witness(g)
-    if witness is None:
-        odd_girth: Length = math.inf
-    else:
-        wlen = len(witness) - 1
+    girth, odd_girth, root = _layered_girths(g)
+    if root >= 0:
+        witness = _shortest_odd_closed_walk(g, root)
+        assert witness is not None, f"no odd closed walk through root {root}"
         cyc = _extract_odd_cycle(g, witness)
         clen = len(cyc) - 1
         # a cycle is itself a closed walk, so the extracted one cannot be shorter
-        assert clen == wlen, f"odd cycle extraction produced length {clen} != {wlen}"
+        assert clen == len(witness) - 1 == odd_girth, \
+            f"odd cycle of length {clen} from root {root}, layered search found {odd_girth}"
         for a, b in zip(cyc, cyc[1:]):
             assert g.has_edge(a, b)
-        odd_girth = wlen
 
     t = walk_table(g)
     shortest_odd_closed = int(t.dist[1].diagonal().min(initial=NO_WALK))
@@ -280,17 +288,16 @@ def is_oracularisable(g: Graph) -> tuple[bool, Optional[tuple[int, int, int, int
     On failure the lexicographically first cycle (a, b, c, d, a) with four
     distinct vertices is returned as a witness.
     """
+    masks = g.nbr_masks
     for a in range(g.n):
-        for b in g.neighbors(a):
-            b = int(b)
-            for c in g.neighbors(b):
-                c = int(c)
+        for b in _bits(masks[a]):
+            for c in _bits(masks[b]):
                 if c == a:
                     continue
-                for d in g.neighbors(c):
-                    d = int(d)
-                    if d != a and d != b and g.has_edge(d, a):
-                        return False, (a, b, c, d, a)
+                # every d adjacent to both a and c other than b, at once
+                ds = masks[a] & masks[c] & ~(1 << b)
+                if ds:
+                    return False, (a, b, c, (ds & -ds).bit_length() - 1, a)
     return True, None
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately take a different route from the library code
 they check: walks are enumerated by explicit DFS instead of matrix powers,
 homomorphism existence is decided by backtracking search when checking the
-parity shortcut, operator norms come from numpy's SVD instead of power
+parity shortcut, and by forward checking over vertex sets when checking a
+pinned table's misses, operator norms come from numpy's SVD instead of power
 iteration, game values are counted directly from the predicate, and graph
 isomorphism is decided by plain backtracking.
 """
@@ -79,6 +80,32 @@ def hom_exists_bruteforce(h: Graph, g: Graph) -> bool:
         return False
 
     return extend([])
+
+
+def hom_exists_forward_checking(h: Graph, g: Graph) -> bool:
+    """Homomorphism existence by forward checking over sets of target
+    vertices: place the unplaced vertex with the fewest candidates left, then
+    cut its unplaced neighbours down to the neighbours of its image."""
+    target_nbrs = [set(g.neighbors(a).tolist()) for a in range(g.n)]
+    nbrs = [h.neighbors(u).tolist() for u in range(h.n)]
+
+    def extend(domains: dict[int, set[int]]) -> bool:
+        if not domains:
+            return True
+        u = min(domains, key=lambda v: (len(domains[v]), v))
+        for a in sorted(domains[u]):
+            rest = {v: d for v, d in domains.items() if v != u}
+            for v in nbrs[u]:
+                if v in rest:
+                    rest[v] = rest[v] & target_nbrs[a]
+                    if not rest[v]:
+                        break
+            else:
+                if extend(rest):
+                    return True
+        return False
+
+    return extend({u: set(range(g.n)) for u in range(h.n)})
 
 
 def operator_norm_svd(m: np.ndarray) -> float:

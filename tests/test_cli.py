@@ -18,11 +18,13 @@ from hypothesis import given, settings, strategies as st
 
 import qgadget.cli
 import qgadget.endo
+import qgadget.gadget
 import qgadget.qcore
 from qgadget import (QuantumCoreCertificate, build_family, classical_strategy,
                      enumerate_homomorphisms, graph_from_edges, pair_swap_rep,
                      verify_quantum_core_certificate)
 from qgadget.cli import main
+from conftest import hom_exists_forward_checking
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +106,69 @@ def test_endos_and_homs(capsys):
                       "--limit", "1")
     assert report["result"]["count"] == 1
     assert report["result"]["homomorphisms"][0][:2] == [1, 2]
+
+
+def test_conflicting_pins_exit_1(capsys):
+    code, out, err = run_cli(capsys, "homs", "K:3", "K:3", "--pin", "0=1", "--pin", "0=2",
+                             "--json")
+    assert code == 1 and out == ""
+    assert err == "error: vertex 0 is pinned to both 1 and 2\n"
+    # repeating the same pin is allowed
+    report = run_json(capsys, "homs", "K:3", "K:3", "--pin", "0=1", "--pin", "0=1")
+    assert report["inputs"]["pins"] == {"0": 1} and report["result"]["count"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gadget-check", "cmpl(C:6)", "0", "1", "K:3"],
+    ["gadget-build", "complement-cycle", "3"],
+    ["product-transfer", "cmpl(C:6)", "0", "1", "K:3", "K:3"]])
+def test_corrupted_property_i_witness_exit_2(monkeypatch, capsys, argv):
+    search = qgadget.gadget.enumerate_homomorphisms
+
+    def corrupted(h, g, pins, limit):
+        found = search(h, g, pins=pins, limit=limit)
+        return [(found[0][1],) + found[0][1:]] if found else found
+
+    monkeypatch.setattr(qgadget.gadget, "enumerate_homomorphisms", corrupted)
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("verification failure: property (i) witness")
+
+
+# inputs whose pinned searches ran for minutes before arc consistency
+
+
+def _assert_homomorphism(h, g, m):
+    assert len(m) == h.n
+    assert all(g.has_edge(m[u], m[v]) for u, v in h.edges())
+
+
+def test_gadget_check_box_c7_p6_into_c7(capsys):
+    report = run_json(capsys, "gadget-check", "box(C:7,P:6)", "0", "30", "C:7")
+    entries = report["result"]["property_i"]["entries"]
+    h, g = build_family("box(C:7,P:6)"), build_family("C:7")
+    hits = {pair: m for pair, m in entries.items() if m is not None}
+    assert len(entries) == 49 and len(hits) == 42
+    for pair, m in hits.items():
+        a, b = (int(t) for t in pair.split(","))
+        assert (m[0], m[30]) == (a, b)
+        _assert_homomorphism(h, g, m)
+
+
+def test_homs_box_c11_p16_into_c11_first_hit(capsys):
+    report = run_json(capsys, "homs", "box(C:11,P:16)", "C:11", "--limit", "1")
+    assert report["result"]["count"] == 1
+    _assert_homomorphism(build_family("box(C:11,P:16)"), build_family("C:11"),
+                         report["result"]["homomorphisms"][0])
+
+
+def test_gadget_check_o4_into_c7_has_no_witness(capsys):
+    report = run_json(capsys, "gadget-check", "O:4", "0", "1", "C:7")
+    entries = report["result"]["property_i"]["entries"]
+    assert len(entries) == 49 and all(m is None for m in entries.values())
+    assert not report["result"]["property_i"]["complete"]
+    # every miss is a true miss: O:4 has no homomorphism to C:7 at all
+    assert not hom_exists_forward_checking(build_family("O:4"), build_family("C:7"))
 
 
 def test_gadget_check_and_build(capsys):

@@ -277,6 +277,24 @@ def test_strategy_elements_must_be_numbers(element):
         strategy_from_json(doc)
 
 
+def test_repeated_and_mixed_dist_weights_parse_as_before():
+    h, g = build_family("C:6"), build_family("K:3")
+    doc = classical_strategy(h, g, enumerate_homomorphisms(h, g, limit=1)[0]).to_json()
+    weights = ["1/24", "1/24", 0.0625, "0.03125", 0, "1/24", 0.0625, "2/48", True, "1/24"]
+    doc["dist"] = {key: weights[i % len(weights)] for i, key in enumerate(doc["dist"])}
+    assert strategy_from_json(doc).dist == \
+        {tuple(int(t) for t in key.split(",")): Fraction(val) for key, val in doc["dist"].items()}
+
+
+@pytest.mark.parametrize("weight", [[1], "1/0"])
+def test_bad_dist_weight_is_malformed(weight):
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1]).to_json()
+    doc["dist"]["1,0"] = weight
+    with pytest.raises(ValueError, match="malformed strategy document"):
+        strategy_from_json(doc)
+
+
 def test_json_family_names_the_matrix_of_the_wrong_shape():
     h = build_family("K:2")
     doc = classical_strategy(h, h, [0, 1]).to_json()

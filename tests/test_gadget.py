@@ -2,7 +2,8 @@
 
 import pytest
 
-from qgadget import (GadgetCandidate, adjacency_equal, build_family,
+import qgadget.gadget
+from qgadget import (GadgetCandidate, VerificationFailure, adjacency_equal, build_family,
                      check_property_i_classical, complement_cycle_gadget, cycle_graph,
                      disprove_box_path_gadget, distance, enumerate_candidate_classes,
                      product_transfer, splice_gadget, walk_obstruction, walk_table)
@@ -28,6 +29,26 @@ def test_adjacent_pins_miss_diagonal():
         for b in range(3):
             if a != b:
                 assert table.witnesses[(a, b)] is not None
+
+
+@pytest.mark.parametrize("field, match", [(3, "does not preserve edge"), (0, "misses its pins")])
+def test_corrupted_property_i_witness_is_a_verification_failure(monkeypatch, field, match):
+    search = qgadget.gadget.enumerate_homomorphisms
+
+    def corrupted(h, g, pins, limit):
+        found = search(h, g, pins=pins, limit=limit)
+        if pins == {0: 1, 1: 2}:
+            m = list(found[0])
+            m[field] = m[1]  # prism vertex 3 is adjacent to 1; vertex 0 is pinned
+            found[0] = tuple(m)
+        return found
+
+    monkeypatch.setattr(qgadget.gadget, "enumerate_homomorphisms", corrupted)
+    cand = GadgetCandidate(build_family("cmpl(C:6)"), 0, 1, build_family("K:3"))
+    with pytest.raises(VerificationFailure, match=match):
+        check_property_i_classical(cand)
+    with pytest.raises(VerificationFailure):
+        complement_cycle_gadget(3)
 
 
 def test_c8_complement_property_i_complete():
