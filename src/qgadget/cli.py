@@ -168,6 +168,9 @@ def cmd_schmidt(args):
 
 
 def cmd_endos(args):
+    if args.limit is not None and args.limit < 0:
+        # a negative slice bound would silently drop maps from the end
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     g = load_graph_arg(args.graph)
     rows = endomorphism_rows(g, _bound(args))
     ident = list(range(g.n))

@@ -21,6 +21,15 @@ a domain per vertex as a Python-int bitmask over ``Graph.nbr_masks``,
 restores arc consistency after each assignment, and backtracks over the
 vertices in order, so its hits are still the lexicographically first maps.
 
+It also skips values by symmetry.  If the swap (a b) of two target vertices
+is an automorphism (``Graph.twin_masks``), and neither a nor b is a pin value
+or the value of a vertex before u, then the swap fixes the pins and the
+partial map, and it turns every completion with u -> b into one with u -> a.
+So once u -> a has been searched and gave no map, u -> b gives none either,
+and is skipped.  Only values without a map are skipped, so the hits are
+the same for every limit.  Over K:k, where every two vertices are twins,
+this is what keeps the pinned property-(i) tables of cmpl(C:2k) cheap.
+
 Finding and checking take separate code paths.  Every enumerated
 endomorphism is re-checked against ``Graph.adj`` in one batched edge test.
 The Schmidt-pair scan rules out partners by support bitmasks over the rows,
@@ -167,8 +176,9 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
     taking vertices 0..n-1 in order and values low bit first still finds the
     maps in lexicographic order.  N(D) is cached per search by the mask, and
     a vertex whose N(D) is the whole target is skipped, which keeps dense
-    targets cheap.  The search is iterative, so a long instance graph cannot
-    exhaust the interpreter's recursion limit.
+    targets cheap.  A value whose search gave no map rules out its twins at
+    the same depth (see the module docstring).  The search is iterative, so
+    a long instance graph cannot exhaust the interpreter's recursion limit.
     """
     n = h.n
     if n == 0:
@@ -205,18 +215,28 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
     dom = [1 << pins[u] if u in pins else full for u in range(n)]
     if not propagate(dom, list(range(n))):
         return []
-    # per depth u: the arc-consistent domains before u is assigned, and u's
-    # untried values
-    stack = [(dom, dom[0])]
+    twins = g.twin_masks
+    pinned = 0
+    for a in pins.values():
+        pinned |= 1 << a
+    # per depth u: the arc-consistent domains before u is assigned, u's
+    # untried values, the values of the pins and of the vertices before u,
+    # u's last tried value and the hit count before it was tried
+    stack = [[dom, dom[0], pinned, 0, 0]]
     results: list[tuple[int, ...]] = []
     while stack:
         u = len(stack) - 1
-        dom, untried = stack[-1]
+        frame = stack[-1]
+        dom, untried, fixed, last, mark = frame
+        if last and len(results) == mark and not last & fixed:
+            # u -> last had no completion, so neither has u -> b for a twin
+            # b of last outside the fixed values (see the module docstring)
+            untried &= ~twins[last.bit_length() - 1] | fixed
         if not untried:
             stack.pop()
             continue
         low = untried & -untried
-        stack[-1] = (dom, untried ^ low)
+        frame[1], frame[3], frame[4] = untried ^ low, low, len(results)
         if low != dom[u]:
             # domains are shared down the stack until one shrinks
             dom = dom.copy()
@@ -228,7 +248,7 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
             if len(results) >= limit:
                 break
             continue
-        stack.append((dom, dom[u + 1]))
+        stack.append([dom, dom[u + 1], fixed | low, 0, 0])
     return results
 
 

@@ -86,6 +86,20 @@ class Graph:
         packed = np.packbits(self.adj, axis=1, bitorder="little")
         return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
+    @cached_property
+    def twin_masks(self) -> tuple[int, ...]:
+        """Twins of each vertex a as a bitmask: bit b set iff b != a and the
+        swap (a b) is an automorphism, that is N(a)\\{b} == N(b)\\{a}.  Such b
+        share a's open neighbourhood (non-adjacent twins) or its closed one
+        (adjacent twins), so grouping equal masks finds them all."""
+        open_: dict[int, int] = {}
+        closed: dict[int, int] = {}
+        for v, m in enumerate(self.nbr_masks):
+            open_[m] = open_.get(m, 0) | 1 << v
+            closed[m | 1 << v] = closed.get(m | 1 << v, 0) | 1 << v
+        return tuple((open_[m] | closed[m | 1 << v]) & ~(1 << v)
+                     for v, m in enumerate(self.nbr_masks))
+
     def directed_edges(self) -> list[tuple[int, int]]:
         """Every edge in both orientations, sorted."""
         iu, iv = np.nonzero(self.adj)

@@ -19,17 +19,19 @@ the minimal valid length of every pair is read off the walk table's parity
 distances in O(n^2), whatever the search bound.
 
 The module stays entirely combinatorial: it never touches algebra elements.
-Verification does not trust the table that found the lengths: it re-checks
-every recorded length with bool-dtype powers of the adjacency matrix (by
-repeated squaring, which cannot overflow), so the trusted computing base is
-the boolean matrix power.  A missing length within the search bound makes
-the result inconclusive, not a disproof.
+Verification does not trust the table that found the lengths, nor its
+packed-row kernel: it re-checks every recorded length with dense bool-dtype
+powers of the adjacency matrix (products by repeated squaring, which cannot
+overflow), so the trusted computing base is the boolean matrix power.  The
+recorded lengths are grouped, so each distinct length costs one power and
+one batched check of all its pairs.  A missing length within the search
+bound makes the result inconclusive, not a disproof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -105,41 +107,91 @@ def _bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
     return np.eye(len(squares[0]), dtype=bool) if out is None else out
 
 
+_MISSING = object()
+
+
+def _recorded(kind: str, lengths: dict, a: np.ndarray, b: np.ndarray) -> tuple[list, Optional[str]]:
+    """The lengths recorded for the pairs (a[i], b[i]), in order, up to the
+    first one that is missing or not a nonnegative integer, and the message
+    that one raises (None if there is none)."""
+    # zip hands map one reused tuple, so the lookups allocate no keys
+    vals = list(map(lengths.get, zip(a.tolist(), b.tolist()), repeat(_MISSING)))
+    if set(map(type, vals)) <= {int} and min(vals, default=0) >= 0:
+        return vals, None
+    for i, ell in enumerate(vals):
+        if ell is _MISSING:
+            return vals[:i], f"{kind} pair ({a[i]},{b[i]}) missing"
+        if not isinstance(ell, (int, np.integer)) or ell < 0:
+            return vals[:i], f"{kind} pair ({a[i]},{b[i]}): no walk of length {ell}"
+    return vals, None
+
+
 def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
     """Re-verify every recorded length with bool-dtype powers of the adjacency
     matrix, independent of the walk table; raises ValueError on the first
-    failing pair in row-major order, including missing pairs."""
+    failing pair in row-major order, including missing pairs, a pair's column
+    check before its cross check.
+
+    The recorded lengths are grouped: the distinct ones are taken in
+    ascending order, each power is the one before times a cached power of
+    the difference, and each length checks all of its pairs at once."""
     if not cert.column_lengths and not cert.cross_lengths:
         if g.n > 1:
             raise ValueError("certificate is empty")
         return
+    a, b = np.triu_indices(g.n, 1)
+    cross = np.flatnonzero(~g.adj[a, b])
+    # checks are made in key order: pair i's column check has key 2i, its
+    # cross check 2i+1.  first is the key of the first failure found so far.
+    column_vals, error = _recorded("column", cert.column_lengths, a, b)
+    first = 2 * len(column_vals)
+    cross_vals, cross_error = _recorded("cross", cert.cross_lengths, a[cross], b[cross])
+    if cross_error and 2 * cross[len(cross_vals)] + 1 < first:
+        first, error = 2 * int(cross[len(cross_vals)]) + 1, cross_error
+    distinct = sorted(set(column_vals).union(cross_vals))
+    where = {ell: k for k, ell in enumerate(distinct)}
+    # per check, the index in distinct of its recorded length
+    column_at = np.fromiter(map(where.__getitem__, column_vals), np.int32, len(column_vals))
+    cross_at = np.fromiter(map(where.__getitem__, cross_vals), np.int32, len(cross_vals))
     eu, ev = np.nonzero(g.adj)
     squares = [g.adj]
-    # ell -> (adj^ell, some closed walk of length ell, some adjacent pair joined)
-    at_length: dict[int, tuple[np.ndarray, bool, bool]] = {}
-
-    def check(kind: str, lengths: dict[tuple[int, int], int], a: int, b: int) -> None:
-        if (a, b) not in lengths:
-            raise ValueError(f"{kind} pair ({a},{b}) missing")
-        ell = lengths[(a, b)]
-        if not isinstance(ell, (int, np.integer)) or ell < 0:
-            raise ValueError(f"{kind} pair ({a},{b}): no walk of length {ell}")
-        if ell not in at_length:
+    steps: dict[int, np.ndarray] = {}
+    power, at = None, 0
+    for k, ell in enumerate(distinct):
+        # the pairs checked at this length whose keys come before first
+        col = np.flatnonzero(column_at[:(first + 1) // 2] == k)
+        crs = np.flatnonzero(cross_at[:np.searchsorted(cross, first // 2)] == k)
+        if not len(col) and not len(crs):
+            continue
+        if power is None:
             power = _bool_power(squares, ell)
-            at_length[ell] = (power, bool(power.diagonal().any()), bool(power[eu, ev].any()))
-        power, closed_any, joined_any = at_length[ell]
-        if not power[a, b]:
-            raise ValueError(f"{kind} pair ({a},{b}): no walk of length {ell}")
-        if kind == "column" and closed_any:
-            raise ValueError(f"column pair ({a},{b}): closed walk of length {ell} exists")
-        if kind == "cross" and joined_any:
-            raise ValueError(f"cross pair ({a},{b}): adjacent pair joined at length {ell}")
-
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            check("column", cert.column_lengths, a, b)
-            if not g.has_edge(a, b):
-                check("cross", cert.cross_lengths, a, b)
+        else:
+            diff = ell - at
+            if diff not in steps:
+                steps[diff] = _bool_power(squares, diff)
+            power = power @ steps[diff]
+        at = ell
+        # the failing ones: all of them if the length is forbidden, else
+        # those without a walk
+        if not power.diagonal().any():
+            col = col[~power[a[col], b[col]]]
+        if not power[eu, ev].any():
+            crs = crs[~power[a[cross[crs]], b[cross[crs]]]]
+        if len(col) and (not len(crs) or col[0] <= cross[crs[0]]):
+            first, shown, kind = 2 * int(col[0]), column_vals[col[0]], "column"
+        elif len(crs):
+            first, shown, kind = 2 * int(cross[crs[0]]) + 1, cross_vals[crs[0]], "cross"
+        else:
+            continue
+        x, y = a[first // 2], b[first // 2]
+        if not power[x, y]:
+            error = f"{kind} pair ({x},{y}): no walk of length {shown}"
+        elif kind == "column":
+            error = f"column pair ({x},{y}): closed walk of length {shown} exists"
+        else:
+            error = f"cross pair ({x},{y}): adjacent pair joined at length {shown}"
+    if error is not None:
+        raise ValueError(error)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ shortest walk of the same parity (a walk with an edge can be padded by going
 back and forth along it).  The one exception is an isolated vertex, whose
 only walk is the one of length 0.  So a table holds two parity-distance
 matrices plus a per-vertex "has a neighbour" mask, whatever the length bound.
-They are filled by iterating reach matrices through bool-dtype matrix
-products, which cannot overflow, until the reach sequence repeats with
-period 2.  Girth and odd girth come from a separate layered BFS over
-neighbour bitmasks, whose odd girth is checked again by a parent-tracking
-BFS on the bipartite double cover from one root, so that table-vs-path
-identities can be cross-checked for real.
+They are filled by iterating reach matrices, held as bit-packed uint64 rows,
+until the reach sequence repeats with period 2.  One step ORs together the
+rows of each vertex's neighbours (a ``reduceat`` over CSR neighbour lists),
+which costs O(m * n/64) words where a dense matrix product costs n^3, and
+like a bool product it cannot overflow.  Girth and odd girth come from a
+separate layered BFS over neighbour bitmasks, whose odd girth is checked
+again by a parent-tracking BFS on the bipartite double cover from one root,
+so that table-vs-path identities can be cross-checked for real; a failed
+cross-check raises :class:`VerificationFailure`.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .endo import VerificationFailure
 from .graphs import Graph, _bits
 
 Length = Union[int, float]  # int, or math.inf for "no such walk/cycle"
@@ -73,7 +77,7 @@ class WalkTable:
 
 def walk_table(g: Graph, lmax: Union[int, str] = AUTO) -> WalkTable:
     """Parity-distance walk table answering queries up to lmax (default
-    2n+2).  Its cost and size do not depend on lmax: the reach matrices are
+    2n+2).  Its cost and size do not depend on lmax: the reach rows are
     iterated only until they repeat with period 2."""
     if lmax == AUTO:
         lmax = 2 * g.n + 2
@@ -84,23 +88,51 @@ def walk_table(g: Graph, lmax: Union[int, str] = AUTO) -> WalkTable:
     np.fill_diagonal(dist[0], 0)
     settled = 0
     steps = 0
-    # reach_l[u, v] == there is a walk of length l; once reach_l equals
-    # reach_{l-2}, every later matrix repeats with period 2.  Parity
-    # distances are shortest paths in the bipartite double cover, so below
-    # 2n, and the loop always ends at that break.
-    before, last = None, np.eye(n, dtype=bool)
+    has_neighbour = g.adj.any(axis=1)
+    # reach_l[u, v] == there is a walk of length l from u to v.  Its rows are
+    # bit-packed, bit v of row u in word v // 64, and reach_l[u] is the OR of
+    # reach_{l-1}[k] over the neighbours k of u: one reduceat over each row
+    # block's neighbour lists (CSR order).  reduceat cannot take an empty
+    # segment, so an isolated vertex lists the extra row n, which stays 0.
+    lists = np.concatenate([g.adj, ~has_neighbour[:, None]], axis=1)
+    nbr = np.nonzero(lists)[1]
+    counts = np.count_nonzero(lists, axis=1)
+    starts = np.zeros(n + 1, dtype=nbr.dtype)
+    np.cumsum(counts, out=starts[1:])
+    words = max(1, -(-n // 64))
+    # rows per block, so that a block's gather holds at most about dist.nbytes
+    per_block = max(1, dist.nbytes // (8 * words * int(counts.max(initial=1))))
+    blocks = []
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        blocks.append((lo, hi, nbr[starts[lo]:starts[hi]], starts[lo:hi] - starts[lo]))
+    # little-endian words, so that their bytes unpack in bit order
+    last = np.zeros((n + 1, 8 * words), dtype=np.uint8)
+    last[:n, :(n + 7) // 8] = np.packbits(np.eye(n, dtype=bool), axis=1, bitorder="little")
+    last = last.view("<u8")
+    # unseen[p] keeps the bits of the pairs with no walk of parity p yet
+    unseen = [np.full_like(last, ~np.uint64(0)) for _ in range(2)]
+    unseen[0] ^= last
+    before = None
+    # reach_l equals reach_{l-2} from some l on, and every later step repeats
+    # with period 2.  Parity distances are shortest paths in the bipartite
+    # double cover, so below 2n, and the loop always ends at that break.
     for ell in range(1, 2 * n + 3):
-        cur = last @ g.adj
+        cur = np.zeros_like(last)
+        for lo, hi, gather, offsets in blocks:
+            np.bitwise_or.reduceat(last[gather], offsets, axis=0, out=cur[lo:hi])
         steps += 1
-        if before is not None and np.array_equal(cur, before):
+        if before is not None and (cur == before).all():
             break
-        new = cur & (dist[ell % 2] == NO_WALK)
+        new = cur & unseen[ell % 2]
         if new.any():
-            dist[ell % 2][new] = ell
+            unseen[ell % 2] ^= new
+            bits = np.unpackbits(new[:n].astype("<u8", copy=False).view(np.uint8), axis=1,
+                                 count=n, bitorder="little")
+            dist[ell % 2][bits.view(bool)] = ell
             settled = ell
         before, last = last, cur
     dist.setflags(write=False)
-    has_neighbour = g.adj.any(axis=1)
     has_neighbour.setflags(write=False)
     return WalkTable(g, lmax, dist, has_neighbour, settled, steps)
 
@@ -216,7 +248,9 @@ def _extract_odd_cycle(g: Graph, walk: list[int]) -> list[int]:
                 break
             seen[v] = idx
         if split is None:
-            assert length % 2 == 1 and length >= 3
+            if length % 2 != 1 or length < 3:
+                raise VerificationFailure(f"walk splitting left a closed walk of length {length}, "
+                                          f"not an odd cycle")
             return cur
         i, j = split
         piece_a = cur[i:j + 1]           # closed walk of length j-i
@@ -224,7 +258,7 @@ def _extract_odd_cycle(g: Graph, walk: list[int]) -> list[int]:
         cur = piece_a if (j - i) % 2 == 1 else piece_b
         # re-root so the repeated endpoint is explicit
         if cur[0] != cur[-1]:
-            raise AssertionError("walk splitting produced a non-closed piece")
+            raise VerificationFailure("walk splitting produced a non-closed piece")
 
 
 def girths(g: Graph) -> GirthReport:
@@ -242,14 +276,18 @@ def girths(g: Graph) -> GirthReport:
     girth, odd_girth, root = _layered_girths(g)
     if root >= 0:
         witness = _shortest_odd_closed_walk(g, root)
-        assert witness is not None, f"no odd closed walk through root {root}"
+        if witness is None:
+            raise VerificationFailure(f"no odd closed walk through root {root}")
         cyc = _extract_odd_cycle(g, witness)
         clen = len(cyc) - 1
         # a cycle is itself a closed walk, so the extracted one cannot be shorter
-        assert clen == len(witness) - 1 == odd_girth, \
-            f"odd cycle of length {clen} from root {root}, layered search found {odd_girth}"
+        if not clen == len(witness) - 1 == odd_girth:
+            raise VerificationFailure(f"odd cycle of length {clen} from root {root}, "
+                                      f"layered search found {odd_girth}")
         for a, b in zip(cyc, cyc[1:]):
-            assert g.has_edge(a, b)
+            if not g.has_edge(a, b):
+                raise VerificationFailure(f"odd cycle {cyc} from root {root} uses the "
+                                          f"non-edge ({a},{b})")
 
     t = walk_table(g)
     shortest_odd_closed = int(t.dist[1].diagonal().min(initial=NO_WALK))

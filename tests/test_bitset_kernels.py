@@ -2,21 +2,25 @@
 
 ``girth_bfs`` (a BFS from every root, closing non-tree edges),
 ``odd_girth_double_cover`` (a double-cover BFS from every root),
-``four_cycle_loops`` (four nested neighbour loops) and
+``four_cycle_loops`` (four nested neighbour loops),
 ``first_homomorphisms_backtracking`` (plain backtracking that checks an edge
-once both ends are placed) are the earlier implementations of
-``walks.girths``, ``walks.is_oracularisable`` and the first-hit search of
-``endo.enumerate_homomorphisms``, kept here as references.
+once both ends are placed) and ``dense_walk_table`` (bool matrix products)
+are the earlier implementations of ``walks.girths``,
+``walks.is_oracularisable``, the first-hit search of
+``endo.enumerate_homomorphisms`` and ``walks.walk_table``, kept here as
+references.
 """
 
 import math
 from collections import deque
 from itertools import combinations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qgadget import (build_family, enumerate_homomorphisms, girths, graph_from_edges,
-                     is_oracularisable)
+                     is_oracularisable, walk_table)
+from qgadget.walks import NO_WALK
 
 
 def girth_bfs(g):
@@ -110,6 +114,27 @@ def first_homomorphisms_backtracking(h, g, pins, limit):
     return results
 
 
+def dense_walk_table(g):
+    """(dist, settled, steps) from bool reach matrices, reach_l = reach_{l-1} @ adj,
+    iterated until they repeat with period 2."""
+    n = g.n
+    dist = np.full((2, n, n), NO_WALK, dtype=np.int32)
+    np.fill_diagonal(dist[0], 0)
+    settled = steps = 0
+    before, last = None, np.eye(n, dtype=bool)
+    for ell in range(1, 2 * n + 3):
+        cur = last @ g.adj
+        steps += 1
+        if before is not None and np.array_equal(cur, before):
+            break
+        new = cur & (dist[ell % 2] == NO_WALK)
+        if new.any():
+            dist[ell % 2][new] = ell
+            settled = ell
+        before, last = last, cur
+    return dist, settled, steps
+
+
 @st.composite
 def graphs(draw, max_n, max_p=1.0):
     """A random graph on at most max_n vertices: several components, each
@@ -172,3 +197,138 @@ def test_first_hits_match_plain_backtracking_on_families():
         h, g = build_family(src), build_family(tgt)
         assert enumerate_homomorphisms(h, g, pins=pins, limit=5) == \
             first_homomorphisms_backtracking(h, g, pins, 5), (src, tgt)
+
+
+def _same_walk_table(g):
+    t = walk_table(g)
+    dist, settled, steps = dense_walk_table(g)
+    assert np.array_equal(t.dist, dist)
+    assert (t.settled, t.steps) == (settled, steps)
+    assert np.array_equal(t.has_neighbour, g.adj.any(axis=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(24))
+def test_packed_walk_table_matches_the_dense_products(g):
+    _same_walk_table(g)
+
+
+def test_packed_walk_table_matches_the_dense_products_on_multiword_rows():
+    # 65-200 vertices, rows of two to four words; the sparser graphs have
+    # isolated vertices and fall apart
+    rng = np.random.default_rng(7)
+    for n in (65, 100, 128, 129, 200):
+        for p in (0.5 / n, 2.0 / n, 0.1):
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            _same_walk_table(graph_from_edges(n, edges))
+
+
+# the graphs whose walk tables the gadget-qcore benchmark builds, and K:258
+WALK_TABLE_FAMILIES = [f"C:{n}" for n in range(9, 52, 2)] + [
+    "O:3", "O:4", "O:5", "KG:8,3", "KG:9,3", "KG:10,3", "box(C:9,P:10)", "K:258", "K:1", "P:0",
+    "C:64", "P:63"]
+
+
+def test_packed_walk_table_matches_the_dense_products_on_families():
+    for spec in WALK_TABLE_FAMILIES:
+        _same_walk_table(build_family(spec))
+    _same_walk_table(graph_from_edges(0, []))
+
+
+def _swap_is_automorphism(g, a, b):
+    perm = np.arange(g.n)
+    perm[[a, b]] = [b, a]
+    return np.array_equal(g.adj[np.ix_(perm, perm)], g.adj)
+
+
+def complete_multipartite(sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return graph_from_edges(len(part), [(u, v) for u, v in combinations(range(len(part)), 2)
+                                        if part[u] != part[v]])
+
+
+@st.composite
+def twin_targets(draw, max_n=8):
+    """A random graph with planted twins: vertices are added one at a time,
+    some as copies of an earlier vertex, with (adjacent twin) or without
+    (non-adjacent twin) an edge to it."""
+    n = draw(st.integers(1, max_n))
+    nbrs = [set() for _ in range(n)]
+    for v in range(1, n):
+        kind = draw(st.sampled_from(["fresh", "open", "closed"]))
+        if kind == "fresh":
+            new = {u for u in range(v) if draw(st.booleans())}
+        else:
+            w = draw(st.integers(0, v - 1))
+            new = nbrs[w] | ({w} if kind == "closed" else set())
+        for u in new:
+            nbrs[u].add(v)
+        nbrs[v] = new
+    return graph_from_edges(n, [(u, v) for v in range(n) for u in nbrs[v] if u < v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(graphs(9), twin_targets()))
+def test_twin_masks_are_the_swaps_that_are_automorphisms(g):
+    for a in range(g.n):
+        expected = sum(1 << b for b in range(g.n)
+                       if b != a and _swap_is_automorphism(g, a, b))
+        assert g.twin_masks[a] == expected
+
+
+@st.composite
+def _twin_instances(draw):
+    """Pinned first-hit queries into targets with twins, with pins on twin
+    values and limits up to 40."""
+    g = draw(st.one_of(
+        twin_targets(),
+        st.integers(1, 6).map(lambda k: build_family(f"K:{k}")),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(complete_multipartite)))
+    h = draw(graphs(8, 0.6))
+    pins = {}
+    if h.n:
+        twinned = [a for a in range(g.n) if g.twin_masks[a]] or list(range(g.n))
+        pins = draw(st.dictionaries(st.integers(0, h.n - 1), st.sampled_from(twinned),
+                                    max_size=3))
+    return h, g, pins, draw(st.integers(1, 40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_twin_instances())
+def test_twin_skipping_first_hits_match_plain_backtracking(inst):
+    h, g, pins, limit = inst
+    assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == \
+        first_homomorphisms_backtracking(h, g, pins, limit)
+
+
+def test_twin_skipping_first_hits_match_plain_backtracking_on_families():
+    cases = [("cmpl(C:10)", "K:5", {0: 0, 1: 1}), ("cmpl(C:12)", "K:6", {0: 3, 1: 3}),
+             ("petersen", "K:3", {0: 2}), ("C:7", "K:3", {0: 1, 3: 1}),
+             ("C:9", "cmpl(C:6)", {0: 0}), ("O:3", "tensor(K:2,K:3)", {0: 0, 1: 3}),
+             ("box(C:3,P:2)", "K:4", {})]
+    for src, tgt, pins in cases:
+        h, g = build_family(src), build_family(tgt)
+        for limit in (1, 7, 40):
+            assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == \
+                first_homomorphisms_backtracking(h, g, pins, limit), (src, tgt, limit)
+    h, g = build_family("box(P:2,P:2)"), complete_multipartite([2, 3, 1])
+    for limit in (1, 13, 40):
+        assert enumerate_homomorphisms(h, g, pins={4: 2}, limit=limit) == \
+            first_homomorphisms_backtracking(h, g, {4: 2}, limit)
+
+
+def test_twin_skipping_leaves_pin_values_alone():
+    # 0 and 1 are adjacent twins of g, and vertex 0 -> 0 has no map while
+    # 0 -> 1 has: 1 is the pin value of the later vertex 1, so the swap
+    # (0 1) would break that pin.
+    h = graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert enumerate_homomorphisms(h, g, pins={1: 1}, limit=28) == \
+        first_homomorphisms_backtracking(h, g, {1: 1}, 28) != []
+    # In K:3 vertex 0 -> 0 has no map while 0 -> 1 has: the dead value 0 is
+    # itself the pin value of vertex 1, so it rules out none of its twins.
+    h = graph_from_edges(6, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5),
+                             (4, 5)])
+    g = build_family("K:3")
+    assert enumerate_homomorphisms(h, g, pins={1: 0}, limit=13) == \
+        first_homomorphisms_backtracking(h, g, {1: 0}, 13) != []

@@ -108,6 +108,14 @@ def test_endos_and_homs(capsys):
     assert report["result"]["homomorphisms"][0][:2] == [1, 2]
 
 
+def test_endos_refuses_a_negative_limit(capsys):
+    # a negative limit used to slice maps[:-2] and list 8 of the 10 maps
+    code, out, err = run_cli(capsys, "endos", "C:5", "--limit", "-2", "--json")
+    assert code == 1 and out == ""
+    assert err == "error: --limit must be >= 0, got -2\n"
+    assert run_json(capsys, "endos", "C:5", "--limit", "0")["result"]["endomorphisms"] == []
+
+
 def test_conflicting_pins_exit_1(capsys):
     code, out, err = run_cli(capsys, "homs", "K:3", "K:3", "--pin", "0=1", "--pin", "0=2",
                              "--json")

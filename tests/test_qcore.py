@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import qgadget.endo
@@ -97,6 +98,44 @@ def test_tampered_certificate_rejected():
     del missing[(0, 1)]
     with pytest.raises(ValueError, match="missing"):
         verify_quantum_core_certificate(g, replace(cert, column_lengths=missing))
+
+
+def test_tampered_certificate_reports_the_first_pair_in_row_major_order():
+    # a bad cross length at pair (0,2) and a bad column length at the later
+    # pair (1,3): the column failure sits at the shorter length, so a check
+    # that stopped at the first failing length would report it instead
+    g = build_family("C:5")
+    cert = quantum_core_certificate(g, 12)
+    columns, crosses = dict(cert.column_lengths), dict(cert.cross_lengths)
+    crosses[(0, 2)] = 4  # adjacent pairs are joined by walks of length 4
+    columns[(1, 3)] = 2  # closed walks of length 2 exist
+    with pytest.raises(ValueError) as info:
+        verify_quantum_core_certificate(g, replace(cert, column_lengths=columns,
+                                                   cross_lengths=crosses))
+    assert str(info.value) == "cross pair (0,2): adjacent pair joined at length 4"
+
+
+@pytest.mark.parametrize("ell, message", [
+    (-1, "column pair (0,1): no walk of length -1"),
+    (1.0, "column pair (0,1): no walk of length 1.0"),
+    (None, "column pair (0,1): no walk of length None"),
+    ("1", "column pair (0,1): no walk of length 1"),
+    (2**70, f"column pair (0,1): closed walk of length {2**70} exists"),
+    (True, None),
+    (np.int64(1), None),
+])
+def test_recorded_lengths_that_are_not_small_ints(ell, message):
+    g = build_family("C:5")
+    cert = quantum_core_certificate(g, 12)
+    columns = dict(cert.column_lengths)
+    columns[(0, 1)] = ell
+    tampered = replace(cert, column_lengths=columns)
+    if message is None:
+        verify_quantum_core_certificate(g, tampered)
+    else:
+        with pytest.raises(ValueError) as info:
+            verify_quantum_core_certificate(g, tampered)
+        assert str(info.value) == message
 
 
 def test_certified_graphs_admit_no_schmidt_pair():

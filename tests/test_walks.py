@@ -1,12 +1,18 @@
 """Walk tables, distances, girths, bipartiteness, oracularisability."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgadget import (build_family, decide_bipartite_target, distance, enumerate_homomorphisms,
-                     girths, is_bipartite, is_oracularisable, walk_table)
+import qgadget.walks
+from qgadget import (VerificationFailure, build_family, decide_bipartite_target, distance,
+                     enumerate_homomorphisms, girths, is_bipartite, is_oracularisable, walk_table)
 from conftest import SMALL_FAMILY_SPECS, walk_exists_dfs
 
 
@@ -182,3 +188,38 @@ def test_bipartite_decision_agrees_with_search():
             g = build_family(gs)
             expected = bool(enumerate_homomorphisms(h, g, limit=1))
             assert decide_bipartite_target(h, g) == expected, (hs, gs)
+
+
+# C:5's pentagram: a closed walk of the odd girth's length whose steps are
+# all non-edges of C:5
+_PENTAGRAM = [0, 2, 4, 1, 3, 0]
+
+
+@pytest.mark.parametrize("extract, message", [
+    (lambda g, walk: _PENTAGRAM, "non-edge"),
+    (lambda g, walk: walk[:4] + walk[:1], "odd cycle of length 4"),
+], ids=["non-edge", "too-short"])
+def test_girths_refuses_a_broken_odd_cycle(monkeypatch, extract, message):
+    monkeypatch.setattr(qgadget.walks, "_extract_odd_cycle", extract)
+    with pytest.raises(VerificationFailure, match=message):
+        girths(build_family("C:5"))
+
+
+def test_girths_refuses_a_broken_odd_cycle_under_python_O():
+    # python -O strips assert statements, so the cross-check must not use them
+    script = textwrap.dedent(f"""
+        import qgadget.walks
+        from qgadget import VerificationFailure, build_family
+        qgadget.walks._extract_odd_cycle = lambda g, walk: {_PENTAGRAM}
+        try:
+            qgadget.walks.girths(build_family("C:5"))
+        except VerificationFailure as exc:
+            print("refused:", exc)
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused:") and "non-edge" in proc.stdout
