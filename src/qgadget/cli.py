@@ -26,8 +26,9 @@ from typing import Optional
 from . import __version__
 from .graphs import Graph, build_family, parse_graph, serialize_graph
 from .walks import decide_bipartite_target, girths, is_bipartite, is_oracularisable
-from .endo import (DEFAULT_MAX_VERTICES, _all_bijective, endomorphism_rows,
-                   enumerate_homomorphisms, find_schmidt_pair, nogo_verdict)
+from .endo import (DEFAULT_MAX_VERTICES, ListingBoundExceeded, _all_bijective,
+                   endomorphism_rows, enumerate_homomorphisms, find_schmidt_pair,
+                   nogo_verdict)
 from .qrep import VerificationFailure, compose_reps, load_rep, verify_rep
 from .defect import (assignment_defect, cc_defect, commutator_defect, cv_defect,
                      pair_dist_from_json, strategy_from_json)
@@ -38,6 +39,9 @@ from .qcore import classical_only_report, verify_quantum_core_certificate
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
+
+# the most maps `homs` lists without --limit, unless --i-know lifts the bound
+HOMS_MAX_MAPS = 2 ** 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,6 +188,8 @@ def cmd_endos(args):
 
 
 def cmd_homs(args):
+    if args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     h = load_graph_arg(args.source)
     g = load_graph_arg(args.target)
     pins = {}
@@ -192,11 +198,18 @@ def cmd_homs(args):
         u, a = int(u), int(a)
         if pins.setdefault(u, a) != a:
             raise ValueError(f"vertex {u} is pinned to both {pins[u]} and {a}")
-    maps = enumerate_homomorphisms(h, g, pins=pins,
-                                   limit=None if args.limit == 0 else args.limit)
-    emit_report(args, {"source": args.source, "target": args.target,
-                       "pins": {str(k): v for k, v in pins.items()}, "limit": args.limit},
-                {"count": len(maps), "homomorphisms": [list(m) for m in maps]})
+    try:
+        maps = enumerate_homomorphisms(h, g, pins=pins, limit=args.limit or None,
+                                       max_maps=None if args.i_know else HOMS_MAX_MAPS)
+    except ListingBoundExceeded as exc:
+        raise ValueError(f"{exc} (the bound of a full listing); pass --limit N for the "
+                         f"first N maps, or --i-know to list them all") from None
+    inputs = {"source": args.source, "target": args.target,
+              "pins": {str(k): v for k, v in pins.items()}, "limit": args.limit}
+    if args.i_know:
+        # echoed only when given, so reports within the bound keep their bytes
+        inputs["i_know"] = True
+    emit_report(args, inputs, {"count": len(maps), "homomorphisms": [list(m) for m in maps]})
 
 
 def cmd_gadget_check(args):
@@ -371,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--pin", action="append", metavar="U=A",
                    help="pin source vertex U to target vertex A (repeatable)")
-    p.add_argument("--limit", type=int, default=0, help="0 means all")
+    p.add_argument("--limit", type=int, default=0,
+                   help=f"0 means all, at most {HOMS_MAX_MAPS} of them without --i-know")
+    p.add_argument("--i-know", action="store_true",
+                   help="lift the bound on a full listing, which can exhaust memory")
 
     p = sub.add_parser("gadget-check", help="property-(i) table and walk obstruction")
     p.add_argument("gadget")

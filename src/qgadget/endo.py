@@ -11,38 +11,52 @@ variant is ruled out as well.
 All searches are exhaustive and deterministic so that "none exists" verdicts
 are trustworthy and certificates are reproducible run to run.
 
-The endomorphism set of a graph is one integer array, one map per row, rows
-in lexicographic order (:func:`endomorphism_rows`).  A full enumeration
-expands partial maps level by level, one vertex at a time, in blocks of at
-most ``_BLOCK`` rows taken depth first; besides the maps it returns, its
-live memory is about h.n * g.n blocks of ``_BLOCK`` rows, whatever the size
-of the frontier.  A query with a limit wants the first hits only: it keeps
-a domain per vertex as a Python-int bitmask over ``Graph.nbr_masks``,
-restores arc consistency after each assignment, and backtracks over the
-vertices in order, so its hits are still the lexicographically first maps.
+The endomorphisms of a graph come as integer blocks, one map per row,
+blocks and rows in lexicographic order; :func:`endomorphism_rows` joins them
+into one array.  A full enumeration expands partial maps level by level, one
+vertex at a time, in blocks of at most ``_BLOCK`` rows taken depth first,
+and yields each block of complete maps as soon as it is finished; besides
+the maps it returns, its live memory is about h.n * g.n blocks of ``_BLOCK``
+rows, whatever the size of the frontier.  A query for the first hits keeps
+a domain per vertex as a Python-int bitmask over ``Graph.nbr_masks`` (a pin
+is a one-bit domain), restores arc consistency after each assignment, and
+backtracks over the vertices in order, so its hits are still the
+lexicographically first maps.
 
 It also skips values by symmetry.  If the swap (a b) of two target vertices
-is an automorphism (``Graph.twin_masks``), and neither a nor b is a pin value
-or the value of a vertex before u, then the swap fixes the pins and the
-partial map, and it turns every completion with u -> b into one with u -> a.
-So once u -> a has been searched and gave no map, u -> b gives none either,
+is an automorphism (``Graph.twin_masks``), and neither a nor b lies in an
+initial domain other than the whole target, nor is the value of a vertex
+before u, then the swap maps every domain onto itself and fixes the partial
+map, and it turns every completion with u -> b into one with u -> a.  So
+once u -> a has been searched and gave no map, u -> b gives none either,
 and is skipped.  Only values without a map are skipped, so the hits are
 the same for every limit.  Over K:k, where every two vertices are twins,
 this is what keeps the pinned property-(i) tables of cmpl(C:2k) cheap.
 
+The Schmidt-pair search streams.  It takes each non-identity f from the
+endomorphism blocks in order and asks the first-hit search for the first
+non-identity partner g within per-vertex domains: g fixes supp(f), and in
+disconnected mode N(supp(f)) too; in WAC mode a neighbour y of supp(f) keeps
+y or goes into N(f(x)) for every x in supp(f) adjacent to y.  So the first
+pair found is the lexicographically first, and the search stops there,
+without enumerating the rest.  The answer for f depends only on its domain
+tuple, so tuples that gave no partner are remembered and skipped.
+:func:`nogo_verdict` runs both modes in that one pass.
+
 Finding and checking take separate code paths.  Every enumerated
-endomorphism is re-checked against ``Graph.adj`` in one batched edge test.
-The Schmidt-pair scan rules out partners by support bitmasks over the rows,
-and every pair it finds is re-checked by :func:`verify_schmidt_certificate`,
-whose predicates (:func:`is_wac`, :func:`supports_disjoint`,
-:func:`supports_disconnected`) work on frozenset supports and
-``Graph.has_edge``.  A failed re-check raises :class:`VerificationFailure`.
+endomorphism is re-checked against ``Graph.adj`` in one batched edge test
+per block.  Every pair the search finds is re-checked by
+:func:`verify_schmidt_certificate`, whose predicates (:func:`is_wac`,
+:func:`supports_disjoint`, :func:`supports_disconnected`) work on frozenset
+supports and ``Graph.has_edge``.  A failed re-check raises
+:class:`VerificationFailure`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -138,17 +152,23 @@ def supports_disconnected(f: Endomorphism, g: Endomorphism) -> bool:
 # Enumeration
 
 
+class ListingBoundExceeded(ValueError):
+    """An exhaustive listing found more maps than its bound allows."""
+
+
 def enumerate_homomorphisms(h: Graph, g: Graph,
                             pins: Optional[dict[int, int]] = None,
-                            limit: Optional[int] = None) -> list[tuple[int, ...]]:
+                            limit: Optional[int] = None,
+                            max_maps: Optional[int] = None) -> list[tuple[int, ...]]:
     """All homomorphisms h -> g extending the pinned assignments.
 
     Results come out in lexicographic order of the map tuple; with a limit,
     the first `limit` maps in that order are returned.  Without a limit every
-    map is wanted, and the level search of :func:`_homomorphism_rows` builds
-    them in blocks.  With a limit the first hits are wanted, and the
-    arc-consistent search of :func:`_first_homomorphisms` stops as soon as it
-    has `limit` maps.
+    map is wanted, and the level search of :func:`_homomorphism_blocks` builds
+    them in blocks; with `max_maps` set it stops once more than that many
+    have arrived and raises :class:`ListingBoundExceeded`.  With a limit the
+    first hits are wanted, and the arc-consistent search of
+    :func:`_first_homomorphisms` stops as soon as it has `limit` maps.
     """
     pins = pins or {}
     for u, a in pins.items():
@@ -158,31 +178,40 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
             raise ValueError(f"pin target {a} out of range for target graph")
     if limit is not None and limit < 1:
         raise ValueError("limit must be >= 1")
-    if limit is None:
-        return [tuple(r) for r in _homomorphism_rows(h, g, pins).tolist()]
-    return _first_homomorphisms(h, g, pins, limit)
+    if limit is not None:
+        full = (1 << g.n) - 1
+        domains = [1 << pins[u] if u in pins else full for u in range(h.n)]
+        return list(islice(_first_homomorphisms(h, g, domains), limit))
+    blocks, count = [], 0
+    for block in _homomorphism_blocks(h, g, pins):
+        blocks.append(block)
+        count += len(block)
+        if max_maps is not None and count > max_maps:
+            raise ListingBoundExceeded(f"more than {max_maps} homomorphisms")
+    return [tuple(r) for block in blocks for r in block.tolist()]
 
 
-def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
-                         limit: int) -> list[tuple[int, ...]]:
-    """The lexicographically first `limit` homomorphisms h -> g extending the
-    (already validated) pins.
+def _first_homomorphisms(h: Graph, g: Graph, domains: list[int]) -> Iterator[tuple[int, ...]]:
+    """The homomorphisms h -> g that send each vertex u of h into the bitmask
+    ``domains[u]`` of target vertices, one at a time in lexicographic order.
 
-    Each vertex of h has a domain, a bitmask of target vertices; a pin is a
-    one-bit domain.  Arc consistency (D[z] &= N(D[w]) for every edge wz,
-    where N(D) is the union of the target neighbourhoods of D) is propagated
-    from a queue once at the root and again after each assignment
+    A pin is a one-bit domain.  Arc consistency (D[z] &= N(D[w]) for every
+    edge wz, where N(D) is the union of the target neighbourhoods of D) is
+    propagated from a queue once at the root and again after each assignment
     (Mackworth's AC-3).  It only removes values that no solution uses, so
     taking vertices 0..n-1 in order and values low bit first still finds the
     maps in lexicographic order.  N(D) is cached per search by the mask, and
     a vertex whose N(D) is the whole target is skipped, which keeps dense
     targets cheap.  A value whose search gave no map rules out its twins at
-    the same depth (see the module docstring).  The search is iterative, so
-    a long instance graph cannot exhaust the interpreter's recursion limit.
+    the same depth (see the module docstring); the values no twin swap may
+    move are those of every initial domain that is not the whole target,
+    and those of the vertices already placed.  The search is iterative, so a
+    long instance graph cannot exhaust the interpreter's recursion limit.
     """
     n = h.n
     if n == 0:
-        return [()]
+        yield ()
+        return
     masks = g.nbr_masks
     full = (1 << g.n) - 1
     nbrs = [_bits(m) for m in h.nbr_masks]
@@ -212,23 +241,25 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
                     queue.append(z)
         return True
 
-    dom = [1 << pins[u] if u in pins else full for u in range(n)]
+    dom = list(domains)
     if not propagate(dom, list(range(n))):
-        return []
+        return
     twins = g.twin_masks
-    pinned = 0
-    for a in pins.values():
-        pinned |= 1 << a
+    # a twin swap outside every restricted domain maps each domain onto itself
+    restricted = 0
+    for d in domains:
+        if d != full:
+            restricted |= d
     # per depth u: the arc-consistent domains before u is assigned, u's
-    # untried values, the values of the pins and of the vertices before u,
-    # u's last tried value and the hit count before it was tried
-    stack = [[dom, dom[0], pinned, 0, 0]]
-    results: list[tuple[int, ...]] = []
+    # untried values, the restricted values and those of the vertices before
+    # u, u's last tried value and the hit count before it was tried
+    stack = [[dom, dom[0], restricted, 0, 0]]
+    hits = 0
     while stack:
         u = len(stack) - 1
         frame = stack[-1]
         dom, untried, fixed, last, mark = frame
-        if last and len(results) == mark and not last & fixed:
+        if last and hits == mark and not last & fixed:
             # u -> last had no completion, so neither has u -> b for a twin
             # b of last outside the fixed values (see the module docstring)
             untried &= ~twins[last.bit_length() - 1] | fixed
@@ -236,7 +267,7 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
             stack.pop()
             continue
         low = untried & -untried
-        frame[1], frame[3], frame[4] = untried ^ low, low, len(results)
+        frame[1], frame[3], frame[4] = untried ^ low, low, hits
         if low != dom[u]:
             # domains are shared down the stack until one shrinks
             dom = dom.copy()
@@ -244,12 +275,10 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
             if not propagate(dom, [u]):
                 continue
         if u == n - 1:
-            results.append(tuple(d.bit_length() - 1 for d in dom))
-            if len(results) >= limit:
-                break
+            hits += 1
+            yield tuple(d.bit_length() - 1 for d in dom)
             continue
         stack.append([dom, dom[u + 1], fixed | low, 0, 0])
-    return results
 
 
 # Rows per block of the level search: the largest partial-map array it
@@ -257,10 +286,10 @@ def _first_homomorphisms(h: Graph, g: Graph, pins: dict[int, int],
 _BLOCK = 2 ** 10
 
 
-def _homomorphism_rows(h: Graph, g: Graph, pins: dict[int, int]) -> np.ndarray:
+def _homomorphism_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[np.ndarray]:
     """Every homomorphism h -> g extending the (already validated) pins, one
-    map per row of a ``(count, h.n)`` integer array, rows in lexicographic
-    order.
+    map per row of ``(count, h.n)`` integer blocks, yielded as each block is
+    finished; the blocks and their rows come in lexicographic order.
 
     Partial maps of vertices 0..u-1 are extended by vertex u for a whole
     block at once: the candidate images are u's allowed row ANDed with the
@@ -276,14 +305,13 @@ def _homomorphism_rows(h: Graph, g: Graph, pins: dict[int, int]) -> np.ndarray:
         allowed[u] = False
         allowed[u, a] = True
     back_nbrs = [[int(v) for v in h.neighbors(u) if v < u] for u in range(n)]
-    done: list[np.ndarray] = []
     # (depth, block) pairs; the top of the stack holds the lexicographically
     # smallest unexpanded block
     stack = [(0, np.zeros((1, 0), dtype=dtype))]
     while stack:
         u, part = stack.pop()
         if u == n:
-            done.append(part)
+            yield part
             continue
         cand = np.broadcast_to(allowed[u], (len(part), g.n))
         for v in back_nbrs[u]:
@@ -297,9 +325,28 @@ def _homomorphism_rows(h: Graph, g: Graph, pins: dict[int, int]) -> np.ndarray:
         children[:, u] = images
         stack.extend((u + 1, children[i:i + _BLOCK])
                      for i in reversed(range(0, len(children), _BLOCK)))
-    if not done:
-        return np.zeros((0, n), dtype=dtype)
-    return np.concatenate(done)
+
+
+def _check_bound(g: Graph, max_vertices: int) -> None:
+    """Refuse graphs above the exhaustive-search bound: the verdicts built
+    on an endomorphism search depend on its being exhaustive."""
+    if g.n > max_vertices:
+        raise ValueError(f"graph has {g.n} vertices, above the exhaustive-search bound "
+                         f"{max_vertices}; raise max_vertices explicitly to override")
+
+
+def _endomorphism_blocks(g: Graph) -> Iterator[np.ndarray]:
+    """The endomorphisms of g as the blocks of :func:`_homomorphism_blocks`,
+    each re-checked against ``g.adj`` edge by edge in one batch as it is
+    yielded; a row that breaks an edge raises :class:`VerificationFailure`."""
+    iu, iv = np.nonzero(np.triu(g.adj))
+    for block in _homomorphism_blocks(g, g, {}):
+        kept = g.adj[block[:, iu], block[:, iv]]
+        if not kept.all():
+            r, e = np.argwhere(~kept)[0]
+            raise VerificationFailure(f"enumerated map {block[r].tolist()} does not preserve "
+                                      f"edge ({iu[e]},{iv[e]})")
+        yield block
 
 
 def endomorphism_rows(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> np.ndarray:
@@ -308,20 +355,11 @@ def endomorphism_rows(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> np.
 
     Refuses graphs above the size bound because the downstream verdicts
     depend on this enumeration being exhaustive.  Every row is re-checked
-    against ``g.adj`` edge by edge in one batch; a row that breaks an edge
-    raises :class:`VerificationFailure`.
+    against ``g.adj`` edge by edge; a row that breaks an edge raises
+    :class:`VerificationFailure`.
     """
-    if g.n > max_vertices:
-        raise ValueError(f"graph has {g.n} vertices, above the exhaustive-search bound "
-                         f"{max_vertices}; raise max_vertices explicitly to override")
-    rows = _homomorphism_rows(g, g, {})
-    iu, iv = np.nonzero(np.triu(g.adj))
-    kept = g.adj[rows[:, iu], rows[:, iv]]
-    if not kept.all():
-        r, e = np.argwhere(~kept)[0]
-        raise VerificationFailure(f"enumerated map {rows[r].tolist()} does not preserve "
-                                  f"edge ({iu[e]},{iv[e]})")
-    return rows
+    _check_bound(g, max_vertices)
+    return np.concatenate(list(_endomorphism_blocks(g)))
 
 
 def _all_bijective(rows: np.ndarray) -> bool:
@@ -400,85 +438,95 @@ def find_schmidt_pair(g: Graph, oracular: bool,
     """Exhaustive search for a Schmidt pair.
 
     oracular=False asks for disjoint supports plus WAC; oracular=True asks for
-    disconnected supports.  Pairs are scanned in lexicographic order of
-    (f, g) and the first hit is returned, so output is deterministic.
-    Returns None only after checking every pair.
+    disconnected supports.  The first pair in lexicographic order of (f, g)
+    is returned, so output is deterministic.  Returns None only after every
+    f has been searched for a partner.
     """
-    return _scan_schmidt_pairs(g, endomorphism_rows(g, max_vertices), oracular)
+    _check_bound(g, max_vertices)
+    return next(_schmidt_certificates(g, _endomorphism_blocks(g), (oracular,)), None)
 
 
-def _scan_schmidt_pairs(g: Graph, rows: np.ndarray,
-                        oracular: bool) -> Optional[SchmidtCertificate]:
-    """The pair scan of :func:`find_schmidt_pair` over the lexicographically
-    ordered rows of :func:`endomorphism_rows`, so one enumeration can serve
-    several scans.
+def _schmidt_certificates(g: Graph, blocks: Iterable[np.ndarray],
+                          modes: tuple[bool, ...]) -> Iterator[SchmidtCertificate]:
+    """The lexicographically first Schmidt pair of each mode (True for
+    disconnected, False for disjoint WAC), taking f from the lexicographically
+    ordered endomorphism blocks, so one pass can serve several modes.  A
+    certificate is yielded as soon as it is found, and its mode is then
+    dropped.
 
-    Partners are ruled out by bitmasks over non-identity row indices:
-    ``movers[u]`` has bit i set iff map i moves u, so OR-ing it over f's
-    support (plus its neighbourhood, when oracular) gives every partner whose
-    support meets (or touches) f's.  The remaining bits are the candidates,
-    taken in ascending index, so the first hit is the lexicographically first
-    pair.  A hit is re-checked by :func:`verify_schmidt_certificate`, which
-    uses the frozenset predicates instead of these masks; a hit it rejects
+    For each non-identity f, and each mode still open, the partner g is the
+    first non-identity hit of :func:`_first_homomorphisms` in the domains of
+    :func:`_partner_domains`, so the first pair found is the lexicographically
+    first.  An f whose domains leave no vertex free to move has no partner
+    and is skipped unsearched.  The domains are all the search sees, so a
+    domain tuple that gave no partner is remembered and not searched again.
+    Every pair is re-checked by :func:`verify_schmidt_certificate`, which
+    uses the frozenset predicates instead of the domains; a pair it rejects
     raises :class:`VerificationFailure`.
     """
-    moved = rows != np.arange(g.n)
-    keep = moved.any(axis=1)
-    rows, moved = rows[keep], moved[keep]
-    if not len(rows):
-        return None
-    # the support of map i is where[starts[i]:starts[i + 1]], ascending
-    which, where = np.nonzero(moved)
-    starts = np.searchsorted(which, np.arange(len(rows) + 1)).tolist()
+    n = g.n
+    ident = tuple(range(n))
+    left = list(modes)
+    dead: set[tuple[int, ...]] = set()
+    for block in blocks:
+        moved = block != np.arange(n)
+        keep = moved.any(axis=1)
+        moved = moved[keep]
+        # a partner moves a vertex outside supp(f), and, when oracular,
+        # outside N(supp(f)) as well: without such a vertex f has none
+        free = {False: (~moved.all(axis=1)).tolist(),
+                True: (~(moved | moved @ g.adj).all(axis=1)).tolist()}
+        for i, fm in enumerate(block[keep].tolist()):
+            sf = [x for x in range(n) if fm[x] != x]
+            for oracular in tuple(left):
+                if not free[oracular][i]:
+                    continue
+                dom = _partner_domains(g, fm, sf, oracular)
+                if dom in dead:
+                    continue
+                hm = next((m for m in _first_homomorphisms(g, g, dom) if m != ident), None)
+                if hm is None:
+                    dead.add(dom)
+                    continue
+                mode = MODE_DISCONNECTED if oracular else MODE_DISJOINT_WAC
+                witness = (sf[0], next(y for y in range(n) if hm[y] != y))
+                try:
+                    cert = SchmidtCertificate(Endomorphism(g, tuple(fm)), Endomorphism(g, hm),
+                                              mode, witness)
+                    verify_schmidt_certificate(cert)
+                except ValueError as exc:
+                    raise VerificationFailure(f"Schmidt pair failed re-verification: {exc}") \
+                        from exc
+                yield cert
+                left.remove(oracular)
+                if not left:
+                    return
+
+
+def _partner_domains(g: Graph, fm: list[int], sf: list[int],
+                     oracular: bool) -> tuple[int, ...]:
+    """Per vertex y, the bitmask of values a partner of the map fm, whose
+    support is sf, may give y.  A partner moves no vertex of sf (disjoint
+    supports); when oracular, no neighbour of sf either (disconnected
+    supports); otherwise a neighbour y of sf keeps y or goes into N(fm[x])
+    for every x in sf adjacent to y (WAC).  Every other vertex may go
+    anywhere."""
     masks = g.nbr_masks
-    movers = [int.from_bytes(col.tobytes(), "little")
-              for col in np.packbits(moved.T, axis=1, bitorder="little")]
-    everyone = (1 << len(rows)) - 1
-    for i in range(len(rows)):
-        fm = rows[i].tolist()
-        sf = where[starts[i]:starts[i + 1]].tolist()
-        reach = sf
-        if oracular:
-            near = 0
-            for x in sf:
-                near |= masks[x]
-            reach = set(sf).union(_bits(near))
-        blocked = 0
-        for u in reach:
-            blocked |= movers[u]
-        partners = everyone & ~blocked
-        while partners:
-            low = partners & -partners
-            partners ^= low
-            j = low.bit_length() - 1
-            hm = rows[j].tolist()
-            if oracular:
-                mode = MODE_DISCONNECTED
-            elif _wac_masks(fm, hm, sf, masks):
-                mode = MODE_DISJOINT_WAC
-            else:
-                continue
-            try:
-                cert = SchmidtCertificate(Endomorphism(g, tuple(fm)), Endomorphism(g, tuple(hm)),
-                                          mode, (sf[0], int(where[starts[j]])))
-                verify_schmidt_certificate(cert)
-            except ValueError as exc:
-                raise VerificationFailure(f"Schmidt pair failed re-verification: {exc}") from exc
-            return cert
-    return None
-
-
-def _wac_masks(fm: list[int], hm: list[int], sf: list[int],
-               masks: tuple[int, ...]) -> bool:
-    """:func:`is_wac` for maps fm, hm with hm's support disjoint from fm's
-    support sf: every neighbour y of x in sf that hm moves needs
-    fm[x] ~ hm[y]."""
+    full = (1 << g.n) - 1
+    moved = near = 0
     for x in sf:
-        fx = masks[fm[x]]
-        for y in _bits(masks[x]):
-            if hm[y] != y and not fx >> hm[y] & 1:
-                return False
-    return True
+        moved |= 1 << x
+        near |= masks[x]
+    dom = [1 << y if moved >> y & 1 else full for y in range(g.n)]
+    for y in _bits(near & ~moved):
+        if oracular:
+            dom[y] = 1 << y
+        else:
+            d = full
+            for x in _bits(masks[y] & moved):
+                d &= masks[fm[x]]
+            dom[y] = d | 1 << y
+    return tuple(dom)
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +593,22 @@ def nogo_verdict(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Verdict:
     known positive family or 'unknown'.
     """
     known = _known_oracular_gadget(g.label)
-    rows = endomorphism_rows(g, max_vertices)
-    cert = _scan_schmidt_pairs(g, rows, oracular=True)
-    if cert is not None:
-        return Verdict(KIND_NO_GADGET_AT_ALL, cert, None,
-                       ("disconnected-support pair excludes oracular and non-oracular "
-                        "commutativity gadgets",))
-    cert = _scan_schmidt_pairs(g, rows, oracular=False)
-    if cert is not None:
+    _check_bound(g, max_vertices)
+    # one pass over the endomorphisms serves both modes; a disconnected pair
+    # settles the verdict, so the pass stops there
+    wac = None
+    for cert in _schmidt_certificates(g, _endomorphism_blocks(g), (True, False)):
+        if cert.mode == MODE_DISCONNECTED:
+            return Verdict(KIND_NO_GADGET_AT_ALL, cert, None,
+                           ("disconnected-support pair excludes oracular and non-oracular "
+                            "commutativity gadgets",))
+        wac = cert
+    if wac is not None:
         notes = ["disjoint WAC pair excludes a non-oracular commutativity gadget; "
                  "the oracular case is not settled by this certificate"]
         if known:
             notes.append(f"known oracular gadget: ({known['gadget']}, {known['x']}, {known['y']})")
-        return Verdict(KIND_NO_NONORACULAR_GADGET, cert, known, tuple(notes))
+        return Verdict(KIND_NO_NONORACULAR_GADGET, wac, known, tuple(notes))
     if known:
         return Verdict(KIND_KNOWN_GADGET, None, known,
                        ("no Schmidt pair exists (exhaustive search); an oracular gadget "

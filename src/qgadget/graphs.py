@@ -22,6 +22,7 @@ Family DSL accepted by :func:`build_family`:
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -120,9 +121,15 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None) -> Graph:
+def _check_order(n: int) -> None:
+    """Refuse a vertex count outside the supported range, before anything of
+    that size is allocated."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+
+
+def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None) -> Graph:
+    _check_order(n)
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -160,6 +167,7 @@ def adjacency_equal(g: Graph, h: Graph) -> bool:
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    _check_order(n)
     adj = ~np.eye(n, dtype=bool)
     return Graph(n, adj, f"K:{n}")
 
@@ -167,6 +175,7 @@ def complete_graph(n: int) -> Graph:
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    _check_order(n)
     edges = [(i, (i + 1) % n) for i in range(n)]
     return graph_from_edges(n, [(min(u, v), max(u, v)) for u, v in edges], f"C:{n}")
 
@@ -175,6 +184,7 @@ def path_graph(length: int) -> Graph:
     """Path of the given length: length+1 vertices 0..length."""
     if length < 0:
         raise ValueError("path length must be >= 0")
+    _check_order(length + 1)
     edges = [(i, i + 1) for i in range(length)]
     return graph_from_edges(length + 1, edges, f"P:{length}",
                             note="vertices renumbered 0-based from 1-based convention")
@@ -188,10 +198,9 @@ def kneser_graph(n: int, k: int) -> Graph:
     """
     if not (n >= k >= 1):
         raise ValueError("Kneser graph needs n >= k >= 1")
+    _check_order(math.comb(n, k))
     subsets = [frozenset(c) for c in combinations(range(n), k)]
     nv = len(subsets)
-    if nv > MAX_VERTICES:
-        raise ValueError(f"Kneser graph K({n},{k}) has {nv} vertices, above the cap {MAX_VERTICES}")
     adj = np.zeros((nv, nv), dtype=bool)
     for i in range(nv):
         for j in range(i + 1, nv):
@@ -225,6 +234,7 @@ def complement(g: Graph) -> Graph:
 
 def box_product(g: Graph, h: Graph) -> Graph:
     """Box (Cartesian) product; vertex (x, y) gets index x*|V(h)| + y."""
+    _check_order(g.n * h.n)
     adj = np.kron(np.eye(g.n, dtype=bool), h.adj) | np.kron(g.adj, np.eye(h.n, dtype=bool))
     label = f"box({g.label},{h.label})" if g.label and h.label else ""
     return Graph(g.n * h.n, adj, label)
@@ -232,6 +242,7 @@ def box_product(g: Graph, h: Graph) -> Graph:
 
 def categorical_product(g: Graph, h: Graph) -> Graph:
     """Categorical (tensor) product; same vertex indexing as box_product."""
+    _check_order(g.n * h.n)
     adj = np.kron(g.adj, h.adj)
     label = f"tensor({g.label},{h.label})" if g.label and h.label else ""
     return Graph(g.n * h.n, adj, label)
@@ -334,6 +345,7 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"malformed header {data[0]!r}, expected integers") from None
     if n < 0 or m < 0:
         raise ValueError(f"negative counts in header {data[0]!r}")
+    _check_order(n)
     if len(data) - 1 != m:
         raise ValueError(f"header announces {m} edges but document has {len(data) - 1}")
     adj = np.zeros((n, n), dtype=bool)

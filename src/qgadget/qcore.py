@@ -38,7 +38,7 @@ import numpy as np
 
 from .graphs import Graph
 from .walks import NO_WALK, walk_table
-from .endo import DEFAULT_MAX_VERTICES, _all_bijective, _scan_schmidt_pairs, endomorphism_rows
+from .endo import DEFAULT_MAX_VERTICES, _all_bijective, _schmidt_certificates, endomorphism_rows
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def classical_only_report(g: Graph, assume_no_quantum_symmetry: bool,
     if g.n <= max_vertices:
         rows = endomorphism_rows(g, max_vertices)
         core = _all_bijective(rows)
-        schmidt = _scan_schmidt_pairs(g, rows, oracular=False) is not None
+        schmidt = next(_schmidt_certificates(g, [rows], (False,)), None) is not None
     if cert is not None and core and assume_no_quantum_symmetry:
         conclusion = ("only classical endomorphisms (quantum core certified, classical core "
                       "verified, no quantum symmetry assumed from external input)")

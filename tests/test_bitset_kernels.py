@@ -4,22 +4,26 @@
 ``odd_girth_double_cover`` (a double-cover BFS from every root),
 ``four_cycle_loops`` (four nested neighbour loops),
 ``first_homomorphisms_backtracking`` (plain backtracking that checks an edge
-once both ends are placed) and ``dense_walk_table`` (bool matrix products)
+once both ends are placed), ``dense_walk_table`` (bool matrix products) and
+``schmidt_pair_row_scan`` (a scan of every pair of enumerated endomorphisms)
 are the earlier implementations of ``walks.girths``,
 ``walks.is_oracularisable``, the first-hit search of
-``endo.enumerate_homomorphisms`` and ``walks.walk_table``, kept here as
+``endo.enumerate_homomorphisms``, ``walks.walk_table`` and the Schmidt-pair
+search of ``endo.find_schmidt_pair`` and ``endo.nogo_verdict``, kept here as
 references.
 """
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qgadget import (build_family, enumerate_homomorphisms, girths, graph_from_edges,
-                     is_oracularisable, walk_table)
+import qgadget.endo
+from qgadget import (build_family, classical_only_report, endomorphism_rows,
+                     enumerate_homomorphisms, find_schmidt_pair, girths, graph_from_edges,
+                     is_oracularisable, nogo_verdict, walk_table)
 from qgadget.walks import NO_WALK
 
 
@@ -81,12 +85,16 @@ def four_cycle_loops(g):
     return True, None
 
 
-def first_homomorphisms_backtracking(h, g, pins, limit):
+def first_homomorphisms_backtracking(h, g, pins, limit, domains=None):
+    """The first `limit` maps h -> g that keep the pins, or, when domains is
+    given, that send each vertex u into the bitmask domains[u]."""
     n = h.n
     if n == 0:
         return [()]
     masks = g.nbr_masks
-    allowed = [1 << pins[u] if u in pins else (1 << g.n) - 1 for u in range(n)]
+    if domains is None:
+        domains = [1 << pins[u] if u in pins else (1 << g.n) - 1 for u in range(n)]
+    allowed = list(domains)
     back_nbrs = [[int(v) for v in h.neighbors(u) if v < u] for u in range(n)]
     assigned = [0] * n
     untried = [0] * n
@@ -114,6 +122,48 @@ def first_homomorphisms_backtracking(h, g, pins, limit):
     return results
 
 
+def schmidt_pair_row_scan(g, rows, oracular):
+    """(f, g, witness vertices) of the lexicographically first Schmidt pair
+    among the lexicographically ordered endomorphism rows, or None.
+
+    ``movers[u]`` has bit i set iff non-identity row i moves u, so OR-ing it
+    over f's support (plus its neighbourhood, when oracular) gives every
+    partner whose support meets (or touches) f's.  The remaining partners are
+    tried in ascending index, for WAC by checking fm[x] ~ hm[y] for every
+    neighbour y of x in supp(f) that hm moves."""
+    moved = rows != np.arange(g.n)
+    keep = moved.any(axis=1)
+    rows, moved = rows[keep], moved[keep]
+    if not len(rows):
+        return None
+    which, where = np.nonzero(moved)
+    starts = np.searchsorted(which, np.arange(len(rows) + 1)).tolist()
+    masks = g.nbr_masks
+    movers = [int.from_bytes(col.tobytes(), "little")
+              for col in np.packbits(moved.T, axis=1, bitorder="little")]
+    everyone = (1 << len(rows)) - 1
+    for i in range(len(rows)):
+        fm = rows[i].tolist()
+        sf = where[starts[i]:starts[i + 1]].tolist()
+        reach = set(sf)
+        if oracular:
+            for x in sf:
+                reach.update(v for v in range(g.n) if masks[x] >> v & 1)
+        blocked = 0
+        for u in reach:
+            blocked |= movers[u]
+        partners = everyone & ~blocked
+        while partners:
+            low = partners & -partners
+            partners ^= low
+            j = low.bit_length() - 1
+            hm = rows[j].tolist()
+            if oracular or all(masks[fm[x]] >> hm[y] & 1 for x in sf for y in range(g.n)
+                               if masks[x] >> y & 1 and hm[y] != y):
+                return tuple(fm), tuple(hm), (sf[0], int(where[starts[j]]))
+    return None
+
+
 def dense_walk_table(g):
     """(dist, settled, steps) from bool reach matrices, reach_l = reach_{l-1} @ adj,
     iterated until they repeat with period 2."""
@@ -136,12 +186,12 @@ def dense_walk_table(g):
 
 
 @st.composite
-def graphs(draw, max_n, max_p=1.0):
+def graphs(draw, max_n, max_p=1.0, min_p=0.0):
     """A random graph on at most max_n vertices: several components, each
     a random graph of its own, so isolated vertices and disconnected parts
     both turn up."""
     n = draw(st.integers(0, max_n))
-    p = draw(st.floats(0.0, max_p))
+    p = draw(st.floats(min_p, max_p))
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
     parts = [range(a, b) for a, b in zip([0] + cuts, cuts + [n])]
     edges = [e for part in parts for e in combinations(part, 2)
@@ -332,3 +382,89 @@ def test_twin_skipping_leaves_pin_values_alone():
     g = build_family("K:3")
     assert enumerate_homomorphisms(h, g, pins={1: 0}, limit=13) == \
         first_homomorphisms_backtracking(h, g, {1: 0}, 13) != []
+
+
+@st.composite
+def _twin_domain_instances(draw):
+    """First-hit queries into targets with twins, with an initial domain per
+    vertex: the whole target, or any mask of target vertices."""
+    g = draw(st.one_of(
+        twin_targets(),
+        st.integers(1, 6).map(lambda k: build_family(f"K:{k}")),
+        st.lists(st.integers(1, 3), min_size=1, max_size=4).map(complete_multipartite)))
+    h = draw(graphs(8, 0.6))
+    full = (1 << g.n) - 1
+    domains = [draw(st.one_of(st.just(full), st.integers(0, full))) for _ in range(h.n)]
+    return h, g, domains, draw(st.integers(1, 40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_twin_domain_instances())
+def test_twin_skipping_with_domain_masks_matches_plain_backtracking(inst):
+    # a twin swap may only skip values outside every restricted domain
+    h, g, domains, limit = inst
+    assert list(islice(qgadget.endo._first_homomorphisms(h, g, domains), limit)) == \
+        first_homomorphisms_backtracking(h, g, {}, limit, domains)
+
+
+def test_twin_skipping_with_domain_masks_on_families():
+    # K:5 is all twins: a domain {1, 3} on vertex 4 keeps 1 and 3 from
+    # being swapped with the others at vertex 0
+    cases = [("cmpl(C:10)", "K:5", {4: 0b01010}), ("petersen", "K:3", {0: 0b110, 5: 0b011}),
+             ("C:7", "K:3", {3: 0b101}), ("box(C:3,P:2)", "K:4", {2: 0b1100, 7: 0b0110})]
+    for src, tgt, restricted in cases:
+        h, g = build_family(src), build_family(tgt)
+        domains = [restricted.get(u, (1 << g.n) - 1) for u in range(h.n)]
+        for limit in (1, 7, 40):
+            assert list(islice(qgadget.endo._first_homomorphisms(h, g, domains), limit)) == \
+                first_homomorphisms_backtracking(h, g, {}, limit, domains), (src, tgt, limit)
+
+
+# the graphs of the benchmark's nogo-search workload
+NOGO_BATTERY = ["C:9", "C:10", "C:11", "C:12", "P:8", "P:9", "P:10", "P:11", "cmpl(C:8)",
+                "cmpl(C:10)", "petersen", "O:3", "K:4", "K:5", "K:6", "tensor(K:3,K:3)",
+                "box(C:3,P:2)", "box(C:3,P:3)", "diamond", "dprime"]
+
+
+def _pair(cert):
+    return None if cert is None else (cert.f.mapping, cert.g.mapping, cert.witness_vertices)
+
+
+def _same_schmidt_pairs(g):
+    rows = endomorphism_rows(g)
+    disconnected = schmidt_pair_row_scan(g, rows, oracular=True)
+    wac = schmidt_pair_row_scan(g, rows, oracular=False)
+    assert _pair(find_schmidt_pair(g, oracular=True)) == disconnected
+    assert _pair(find_schmidt_pair(g, oracular=False)) == wac
+    verdict = nogo_verdict(g)
+    assert _pair(verdict.certificate) == (disconnected or wac)
+    if verdict.certificate is not None:
+        assert verdict.certificate.mode == ("disconnected" if disconnected else "disjoint_wac")
+    if g.n:
+        assert classical_only_report(g, False).schmidt_pair_found is (wac is not None)
+
+
+def _at_most_endomorphisms(g, cap):
+    count = 0
+    for block in qgadget.endo._homomorphism_blocks(g, g, {}):
+        count += len(block)
+        if count > cap:
+            return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(10, min_p=0.3))
+def test_streamed_schmidt_search_matches_the_row_scan(g):
+    # the row scan holds a bitmask over every endomorphism: keep graphs with
+    # few of them
+    assume(_at_most_endomorphisms(g, 4000))
+    _same_schmidt_pairs(g)
+
+
+def test_streamed_schmidt_search_matches_the_row_scan_on_families():
+    for spec in NOGO_BATTERY:
+        _same_schmidt_pairs(build_family(spec))
+    # the first disconnected partner of f = (0, 1, 1, 0, 4) moves only the
+    # pendant vertex 4, the one vertex outside N[supp(f)]
+    _same_schmidt_pairs(graph_from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 3), (2, 3)]))

@@ -116,6 +116,47 @@ def test_endos_refuses_a_negative_limit(capsys):
     assert run_json(capsys, "endos", "C:5", "--limit", "0")["result"]["endomorphisms"] == []
 
 
+def test_homs_refuses_a_negative_limit(capsys):
+    code, out, err = run_cli(capsys, "homs", "K:3", "K:3", "--limit", "-2", "--json")
+    assert code == 1 and out == ""
+    assert err == "error: --limit must be >= 0, got -2\n"
+
+
+def test_homs_full_listing_is_bounded(monkeypatch, capsys):
+    # cmpl(K:7) -> K:8 has 8^7 = 2,097,152 maps; the listing stops once more
+    # than 2^20 have arrived, before any of them is turned into a list
+    code, out, err = run_cli(capsys, "homs", "cmpl(K:7)", "K:8", "--json")
+    assert code == 1 and out == ""
+    assert err == ("error: more than 1048576 homomorphisms (the bound of a full listing); "
+                   "pass --limit N for the first N maps, or --i-know to list them all\n")
+    assert run_json(capsys, "homs", "cmpl(K:7)", "K:8", "--limit", "3")["result"]["count"] == 3
+    # --i-know lifts the bound and is echoed; below the bound it is left out
+    monkeypatch.setattr(qgadget.cli, "HOMS_MAX_MAPS", 5)
+    code, out, err = run_cli(capsys, "homs", "K:3", "K:3")
+    assert code == 1 and "more than 5 homomorphisms" in err
+    report = run_json(capsys, "homs", "K:3", "K:3", "--i-know")
+    assert report["result"]["count"] == 6 and report["inputs"]["i_know"] is True
+    monkeypatch.setattr(qgadget.cli, "HOMS_MAX_MAPS", 6)
+    assert "i_know" not in run_json(capsys, "homs", "K:3", "K:3")["inputs"]
+
+
+@pytest.mark.parametrize("spec", ["K:100000000", "P:100000000", "C:30000000", "O:40",
+                                  "box(K:4096,K:4096)", "tensor(K:2000,K:2000)", "KG:100,50",
+                                  "@header"])
+def test_oversized_graphs_exit_1_before_allocating(tmp_path, capsys, spec):
+    # each of these used to allocate (or list) far more than it could hold
+    # before the graph checked its vertex count
+    if spec == "@header":
+        path = tmp_path / "big.txt"
+        path.write_text("100000000 0\n")
+        spec = f"@{path}"
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert time.monotonic() - t0 < 5
+    assert code == 1 and out == ""
+    assert "outside supported range 0..4096" in err
+
+
 def test_conflicting_pins_exit_1(capsys):
     code, out, err = run_cli(capsys, "homs", "K:3", "K:3", "--pin", "0=1", "--pin", "0=2",
                              "--json")
@@ -423,9 +464,17 @@ def test_rep_compose_rejects_broken_rep_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["schmidt", "C:10"], ["analyze", "cmpl(C:10)"]])
 def test_rejected_schmidt_pair_exit_2(monkeypatch, capsys, argv):
-    # a scan that proposes a non-WAC pair fails its own re-check: that is a
+    # a search that proposes a non-WAC pair fails its own re-check: that is a
     # verification failure, not a usage error
-    monkeypatch.setattr(qgadget.endo, "_wac_masks", lambda *args: True)
+    domains = qgadget.endo._partner_domains
+
+    def disjoint_only(g, fm, sf, oracular):
+        # the WAC domains without the WAC condition: only f's support is fixed
+        if oracular:
+            return domains(g, fm, sf, oracular)
+        return tuple(1 << y if y in sf else (1 << g.n) - 1 for y in range(g.n))
+
+    monkeypatch.setattr(qgadget.endo, "_partner_domains", disjoint_only)
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 2 and "verification failure" in err
     assert "not WAC" in err

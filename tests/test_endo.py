@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import qgadget.endo
 import qgadget.qrep
+from qgadget.endo import ListingBoundExceeded
 from qgadget import (Endomorphism, VerificationFailure, build_family, endomorphism_rows,
                      enumerate_endomorphisms, enumerate_homomorphisms, find_schmidt_pair,
                      graph_from_edges, identity_endomorphism, is_core, is_wac, nogo_verdict,
@@ -122,20 +123,32 @@ def test_endomorphism_rows_match_the_backtracking_search(endo_battery):
 
 
 def test_corrupted_endomorphism_row_is_a_verification_failure(monkeypatch):
-    search = qgadget.endo._homomorphism_rows
+    search = qgadget.endo._homomorphism_blocks
 
     def corrupted(h, g, pins):
-        rows = search(h, g, pins).copy()
+        rows = np.concatenate(list(search(h, g, pins)))
         rows[3, 1] = rows[3, 0]  # edge (0, 1) now maps onto a single vertex
-        return rows
+        yield rows
 
-    monkeypatch.setattr(qgadget.endo, "_homomorphism_rows", corrupted)
+    monkeypatch.setattr(qgadget.endo, "_homomorphism_blocks", corrupted)
     # the CLI catches the one class, wherever it is raised from
     assert qgadget.qrep.VerificationFailure is VerificationFailure
     with pytest.raises(VerificationFailure, match="does not preserve edge"):
         endomorphism_rows(build_family("C:5"))
-    with pytest.raises(VerificationFailure):
+    with pytest.raises(VerificationFailure, match="does not preserve edge"):
         nogo_verdict(build_family("C:5"))
+    with pytest.raises(VerificationFailure, match="does not preserve edge"):
+        find_schmidt_pair(build_family("C:5"), oracular=False)
+
+
+def test_full_listing_stops_above_max_maps():
+    # cmpl(K:3) has 27 endomorphisms
+    g = build_family("cmpl(K:3)")
+    assert len(enumerate_homomorphisms(g, g, max_maps=27)) == 27
+    with pytest.raises(ListingBoundExceeded, match="more than 26 homomorphisms"):
+        enumerate_homomorphisms(g, g, max_maps=26)
+    # a limit asks for the first hits, which the bound does not restrict
+    assert len(enumerate_homomorphisms(g, g, limit=27, max_maps=1)) == 27
 
 
 def test_endos_of_c5_are_the_ten_automorphisms():
@@ -322,18 +335,58 @@ def test_schmidt_pair_is_lexicographically_first(endo_battery):
             assert cert.witness_vertices == (min(support(f)), min(support(h)))
 
 
+def test_partner_domains_hold_exactly_the_partners(endo_battery):
+    # a map lies in the partner domains of f iff the frozenset predicates
+    # accept the pair.  In the six-vertex graph, f = (5, 2, 2, 3, 3, 5) moves
+    # 0 and 4, both next to 2, and h = (0, 1, 1, 4, 4, 0) sends 2 into N(5)
+    # but not into N(3): every moved neighbour of 2 has to count
+    six = graph_from_edges(6, [(0, 1), (0, 2), (0, 4), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5),
+                               (3, 5), (4, 5)])
+    assert not is_wac(Endomorphism(six, (5, 2, 2, 3, 3, 5)), Endomorphism(six, (0, 1, 1, 4, 4, 0)))
+    for g in endo_battery + [build_family("cmpl(C:8)"), six]:
+        endos = enumerate_endomorphisms(g)
+        if len(endos) > 150:
+            continue
+        for f in endos[1:]:
+            sf = sorted(support(f))
+            for oracular in (False, True):
+                dom = qgadget.endo._partner_domains(g, list(f.mapping), sf, oracular)
+                for h in endos:
+                    inside = all(dom[y] >> h.mapping[y] & 1 for y in range(g.n))
+                    expected = (supports_disconnected(f, h) if oracular else
+                                supports_disjoint(f, h) and is_wac(f, h))
+                    assert inside == expected, (g.label, f.mapping, h.mapping, oracular)
+
+
 @pytest.mark.parametrize("spec", ["K:4", "C:5", "diamond"])
 def test_nogo_verdict_enumerates_once(monkeypatch, spec):
     calls = []
-    search = qgadget.endo._homomorphism_rows
+    search = qgadget.endo._homomorphism_blocks
 
     def counted(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(qgadget.endo, "_homomorphism_rows", counted)
+    monkeypatch.setattr(qgadget.endo, "_homomorphism_blocks", counted)
     nogo_verdict(build_family(spec))
     assert len(calls) == 1
+
+
+def test_p30_certificate_above_the_default_bound():
+    # 31 vertices: the first fold f = (0, 1, 0, 1, ...) moves 2..30, and the
+    # first partner of it moves vertex 0 only, onto 2
+    p30 = build_family("P:30")
+    with pytest.raises(ValueError, match="bound 12"):
+        find_schmidt_pair(p30, oracular=True)
+    fold = tuple(i % 2 for i in range(31))
+    partner = (2,) + tuple(range(1, 31))
+    for oracular in (True, False):
+        cert = find_schmidt_pair(p30, oracular=oracular, max_vertices=31)
+        assert (cert.f.mapping, cert.g.mapping, cert.witness_vertices) == (fold, partner, (2, 0))
+        assert cert.mode == ("disconnected" if oracular else "disjoint_wac")
+    v = nogo_verdict(p30, max_vertices=31)
+    assert v.kind == "no_gadget_at_all"
+    assert (v.certificate.f.mapping, v.certificate.g.mapping) == (fold, partner)
 
 
 def test_tampered_certificate_rejected():

@@ -171,13 +171,13 @@ def test_classical_only_chain_diamond_broken():
 
 def test_classical_only_report_enumerates_once(monkeypatch):
     calls = []
-    search = qgadget.endo._homomorphism_rows
+    search = qgadget.endo._homomorphism_blocks
 
     def counted(*args, **kwargs):
         calls.append(args)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(qgadget.endo, "_homomorphism_rows", counted)
+    monkeypatch.setattr(qgadget.endo, "_homomorphism_blocks", counted)
     rep = classical_only_report(build_family("C:7"), assume_no_quantum_symmetry=True)
     assert rep.classical_core and rep.schmidt_pair_found is False
     assert len(calls) == 1
