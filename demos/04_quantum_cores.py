@@ -6,8 +6,9 @@ automorphism.  For odd cycles, odd graphs, and the Kneser family K(3n+2,n+1)
 this follows from two walk conditions, checked per vertex pair: a walk length
 joining the pair that no closed walk anywhere can match (column condition),
 and, for non-adjacent pairs, a length that no adjacent pair can match (cross
-condition).  The certificate is a table of lengths; re-verification is a
-table lookup against a freshly built walk table.
+condition).  The certificate holds one length per pair, in two integer
+arrays; re-verification recomputes each distinct length's walks as a bool
+power of the adjacency matrix, independent of the walk table that found them.
 """
 
 from qgadget import (build_family, classical_only_report, girths,
@@ -23,8 +24,8 @@ def main():
             print("  no certificate within the bound")
             continue
         verify_quantum_core_certificate(g, cert)
-        cols = sorted(set(cert.column_lengths.values()))
-        crosses = sorted(set(cert.cross_lengths.values()))
+        cols = sorted(set(cert.column_lengths.tolist()))
+        crosses = sorted(set(cert.cross_lengths.tolist()))
         print(f"  certificate: column lengths {cols}, cross lengths {crosses} "
               f"(re-verified)")
 

@@ -18,6 +18,8 @@ Family DSL accepted by :func:`build_family`:
     cmpl(S)      complement
     box(S,T)     box (Cartesian) product
     tensor(S,T)  categorical (tensor) product
+
+Descriptors nest at most MAX_NESTING parentheses deep.
 """
 
 from __future__ import annotations
@@ -26,12 +28,15 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional
 
 import numpy as np
 
 MAX_VERTICES = 4096
+# build_family recurses once per level, so deeper descriptors would exhaust
+# the interpreter's stack
+MAX_NESTING = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,6 +290,8 @@ def build_family(spec: str) -> Graph:
     s = spec.strip()
     if not s:
         raise ValueError("empty family descriptor")
+    if max(accumulate((ch == "(") - (ch == ")") for ch in s), default=0) > MAX_NESTING:
+        raise ValueError(f"family descriptor nested deeper than {MAX_NESTING} levels")
     low = s.lower()
     for name, fn in (("cmpl", complement), ("box", box_product), ("tensor", categorical_product)):
         if low.startswith(name + "(") and s.endswith(")"):

@@ -12,6 +12,12 @@ endomorphism to be a quantum automorphism:
     length l with a walk a -> a' but no walk of length l between any two
     adjacent vertices.  This yields the transposed adjacency relations.
 
+A certificate holds the lengths as two read-only 1-D integer arrays over the
+pairs a < b in ``np.triu_indices(n, 1)`` order: ``column_lengths`` has one
+entry per pair, ``cross_lengths`` one per non-adjacent pair.  Finder,
+verifier and report all read that layout; only ``to_json`` names the pairs,
+as "a,b" keys.
+
 Both conditions are threshold conditions per parity: a walk a -> a' of
 length l exists iff l reaches the pair's parity distance, and "some closed
 walk" / "some adjacent pair joined" hold from a per-parity threshold on.  So
@@ -31,7 +37,6 @@ bound makes the result inconclusive, not a disproof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
 from typing import Optional
 
 import numpy as np
@@ -41,16 +46,34 @@ from .walks import NO_WALK, walk_table
 from .endo import DEFAULT_MAX_VERTICES, _all_bijective, _schmidt_certificates, endomorphism_rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumCoreCertificate:
-    graph_label: str
-    column_lengths: dict[tuple[int, int], int]
-    cross_lengths: dict[tuple[int, int], int]
+    """Walk lengths in the layout the module docstring describes, stored as
+    read-only copies."""
+
+    graph: Graph
+    column_lengths: np.ndarray
+    cross_lengths: np.ndarray
+
+    def __post_init__(self):
+        for name in ("column_lengths", "cross_lengths"):
+            lengths = np.array(getattr(self, name))
+            # numpy mixes uint64 with signed integers into float64
+            if (lengths.ndim != 1 or lengths.dtype.kind not in "iu"
+                    or not np.can_cast(lengths.dtype, np.int64)):
+                raise ValueError(f"{name} must be a 1-D array of integers, got "
+                                 f"{lengths.ndim}-D {lengths.dtype}")
+            lengths.setflags(write=False)
+            object.__setattr__(self, name, lengths)
 
     def to_json(self) -> dict:
-        return {"graph": self.graph_label,
-                "column_lengths": {f"{a},{b}": l for (a, b), l in sorted(self.column_lengths.items())},
-                "cross_lengths": {f"{a},{b}": l for (a, b), l in sorted(self.cross_lengths.items())}}
+        a, b = np.triu_indices(self.graph.n, 1)
+        keys = [f"{x},{y}" for x, y in zip(a.tolist(), b.tolist())]
+        cross = np.flatnonzero(~self.graph.adj[a, b]).tolist()
+        return {"graph": self.graph.label,
+                "column_lengths": dict(zip(keys, self.column_lengths.tolist(), strict=True)),
+                "cross_lengths": dict(zip([keys[i] for i in cross],
+                                          self.cross_lengths.tolist(), strict=True))}
 
 
 def _minimal_lengths(dist: np.ndarray, forbidden_from: np.ndarray) -> np.ndarray:
@@ -88,9 +111,7 @@ def quantum_core_certificate(g: Graph, lmax: int) -> Optional[QuantumCoreCertifi
     bound = min(lmax, NO_WALK - 1)
     if (column > bound).any() or (cross > bound).any():
         return None
-    pairs = list(zip(a.tolist(), b.tolist()))
-    return QuantumCoreCertificate(g.label, dict(zip(pairs, column.tolist())),
-                                  dict(zip(compress(pairs, nonadjacent), cross.tolist())))
+    return QuantumCoreCertificate(g, column, cross)
 
 
 def _bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
@@ -107,61 +128,35 @@ def _bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
     return np.eye(len(squares[0]), dtype=bool) if out is None else out
 
 
-_MISSING = object()
-
-
-def _recorded(kind: str, lengths: dict, a: np.ndarray, b: np.ndarray) -> tuple[list, Optional[str]]:
-    """The lengths recorded for the pairs (a[i], b[i]), in order, up to the
-    first one that is missing or not a nonnegative integer, and the message
-    that one raises (None if there is none)."""
-    # zip hands map one reused tuple, so the lookups allocate no keys
-    vals = list(map(lengths.get, zip(a.tolist(), b.tolist()), repeat(_MISSING)))
-    if set(map(type, vals)) <= {int} and min(vals, default=0) >= 0:
-        return vals, None
-    for i, ell in enumerate(vals):
-        if ell is _MISSING:
-            return vals[:i], f"{kind} pair ({a[i]},{b[i]}) missing"
-        if not isinstance(ell, (int, np.integer)) or ell < 0:
-            return vals[:i], f"{kind} pair ({a[i]},{b[i]}): no walk of length {ell}"
-    return vals, None
-
-
 def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
     """Re-verify every recorded length with bool-dtype powers of the adjacency
-    matrix, independent of the walk table; raises ValueError on the first
-    failing pair in row-major order, including missing pairs, a pair's column
-    check before its cross check.
+    matrix, independent of the walk table; raises ValueError when an array
+    does not hold one length per pair of g, else on the first failing pair
+    in row-major order, a pair's column check before its cross check.
 
     The recorded lengths are grouped: the distinct ones are taken in
     ascending order, each power is the one before times a cached power of
     the difference, and each length checks all of its pairs at once."""
-    if not cert.column_lengths and not cert.cross_lengths:
-        if g.n > 1:
-            raise ValueError("certificate is empty")
-        return
     a, b = np.triu_indices(g.n, 1)
     cross = np.flatnonzero(~g.adj[a, b])
-    # checks are made in key order: pair i's column check has key 2i, its
-    # cross check 2i+1.  first is the key of the first failure found so far.
-    column_vals, error = _recorded("column", cert.column_lengths, a, b)
-    first = 2 * len(column_vals)
-    cross_vals, cross_error = _recorded("cross", cert.cross_lengths, a[cross], b[cross])
-    if cross_error and 2 * cross[len(cross_vals)] + 1 < first:
-        first, error = 2 * int(cross[len(cross_vals)]) + 1, cross_error
-    distinct = sorted(set(column_vals).union(cross_vals))
-    where = {ell: k for k, ell in enumerate(distinct)}
-    # per check, the index in distinct of its recorded length
-    column_at = np.fromiter(map(where.__getitem__, column_vals), np.int32, len(column_vals))
-    cross_at = np.fromiter(map(where.__getitem__, cross_vals), np.int32, len(cross_vals))
+    for kind, recorded, pairs in (("column", cert.column_lengths, len(a)),
+                                  ("cross", cert.cross_lengths, len(cross))):
+        if len(recorded) != pairs:
+            raise ValueError(f"certificate holds {len(recorded)} {kind} lengths "
+                             f"for {pairs} {kind} pairs")
+    # pair i's column check has key 2i, its cross check 2i+1
+    keys = np.concatenate([2 * np.arange(len(a)), 2 * cross + 1])
+    lengths = np.concatenate([cert.column_lengths, cert.cross_lengths])
+    # per key: 0 the check passes, 1 no walk, 2 a forbidden walk exists
+    status = np.zeros(2 * len(a), dtype=np.int8)
+    status[keys[lengths < 0]] = 1
+    distinct, which = np.unique(lengths, return_inverse=True)
     eu, ev = np.nonzero(g.adj)
     squares = [g.adj]
     steps: dict[int, np.ndarray] = {}
     power, at = None, 0
-    for k, ell in enumerate(distinct):
-        # the pairs checked at this length whose keys come before first
-        col = np.flatnonzero(column_at[:(first + 1) // 2] == k)
-        crs = np.flatnonzero(cross_at[:np.searchsorted(cross, first // 2)] == k)
-        if not len(col) and not len(crs):
+    for k, ell in enumerate(distinct.tolist()):
+        if ell < 0:
             continue
         if power is None:
             power = _bool_power(squares, ell)
@@ -171,27 +166,20 @@ def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> N
                 steps[diff] = _bool_power(squares, diff)
             power = power @ steps[diff]
         at = ell
-        # the failing ones: all of them if the length is forbidden, else
-        # those without a walk
-        if not power.diagonal().any():
-            col = col[~power[a[col], b[col]]]
-        if not power[eu, ev].any():
-            crs = crs[~power[a[cross[crs]], b[cross[crs]]]]
-        if len(col) and (not len(crs) or col[0] <= cross[crs[0]]):
-            first, shown, kind = 2 * int(col[0]), column_vals[col[0]], "column"
-        elif len(crs):
-            first, shown, kind = 2 * int(cross[crs[0]]) + 1, cross_vals[crs[0]], "cross"
+        key = keys[which == k]
+        forbidden = np.where(key % 2, power[eu, ev].any(), power.diagonal().any())
+        status[key] = np.where(power[a[key // 2], b[key // 2]], 2 * forbidden, 1)
+    failed = np.flatnonzero(status)
+    if len(failed):
+        key = int(failed[0])
+        x, y, ell = a[key // 2], b[key // 2], int(lengths[keys == key][0])
+        if status[key] == 1:
+            what = f"no walk of length {ell}"
+        elif key % 2:
+            what = f"adjacent pair joined at length {ell}"
         else:
-            continue
-        x, y = a[first // 2], b[first // 2]
-        if not power[x, y]:
-            error = f"{kind} pair ({x},{y}): no walk of length {shown}"
-        elif kind == "column":
-            error = f"column pair ({x},{y}): closed walk of length {shown} exists"
-        else:
-            error = f"cross pair ({x},{y}): adjacent pair joined at length {shown}"
-    if error is not None:
-        raise ValueError(error)
+            what = f"closed walk of length {ell} exists"
+        raise ValueError(f"{'cross' if key % 2 else 'column'} pair ({x},{y}): {what}")
 
 
 @dataclass(frozen=True)

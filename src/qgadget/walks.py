@@ -44,8 +44,8 @@ class WalkTable:
     dist[p, u, v] is the length of the shortest walk u -> v of parity p, or
     NO_WALK; has_neighbour[u] is False exactly for isolated vertices.  Above
     ``settled``, the largest finite entry of dist, walk existence depends
-    only on the parity of the length.  ``steps`` counts the matrix products
-    that filled dist.
+    only on the parity of the length.  ``steps`` counts the walk-length
+    steps that filled dist, each one OR of packed neighbour rows.
     """
 
     graph: Graph

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from qgadget import (QuantumCoreCertificate, build_family, classical_strategy,
                      enumerate_homomorphisms, graph_from_edges, pair_swap_rep,
                      verify_quantum_core_certificate)
 from qgadget.cli import main
+from qgadget.graphs import MAX_NESTING
 from conftest import hom_exists_forward_checking
 
 
@@ -282,10 +284,15 @@ def test_qcore_builds_certificate_once(monkeypatch, capsys):
     assert "certificate" not in report["result"]["classical_only"]
     cert = report["result"]["certificate"]
     assert cert is not None
-    verify_quantum_core_certificate(build_family("C:7"), QuantumCoreCertificate(
-        cert["graph"],
-        {tuple(map(int, k.split(","))): v for k, v in cert["column_lengths"].items()},
-        {tuple(map(int, k.split(","))): v for k, v in cert["cross_lengths"].items()}))
+    def lengths(name):
+        # the report's "a,b" keys, read back in row-major pair order
+        keys = sorted(cert[name], key=lambda k: tuple(map(int, k.split(","))))
+        return [cert[name][k] for k in keys]
+
+    g = build_family("C:7")
+    rebuilt = QuantumCoreCertificate(g, lengths("column_lengths"), lengths("cross_lengths"))
+    assert rebuilt.to_json() == cert
+    verify_quantum_core_certificate(g, rebuilt)
     assert len(calls) == 1
 
 
@@ -378,6 +385,17 @@ def test_malformed_rep_document_in_a_fresh_process(tmp_path):
     proc = _run_fresh("rep-verify", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("template", ["cmpl({})", "box({},K:1)", "tensor(K:1,{})"])
+def test_deeply_nested_descriptor_in_a_fresh_process(template):
+    # a thousand levels used to end in a RecursionError traceback
+    spec = "K:2"
+    for _ in range(1000):
+        spec = template.format(spec)
+    proc = _run_fresh("analyze", spec)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: family descriptor nested deeper than {MAX_NESTING} levels\n"
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_PAIR_DISTS))
@@ -647,6 +665,24 @@ ANALYZE_P4 = (
     '"disconnected", "witness_vertices": [2, 0]}, "kind": "no_gadget_at_all", "known_gadget": '
     'null, "notes": ["disconnected-support pair excludes oracular and non-oracular '
     'commutativity gadgets"]}}, "tool_version": "0.1.0"}\n')
+
+
+# sha256 of each `qcore <spec> --json` report, with elapsed_seconds written as 0
+QCORE_REPORT_SHA256 = {
+    "C:5": "72c22a6b8a719bcd58353561192409189d6e3835a00117475a057cbb6b1e0411",
+    "C:51": "62c7e70fa0ea699f5b446a6c76f8b9744202a745a4c7e5108f2789e1207703b5",
+    "O:3": "6667bda92b4c13252adce0ff196517c30a19700f12f2776f6ea8cff142e646db",
+    "O:5": "18b6bdaccd2d9ec1a3cd274a387e4d6ec6375828ee7f8a5efae6279f7ff3f494",
+    "KG:8,3": "01ce45dbfc8503422403a37c4389a450ce5aa0f75b3e0d3a1ace6758013ff16d",
+    "box(C:9,P:10)": "dbd206137b539b5b6cdaccdfc5e555ea3aa2641eae777e764330e7a9db6c1990",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(QCORE_REPORT_SHA256))
+def test_qcore_reports_keep_their_bytes(capsys, spec):
+    code, out, err = run_cli(capsys, "qcore", spec, "--json")
+    assert code == 0, err
+    assert hashlib.sha256(_normal(out).encode()).hexdigest() == QCORE_REPORT_SHA256[spec]
 
 
 def test_non_finite_reports_keep_their_bytes(tmp_path, capsys):

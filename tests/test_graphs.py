@@ -5,10 +5,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qgadget import (adjacency_equal, box_product, build_family, categorical_product,
+from qgadget import (Graph, adjacency_equal, box_product, build_family, categorical_product,
                      complement, graph_from_edges, graph_from_json,
                      parse_graph, serialize_graph)
+from qgadget.graphs import MAX_NESTING
 from conftest import degree, find_isomorphism
 
 
@@ -207,3 +209,97 @@ def test_graph_json_round_trip(small_family_graphs):
 def test_graph_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
         graph_from_json(bad)
+
+
+def _nested(template, depth):
+    spec = "K:2"
+    for _ in range(depth):
+        spec = template.format(spec)
+    return spec
+
+
+@pytest.mark.parametrize("template", ["cmpl({})", "box({},K:1)", "tensor(K:1,{})"])
+def test_nesting_bound(template):
+    assert build_family(_nested(template, MAX_NESTING)).n == 2
+    with pytest.raises(ValueError, match=f"nested deeper than {MAX_NESTING} levels"):
+        build_family(_nested(template, MAX_NESTING + 1))
+
+
+# DSL fragments; a digit is never followed by another, so every parameter
+# has one digit and the graphs stay small
+_WORDS = ["K", "C", "P", "O", "KG", "kg", "petersen", "Diamond", "dprime",
+          "cmpl", "box", "BOX", "tensor"]
+_MARKS = ["(", ")", ",", ":", " ", "-", "+", "x", "\t"]
+_DIGITS = list("0123456789")
+
+
+@st.composite
+def _token_descriptors(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 16))):
+        after_digit = bool(out) and out[-1] in _DIGITS
+        out.append(draw(st.sampled_from(_WORDS + _MARKS + ([] if after_digit else _DIGITS))))
+    return "".join(out)
+
+
+_LEAVES = st.builds("{}:{}".format, st.sampled_from(["K", "C", "P", "O"]),
+                    st.integers(0, 9)) | st.sampled_from(["petersen", "diamond", "dprime",
+                                                          "KG:5,2", "KG:9,4", "KG:3,5"])
+_WELL_FORMED = st.recursive(
+    _LEAVES,
+    lambda kids: (kids.map("cmpl({})".format)
+                  | st.tuples(st.sampled_from(["box", "tensor"]), kids, kids)
+                  .map(lambda t: f"{t[0]}({t[1]},{t[2]})")),
+    max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_token_descriptors() | _WELL_FORMED)
+def test_build_family_returns_a_graph_or_raises_value_error(spec):
+    try:
+        g = build_family(spec)
+    except ValueError:
+        return
+    assert isinstance(g, Graph) and g.adj.shape == (g.n, g.n)
+
+
+_DOC_LINES = st.one_of(
+    st.text(max_size=8),
+    st.builds("{} {}".format, st.integers(-3, 12), st.integers(-3, 12)),
+    st.builds("{} {} {}".format, st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+    st.sampled_from(["# comment", "", "  ", "1 1", "0 1", "10**9 0", "4097 0", "1e3 0"]))
+
+
+@st.composite
+def _documents(draw):
+    """Edge lists near the format: edges out of range, loops, duplicates, a
+    header one count off, and stray lines among them."""
+    edges = draw(st.lists(st.tuples(st.integers(-1, 8), st.integers(-1, 8)), max_size=8))
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [f"{draw(st.integers(-1, 8))} {m}"] + [f"{u} {v}" for u, v in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_DOC_LINES))
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents() | st.lists(_DOC_LINES, max_size=8).map("\n".join) | st.text(max_size=40))
+def test_parse_graph_returns_a_graph_or_raises_value_error(text):
+    try:
+        g = parse_graph(text)
+    except ValueError:
+        return
+    assert isinstance(g, Graph) and g.adj.shape == (g.n, g.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 14).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                        .filter(lambda e: e[0] != e[1]) if n > 1 else st.nothing()))))
+def test_serialize_round_trips_on_random_graphs(case):
+    n, edges = case
+    g = graph_from_edges(n, edges)
+    text = serialize_graph(g)
+    back = parse_graph(text)
+    assert adjacency_equal(back, g)
+    assert serialize_graph(back) == text

@@ -6,19 +6,51 @@ import numpy as np
 import pytest
 
 import qgadget.endo
-from qgadget import (build_family, classical_only_report, girths, graph_from_edges,
-                     quantum_core_certificate, verify_quantum_core_certificate)
+from qgadget import (QuantumCoreCertificate, build_family, classical_only_report, girths,
+                     graph_from_edges, quantum_core_certificate,
+                     verify_quantum_core_certificate)
+
+
+def _pairs(g):
+    """The pairs a < b in the order of the certificate arrays, and the
+    non-adjacent ones among them, as lists of tuples."""
+    pairs = list(zip(*(v.tolist() for v in np.triu_indices(g.n, 1))))
+    return pairs, [p for p in pairs if not g.has_edge(*p)]
+
+
+def _tampered(g, cert, column=(), cross=()):
+    """cert with the lengths of some (a, b) pairs replaced."""
+    pairs, cross_pairs = _pairs(g)
+    columns, crosses = cert.column_lengths.copy(), cert.cross_lengths.copy()
+    for pair, ell in column:
+        columns[pairs.index(pair)] = ell
+    for pair, ell in cross:
+        crosses[cross_pairs.index(pair)] = ell
+    return replace(cert, column_lengths=columns, cross_lengths=crosses)
 
 
 def test_c5_certificate_lengths():
     g = build_family("C:5")
     cert = quantum_core_certificate(g, 12)
-    assert cert is not None
-    assert set(cert.column_lengths.values()) == {1, 3}
-    for (a, b), ell in cert.column_lengths.items():
+    assert cert is not None and cert.graph is g
+    assert set(cert.column_lengths.tolist()) == {1, 3}
+    pairs, cross_pairs = _pairs(g)
+    assert len(cert.column_lengths) == len(pairs) and len(cert.cross_lengths) == len(cross_pairs)
+    for (a, b), ell in zip(pairs, cert.column_lengths.tolist()):
         # adjacent pairs settle at length 1, the distance-2 pairs need 3
         assert ell == (1 if g.has_edge(a, b) else 3)
-    assert set(cert.cross_lengths.values()) == {2}
+    assert set(cert.cross_lengths.tolist()) == {2}
+    verify_quantum_core_certificate(g, cert)
+
+
+def test_certificate_arrays_are_read_only_copies():
+    g = build_family("C:5")
+    columns = quantum_core_certificate(g, 12).column_lengths.copy()
+    cert = QuantumCoreCertificate(g, columns, np.full(5, 2))
+    columns[0] = 2
+    assert cert.column_lengths[0] == 1
+    with pytest.raises(ValueError):
+        cert.column_lengths[0] = 2
     verify_quantum_core_certificate(g, cert)
 
 
@@ -34,9 +66,9 @@ def test_kneser_8_3_certificate():
     cert = quantum_core_certificate(g, 8)
     assert cert is not None
     # non-adjacent distinct pairs need length 3; adjacent pairs settle at 1
-    assert set(cert.column_lengths.values()) <= {1, 3}
-    assert 3 in set(cert.column_lengths.values())
-    assert set(cert.cross_lengths.values()) == {2}
+    assert set(cert.column_lengths.tolist()) <= {1, 3}
+    assert 3 in set(cert.column_lengths.tolist())
+    assert set(cert.cross_lengths.tolist()) == {2}
     verify_quantum_core_certificate(g, cert)
 
 
@@ -46,10 +78,8 @@ def test_certificate_parity_bounds():
         og = girths(g).odd_girth
         cert = quantum_core_certificate(g, 2 * og)
         assert cert is not None, spec
-        for ell in cert.column_lengths.values():
-            assert ell % 2 == 1 and ell < og, spec
-        for ell in cert.cross_lengths.values():
-            assert ell % 2 == 0 and ell < og - 1, spec
+        assert (cert.column_lengths % 2 == 1).all() and (cert.column_lengths < og).all(), spec
+        assert (cert.cross_lengths % 2 == 0).all() and (cert.cross_lengths < og - 1).all(), spec
         verify_quantum_core_certificate(g, cert)
 
 
@@ -83,21 +113,40 @@ def test_certificate_lmax_monotone():
         assert reference is not None
         for extra in (2, 5, 10):
             again = quantum_core_certificate(g, og + extra)
-            assert again.column_lengths == reference.column_lengths
-            assert again.cross_lengths == reference.cross_lengths
+            assert np.array_equal(again.column_lengths, reference.column_lengths)
+            assert np.array_equal(again.cross_lengths, reference.cross_lengths)
 
 
 def test_tampered_certificate_rejected():
     g = build_family("C:5")
     cert = quantum_core_certificate(g, 12)
-    bad_columns = dict(cert.column_lengths)
-    bad_columns[(0, 1)] = 2  # closed 2-walks exist everywhere
-    with pytest.raises(ValueError):
-        verify_quantum_core_certificate(g, replace(cert, column_lengths=bad_columns))
-    missing = dict(cert.column_lengths)
-    del missing[(0, 1)]
-    with pytest.raises(ValueError, match="missing"):
-        verify_quantum_core_certificate(g, replace(cert, column_lengths=missing))
+    # closed 2-walks exist everywhere, and no 2-walk joins the adjacent 0 and 1
+    with pytest.raises(ValueError, match=r"^column pair \(0,1\): no walk of length 2$"):
+        verify_quantum_core_certificate(g, _tampered(g, cert, column=[((0, 1), 2)]))
+    with pytest.raises(ValueError, match=r"^column pair \(0,2\): closed walk of length 2 exists$"):
+        verify_quantum_core_certificate(g, _tampered(g, cert, column=[((0, 2), 2)]))
+    with pytest.raises(ValueError, match=r"^cross pair \(0,2\): no walk of length 1$"):
+        verify_quantum_core_certificate(g, _tampered(g, cert, cross=[((0, 2), 1)]))
+    # a pair left out leaves an array one length short
+    short = replace(cert, column_lengths=cert.column_lengths[1:])
+    with pytest.raises(ValueError, match="^certificate holds 9 column lengths for 10 column"):
+        verify_quantum_core_certificate(g, short)
+    with pytest.raises(ValueError, match="^certificate holds 4 cross lengths for 5 cross pairs$"):
+        verify_quantum_core_certificate(g, replace(cert, cross_lengths=cert.cross_lengths[:-1]))
+    # a certificate of another graph has arrays of the wrong length
+    with pytest.raises(ValueError, match="column lengths"):
+        verify_quantum_core_certificate(build_family("C:7"), cert)
+    # the empty certificate is complete only on at most one vertex
+    empty = np.zeros(0, dtype=int)
+    for spec in ("K:1", "P:0", "K:2"):
+        h = build_family(spec)
+        blank = QuantumCoreCertificate(h, empty, empty)
+        if h.n > 1:
+            with pytest.raises(ValueError, match="^certificate holds 0 column lengths for 1"):
+                verify_quantum_core_certificate(h, blank)
+        else:
+            verify_quantum_core_certificate(h, blank)
+            assert blank.to_json() == {"graph": spec, "column_lengths": {}, "cross_lengths": {}}
 
 
 def test_tampered_certificate_reports_the_first_pair_in_row_major_order():
@@ -106,29 +155,35 @@ def test_tampered_certificate_reports_the_first_pair_in_row_major_order():
     # that stopped at the first failing length would report it instead
     g = build_family("C:5")
     cert = quantum_core_certificate(g, 12)
-    columns, crosses = dict(cert.column_lengths), dict(cert.cross_lengths)
-    crosses[(0, 2)] = 4  # adjacent pairs are joined by walks of length 4
-    columns[(1, 3)] = 2  # closed walks of length 2 exist
+    # adjacent pairs are joined by walks of length 4, closed walks of length 2 exist
+    tampered = _tampered(g, cert, column=[((1, 3), 2)], cross=[((0, 2), 4)])
     with pytest.raises(ValueError) as info:
-        verify_quantum_core_certificate(g, replace(cert, column_lengths=columns,
-                                                   cross_lengths=crosses))
+        verify_quantum_core_certificate(g, tampered)
     assert str(info.value) == "cross pair (0,2): adjacent pair joined at length 4"
+
+
+REFUSED = "refused at construction"
 
 
 @pytest.mark.parametrize("ell, message", [
     (-1, "column pair (0,1): no walk of length -1"),
-    (1.0, "column pair (0,1): no walk of length 1.0"),
-    (None, "column pair (0,1): no walk of length None"),
-    ("1", "column pair (0,1): no walk of length 1"),
-    (2**70, f"column pair (0,1): closed walk of length {2**70} exists"),
+    (1.0, REFUSED),
+    (None, REFUSED),
+    ("1", REFUSED),
+    (2**70, REFUSED),
     (True, None),
     (np.int64(1), None),
 ])
 def test_recorded_lengths_that_are_not_small_ints(ell, message):
+    # pair (0,1) comes first; the others keep their valid lengths
     g = build_family("C:5")
     cert = quantum_core_certificate(g, 12)
-    columns = dict(cert.column_lengths)
-    columns[(0, 1)] = ell
+    columns = [ell] + cert.column_lengths.tolist()[1:]
+    if message == REFUSED:
+        # a float, None, a string or an int beyond int64 makes no integer array
+        with pytest.raises(ValueError, match="^column_lengths must be a 1-D array of integers"):
+            replace(cert, column_lengths=columns)
+        return
     tampered = replace(cert, column_lengths=columns)
     if message is None:
         verify_quantum_core_certificate(g, tampered)
@@ -136,6 +191,18 @@ def test_recorded_lengths_that_are_not_small_ints(ell, message):
         with pytest.raises(ValueError) as info:
             verify_quantum_core_certificate(g, tampered)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lengths", [
+    np.ones(10, dtype=bool), np.ones(10), np.ones((2, 5), dtype=int), np.int64(1),
+    np.full(10, 1, dtype=np.uint64), np.array([1] * 9 + [None]), [],
+], ids=["bool", "float", "2-D", "0-D", "uint64", "object", "empty-list"])
+def test_certificate_refuses_arrays_that_are_not_1d_integers(lengths):
+    cert = quantum_core_certificate(build_family("C:5"), 12)
+    with pytest.raises(ValueError, match="^column_lengths must be a 1-D array of integers"):
+        replace(cert, column_lengths=lengths)
+    with pytest.raises(ValueError, match="^cross_lengths must be a 1-D array of integers"):
+        replace(cert, cross_lengths=lengths)
 
 
 def test_certified_graphs_admit_no_schmidt_pair():

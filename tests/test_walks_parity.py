@@ -31,46 +31,47 @@ def bool_powers(g, lmax):
 
 
 def certificate_loop(g, lmax):
+    """The minimal column and cross lengths as lists over the pairs a < b in
+    row-major order (cross: the non-adjacent ones), or None."""
     exists = bool_powers(g, lmax)
     closed_any = [bool(e.diagonal().any()) for e in exists]
     adjacent_any = [bool(any(e[u, v] for u, v in g.edges())) for e in exists]
-    column, cross = {}, {}
+    column, cross = [], []
     for a in range(g.n):
         for b in range(a + 1, g.n):
             found = next((ell for ell in range(1, lmax + 1)
                           if exists[ell][a, b] and not closed_any[ell]), None)
             if found is None:
                 return None
-            column[(a, b)] = found
+            column.append(found)
             if not g.has_edge(a, b):
                 found = next((ell for ell in range(1, lmax + 1)
                               if exists[ell][a, b] and not adjacent_any[ell]), None)
                 if found is None:
                     return None
-                cross[(a, b)] = found
+                cross.append(found)
     return column, cross
 
 
 def verify_loop(g, cert):
     """The message of the first failure, or None when the certificate holds."""
-    lengths = list(cert.column_lengths.values()) + list(cert.cross_lengths.values())
-    if not lengths:
-        return "certificate is empty" if g.n > 1 else None
-    exists = bool_powers(g, max(lengths))
+    n_pairs = g.n * (g.n - 1) // 2
+    for kind, lengths, want in (("column", cert.column_lengths, n_pairs),
+                                ("cross", cert.cross_lengths, n_pairs - g.num_edges)):
+        if len(lengths) != want:
+            return f"certificate holds {len(lengths)} {kind} lengths for {want} {kind} pairs"
+    columns, crosses = iter(cert.column_lengths.tolist()), iter(cert.cross_lengths.tolist())
+    exists = bool_powers(g, max([0, *cert.column_lengths.tolist(), *cert.cross_lengths.tolist()]))
     for a in range(g.n):
         for b in range(a + 1, g.n):
-            if (a, b) not in cert.column_lengths:
-                return f"column pair ({a},{b}) missing"
-            ell = cert.column_lengths[(a, b)]
-            if not exists[ell][a, b]:
+            ell = next(columns)
+            if ell < 0 or not exists[ell][a, b]:
                 return f"column pair ({a},{b}): no walk of length {ell}"
             if exists[ell].diagonal().any():
                 return f"column pair ({a},{b}): closed walk of length {ell} exists"
             if not g.has_edge(a, b):
-                if (a, b) not in cert.cross_lengths:
-                    return f"cross pair ({a},{b}) missing"
-                ell = cert.cross_lengths[(a, b)]
-                if not exists[ell][a, b]:
+                ell = next(crosses)
+                if ell < 0 or not exists[ell][a, b]:
                     return f"cross pair ({a},{b}): no walk of length {ell}"
                 if any(exists[ell][u, v] for u, v in g.edges()):
                     return f"cross pair ({a},{b}): adjacent pair joined at length {ell}"
@@ -131,7 +132,7 @@ def test_certificate_matches_per_length_loop(g, lmax):
     if expected is None:
         assert cert is None
     else:
-        assert (cert.column_lengths, cert.cross_lengths) == expected
+        assert (cert.column_lengths.tolist(), cert.cross_lengths.tolist()) == expected
         verify_quantum_core_certificate(g, cert)
 
 
@@ -141,23 +142,34 @@ def test_certificate_matches_per_length_loop_on_families(spec):
     lmax = 2 * g.n + 2
     cert = quantum_core_certificate(g, lmax)
     expected = certificate_loop(g, lmax)
-    assert (None if cert is None else (cert.column_lengths, cert.cross_lengths)) == expected
+    assert (None if cert is None
+            else (cert.column_lengths.tolist(), cert.cross_lengths.tolist())) == expected
 
 
 @st.composite
 def certificates(draw):
-    """Recorded lengths drawn at random, some pairs left out, so that every
-    failure message occurs."""
-    g = draw(graphs(min_n=1, max_n=7))
-    lengths = st.one_of(st.none(), st.integers(0, 7))
-    column, cross = {}, {}
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if (ell := draw(lengths)) is not None:
-                column[(a, b)] = ell
-            if not g.has_edge(a, b) and (ell := draw(lengths)) is not None:
-                cross[(a, b)] = ell
-    return g, QuantumCoreCertificate("", column, cross)
+    """Recorded lengths drawn at random, negative ones and ones past every
+    valid length among them, some arrays a length short or long, so that
+    every failure message occurs.  Some start from the finder's certificate,
+    on certified families as well, and redraw a few lengths, so that valid
+    columns and failing crosses occur too."""
+    g = draw(st.one_of(graphs(min_n=1, max_n=7),
+                       st.sampled_from(["K:3", "K:5", "C:5", "C:7"]).map(build_family)))
+    n_pairs = g.n * (g.n - 1) // 2
+    found = quantum_core_certificate(g, 2 * g.n + 2)
+    lengths = st.integers(-2, 2 * g.n + 3)
+    arrays = []
+    for size, valid in ((n_pairs, None if found is None else found.column_lengths),
+                        (n_pairs - g.num_edges, None if found is None else found.cross_lengths)):
+        size = max(size + draw(st.sampled_from([0] * 18 + [-1, 1])), 0)
+        values = draw(st.lists(lengths, min_size=size, max_size=size))
+        if valid is not None and len(valid) == size and draw(st.booleans()):
+            # the finder's lengths, at most two of them redrawn
+            changed = draw(st.sets(st.integers(0, size), max_size=2))
+            values = [v if i in changed else ell
+                      for i, (v, ell) in enumerate(zip(values, valid.tolist()))]
+        arrays.append(np.array(values, dtype=np.int64))
+    return g, QuantumCoreCertificate(g, *arrays)
 
 
 @settings(max_examples=300, deadline=None)
