@@ -6,13 +6,13 @@ representation that measures two colours in the computational basis and two
 in the Hadamard basis; its noncommuting entries rule out a (non-oracular)
 commutativity gadget.  Yet the complement of the 2k-cycle, with the first two
 vertices distinguished, works as an oracular gadget: every colour pair is
-realised by a classical homomorphism (checked here by pinned search), and no
-walk obstruction exists.  The gadget also transfers to categorical powers.
+realised by a classical homomorphism (found by pinned search when the gadget
+is built, and re-checked), and no walk obstruction exists.  The gadget also
+transfers to categorical powers.
 """
 
-from qgadget import (build_family, check_property_i_classical, commutator_norm,
-                     complement_cycle_gadget, nogo_verdict, pair_swap_rep,
-                     product_transfer, verify_rep, walk_obstruction)
+from qgadget import (build_family, commutator_norm, complement_cycle_gadget, nogo_verdict,
+                     pair_swap_rep, product_transfer, verify_rep, walk_obstruction)
 
 
 def main():
@@ -27,17 +27,15 @@ def main():
               f"oracular check fails: {not verify_rep(rep, oracular=True).passed}; "
               f"[p00,p22] norm {commutator_norm(rep, (0, 0), (2, 2)):.3f}")
 
-        gadget = complement_cycle_gadget(k)
-        table = check_property_i_classical(gadget)
+        gadget, table = complement_cycle_gadget(k)
         print(f"  oracular gadget {gadget.gadget.label}: pin table "
               f"{len(table.witnesses)}/{k * k} complete={table.complete}, "
               f"walk obstruction: {walk_obstruction(gadget)}")
         print()
 
     print("=== transfer to a categorical power")
-    g3 = complement_cycle_gadget(3)
-    squared = product_transfer(g3, g3)
-    table = check_property_i_classical(squared)
+    g3, _ = complement_cycle_gadget(3)
+    squared, table = product_transfer(g3, g3)
     print(f"  {g3.gadget.label} works for {squared.target.label}: "
           f"table {len(table.witnesses)} entries, complete={table.complete}, "
           f"status={squared.status}")

@@ -18,7 +18,7 @@ from qgadget.qrep import KET0, KET1, KETMINUS, KETPLUS
 
 def main():
     h, g = build_family("C:6"), build_family("K:3")
-    hom = enumerate_homomorphisms(h, g, limit=1)[0]
+    hom = tuple(enumerate_homomorphisms(h, g, limit=1)[0].tolist())
     s = classical_strategy(h, g, hom, with_edge_pvms=True)
     print(f"=== perfect classical strategy C:6 -> K:3 ({hom})")
     print(f"  assignment defect {assignment_defect(s)}, "

@@ -35,7 +35,7 @@ def main():
                    ("diamond", "C:4"), ("P:4", "C:6")):
         h, g2 = build_family(hs), build_family(gs)
         fast = decide_bipartite_target(h, g2)
-        slow = bool(enumerate_homomorphisms(h, g2, limit=1))
+        slow = len(enumerate_homomorphisms(h, g2, limit=1)) > 0
         print(f"  {hs:8s} -> {gs:10s} parity says {fast}, search says {slow}")
 
 

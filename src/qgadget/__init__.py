@@ -26,9 +26,9 @@ from .graphs import (Graph, MAX_VERTICES, adjacency_equal, box_product, build_fa
 from .walks import (GirthReport, WalkTable, decide_bipartite_target, distance, girths,
                     is_bipartite, is_oracularisable, walk_table)
 from .endo import (Endomorphism, SchmidtCertificate, Verdict, endomorphism_rows,
-                   enumerate_endomorphisms, enumerate_homomorphisms, find_schmidt_pair,
-                   identity_endomorphism, is_core, is_wac, nogo_verdict, support,
-                   supports_disconnected, supports_disjoint, verify_schmidt_certificate)
+                   enumerate_homomorphisms, find_schmidt_pair, is_core, is_wac,
+                   nogo_verdict, support, supports_disconnected, supports_disjoint,
+                   verify_schmidt_certificate)
 from .qrep import (QuantumRep, VerificationFailure, VerificationReport, classical_rep,
                    commutator_norm, compose_reps, four_cycle_rep, lift_box_rep,
                    pair_swap_rep, path_shift_pair, path_to_cycle_rep, projector,

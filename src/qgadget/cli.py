@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .graphs import Graph, build_family, parse_graph, serialize_graph
+from .graphs import Graph, _parse_int, build_family, parse_graph, serialize_graph
 from .walks import decide_bipartite_target, girths, is_bipartite, is_oracularisable
 from .endo import (DEFAULT_MAX_VERTICES, ListingBoundExceeded, _all_bijective,
                    endomorphism_rows, enumerate_homomorphisms, find_schmidt_pair,
@@ -139,6 +139,16 @@ def _bound(args) -> int:
     return args.max_vertices
 
 
+def _int_pair(item: str, sep: str, flag: str) -> tuple[int, int]:
+    """The two integers of a `flag` item written as two vertices joined by sep."""
+    u, _, v = item.partition(sep)
+    try:
+        return _parse_int(u), _parse_int(v)
+    except ValueError:
+        raise ValueError(f"malformed {flag} item {item!r}, expected two integers "
+                         f"joined by {sep!r}") from None
+
+
 def _add_bound_flags(p):
     p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
                    help=f"exhaustive-search size bound (default {DEFAULT_MAX_VERTICES})")
@@ -194,12 +204,11 @@ def cmd_homs(args):
     g = load_graph_arg(args.target)
     pins = {}
     for item in args.pin or []:
-        u, _, a = item.partition("=")
-        u, a = int(u), int(a)
+        u, a = _int_pair(item, "=", "--pin")
         if pins.setdefault(u, a) != a:
             raise ValueError(f"vertex {u} is pinned to both {pins[u]} and {a}")
     try:
-        maps = enumerate_homomorphisms(h, g, pins=pins, limit=args.limit or None,
+        rows = enumerate_homomorphisms(h, g, pins=pins, limit=args.limit or None,
                                        max_maps=None if args.i_know else HOMS_MAX_MAPS)
     except ListingBoundExceeded as exc:
         raise ValueError(f"{exc} (the bound of a full listing); pass --limit N for the "
@@ -209,7 +218,7 @@ def cmd_homs(args):
     if args.i_know:
         # echoed only when given, so reports within the bound keep their bytes
         inputs["i_know"] = True
-    emit_report(args, inputs, {"count": len(maps), "homomorphisms": [list(m) for m in maps]})
+    emit_report(args, inputs, {"count": len(rows), "homomorphisms": rows.tolist()})
 
 
 def cmd_gadget_check(args):
@@ -231,10 +240,7 @@ def cmd_gadget_check(args):
 
 
 def cmd_gadget_build(args):
-    if args.family != "complement-cycle":
-        raise ValueError(f"unknown gadget family {args.family!r}")
-    cand = complement_cycle_gadget(args.k)
-    table = check_property_i_classical(cand)
+    cand, table = complement_cycle_gadget(args.k)
     emit_report(args, {"family": args.family, "k": args.k},
                 {"candidate": cand, "property_i": table})
 
@@ -243,10 +249,7 @@ def cmd_splice(args):
     h = load_graph_arg(args.instance)
     cand = GadgetCandidate(load_graph_arg(args.gadget), args.x, args.y,
                            load_graph_arg(args.target))
-    pairs = []
-    for item in (args.pairs.split(";") if args.pairs else []):
-        u, _, v = item.partition(",")
-        pairs.append((int(u), int(v)))
+    pairs = [_int_pair(t, ",", "--pairs") for t in args.pairs.split(";")] if args.pairs else []
     spliced = splice_gadget(h, pairs, cand)
     emit_report(args, {"instance": args.instance, "gadget": args.gadget,
                        "x": args.x, "y": args.y, "target": args.target,
@@ -346,8 +349,7 @@ def cmd_product_transfer(args):
                          status=args.status1)
     c2 = GadgetCandidate(gadget, args.x, args.y, load_graph_arg(args.target2),
                          status=args.status2)
-    out = product_transfer(c1, c2)
-    table = check_property_i_classical(out)
+    out, table = product_transfer(c1, c2)
     emit_report(args, {"gadget": args.gadget, "x": args.x, "y": args.y,
                        "target1": args.target1, "target2": args.target2,
                        "status1": args.status1, "status2": args.status2},

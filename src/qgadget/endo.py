@@ -11,7 +11,9 @@ variant is ruled out as well.
 All searches are exhaustive and deterministic so that "none exists" verdicts
 are trustworthy and certificates are reproducible run to run.
 
-The endomorphisms of a graph come as integer blocks, one map per row,
+A found map is an integer row, one entry per source vertex: a listing or a
+set of first hits is a ``(count, h.n)`` array, int8 below 128 target
+vertices and int16 above.  The endomorphisms of a graph come as such blocks,
 blocks and rows in lexicographic order; :func:`endomorphism_rows` joins them
 into one array.  A full enumeration expands partial maps level by level, one
 vertex at a time, in blocks of at most ``_BLOCK`` rows taken depth first,
@@ -43,9 +45,9 @@ without enumerating the rest.  The answer for f depends only on its domain
 tuple, so tuples that gave no partner are remembered and skipped.
 :func:`nogo_verdict` runs both modes in that one pass.
 
-Finding and checking take separate code paths.  Every enumerated
-endomorphism is re-checked against ``Graph.adj`` in one batched edge test
-per block.  Every pair the search finds is re-checked by
+Finding and checking take separate code paths.  Every listing block and
+every set of first hits is re-checked by :func:`_check_maps`, which shares
+no code with either search.  Every pair the search finds is re-checked by
 :func:`verify_schmidt_certificate`, whose predicates (:func:`is_wac`,
 :func:`supports_disjoint`, :func:`supports_disconnected`) work on frozenset
 supports and ``Graph.has_edge``.  A failed re-check raises
@@ -60,7 +62,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .graphs import Graph, _bits, adjacency_equal
+from .graphs import Graph, _bits, _split_args, adjacency_equal
 
 DEFAULT_MAX_VERTICES = 12
 
@@ -87,30 +89,6 @@ class Endomorphism:
         for u, v in self.graph.edges():
             if not adj[m[u], m[v]]:
                 raise ValueError(f"map does not preserve edge ({u},{v})")
-
-    def __call__(self, u: int) -> int:
-        return self.mapping[u]
-
-    def is_identity(self) -> bool:
-        return all(self.mapping[u] == u for u in range(self.graph.n))
-
-    def is_bijective(self) -> bool:
-        return len(set(self.mapping)) == self.graph.n
-
-    def compose(self, other: "Endomorphism") -> "Endomorphism":
-        """self after other."""
-        return Endomorphism(self.graph, tuple(self.mapping[other.mapping[u]]
-                                              for u in range(self.graph.n)))
-
-    def power(self, k: int) -> "Endomorphism":
-        out = identity_endomorphism(self.graph)
-        for _ in range(k):
-            out = self.compose(out)
-        return out
-
-
-def identity_endomorphism(g: Graph) -> Endomorphism:
-    return Endomorphism(g, tuple(range(g.n)))
 
 
 def support(f: Endomorphism) -> frozenset[int]:
@@ -159,16 +137,15 @@ class ListingBoundExceeded(ValueError):
 def enumerate_homomorphisms(h: Graph, g: Graph,
                             pins: Optional[dict[int, int]] = None,
                             limit: Optional[int] = None,
-                            max_maps: Optional[int] = None) -> list[tuple[int, ...]]:
-    """All homomorphisms h -> g extending the pinned assignments.
+                            max_maps: Optional[int] = None) -> np.ndarray:
+    """All homomorphisms h -> g extending the pinned assignments, one map per
+    row of a ``(count, h.n)`` integer array, rows in lexicographic order.
 
-    Results come out in lexicographic order of the map tuple; with a limit,
-    the first `limit` maps in that order are returned.  Without a limit every
-    map is wanted, and the level search of :func:`_homomorphism_blocks` builds
-    them in blocks; with `max_maps` set it stops once more than that many
+    Without a limit the level search of :func:`_homomorphism_blocks` builds
+    every map in blocks; with `max_maps` set it stops once more than that many
     have arrived and raises :class:`ListingBoundExceeded`.  With a limit the
-    first hits are wanted, and the arc-consistent search of
-    :func:`_first_homomorphisms` stops as soon as it has `limit` maps.
+    arc-consistent search of :func:`_first_homomorphisms` stops at the first
+    `limit` maps.  Either way every row is re-checked by :func:`_check_maps`.
     """
     pins = pins or {}
     for u, a in pins.items():
@@ -181,14 +158,47 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
     if limit is not None:
         full = (1 << g.n) - 1
         domains = [1 << pins[u] if u in pins else full for u in range(h.n)]
-        return list(islice(_first_homomorphisms(h, g, domains), limit))
+        hits = list(islice(_first_homomorphisms(h, g, domains), limit))
+        rows = np.array(hits, dtype=_row_dtype(g)).reshape(len(hits), h.n)
+        _check_maps(h, g, rows, "enumerated map", pins)
+        return rows
     blocks, count = [], 0
-    for block in _homomorphism_blocks(h, g, pins):
+    for block in _checked_blocks(h, g, pins):
         blocks.append(block)
         count += len(block)
         if max_maps is not None and count > max_maps:
             raise ListingBoundExceeded(f"more than {max_maps} homomorphisms")
-    return [tuple(r) for block in blocks for r in block.tolist()]
+    return np.concatenate(blocks) if blocks else np.empty((0, h.n), dtype=_row_dtype(g))
+
+
+def _row_dtype(g: Graph) -> type:
+    """The integer type of map rows into g: the smallest holding its vertices."""
+    return np.int8 if g.n <= 127 else np.int16
+
+
+def _check_maps(h: Graph, g: Graph, rows: np.ndarray, what: str,
+                pins: dict[int, int | np.ndarray]) -> None:
+    """Re-check found maps h -> g, one per row, apart from the searches: every
+    value is a vertex of g, ``row[u] == pins[u]`` for each pinned u (one value,
+    or one per row), and every edge of h lands on an edge of g.  Each test is
+    one batch; the first failing row raises :class:`VerificationFailure`."""
+    if rows.size and (rows.min() < 0 or rows.max() >= g.n):
+        r = int(np.argmax(((rows < 0) | (rows >= g.n)).any(axis=1)))
+        raise VerificationFailure(f"{what} {rows[r].tolist()} leaves the target's vertices")
+    missed = np.zeros(len(rows), dtype=bool)
+    for u, a in pins.items():
+        missed |= rows[:, u] != a
+    if missed.any():
+        r = int(np.argmax(missed))
+        want = tuple(int(a[r] if np.ndim(a) else a) for a in pins.values())
+        raise VerificationFailure(f"{what} {rows[r].tolist()} misses its pins {want}")
+    iu, iv = h._edge_ends
+    # flat indices into adj, which the range test above keeps in bounds
+    kept = g.adj.ravel().take(rows[:, iu].astype(np.intp) * g.n + rows[:, iv])
+    if not kept.all():
+        r, e = np.argwhere(~kept)[0]
+        raise VerificationFailure(f"{what} {rows[r].tolist()} does not preserve "
+                                  f"edge ({iu[e]},{iv[e]})")
 
 
 def _first_homomorphisms(h: Graph, g: Graph, domains: list[int]) -> Iterator[tuple[int, ...]]:
@@ -299,7 +309,7 @@ def _homomorphism_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[n
     depth first, which keeps that order and bounds memory.
     """
     n = h.n
-    dtype = np.int8 if g.n <= 127 else np.int16
+    dtype = _row_dtype(g)
     allowed = np.ones((n, g.n), dtype=bool)
     for u, a in pins.items():
         allowed[u] = False
@@ -335,17 +345,11 @@ def _check_bound(g: Graph, max_vertices: int) -> None:
                          f"{max_vertices}; raise max_vertices explicitly to override")
 
 
-def _endomorphism_blocks(g: Graph) -> Iterator[np.ndarray]:
-    """The endomorphisms of g as the blocks of :func:`_homomorphism_blocks`,
-    each re-checked against ``g.adj`` edge by edge in one batch as it is
-    yielded; a row that breaks an edge raises :class:`VerificationFailure`."""
-    iu, iv = np.nonzero(np.triu(g.adj))
-    for block in _homomorphism_blocks(g, g, {}):
-        kept = g.adj[block[:, iu], block[:, iv]]
-        if not kept.all():
-            r, e = np.argwhere(~kept)[0]
-            raise VerificationFailure(f"enumerated map {block[r].tolist()} does not preserve "
-                                      f"edge ({iu[e]},{iv[e]})")
+def _checked_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[np.ndarray]:
+    """The blocks of :func:`_homomorphism_blocks`, each re-checked by
+    :func:`_check_maps` as it is yielded."""
+    for block in _homomorphism_blocks(h, g, pins):
+        _check_maps(h, g, block, "enumerated map", pins)
         yield block
 
 
@@ -354,27 +358,16 @@ def endomorphism_rows(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> np.
     rows in lexicographic order (the identity among them).
 
     Refuses graphs above the size bound because the downstream verdicts
-    depend on this enumeration being exhaustive.  Every row is re-checked
-    against ``g.adj`` edge by edge; a row that breaks an edge raises
-    :class:`VerificationFailure`.
+    depend on this enumeration being exhaustive.  Every row is re-checked by
+    :func:`_check_maps`.
     """
     _check_bound(g, max_vertices)
-    return np.concatenate(list(_endomorphism_blocks(g)))
+    return np.concatenate(list(_checked_blocks(g, g, {})))
 
 
 def _all_bijective(rows: np.ndarray) -> bool:
     """True iff every row of an endomorphism array is a permutation."""
     return bool((np.sort(rows, axis=1) == np.arange(rows.shape[1])).all())
-
-
-def enumerate_endomorphisms(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> list[Endomorphism]:
-    """Every endomorphism of g, with the identity first and the rest in
-    lexicographic order.  Refuses graphs above the size bound because the
-    downstream verdicts depend on this enumeration being exhaustive."""
-    ident = tuple(range(g.n))
-    maps = [tuple(r) for r in endomorphism_rows(g, max_vertices).tolist()]
-    ordered = [ident] + [m for m in maps if m != ident]
-    return [Endomorphism(g, m) for m in ordered]
 
 
 def is_core(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> bool:
@@ -415,16 +408,14 @@ def verify_schmidt_certificate(cert: SchmidtCertificate) -> None:
     f, g = cert.f, cert.g
     Endomorphism(f.graph, f.mapping)
     Endomorphism(g.graph, g.mapping)
-    if f.is_identity() or g.is_identity():
+    if not support(f) or not support(g):
         raise ValueError("certificate maps must be non-identity")
     if not supports_disjoint(f, g):
         raise ValueError("certificate supports are not disjoint")
     if cert.mode == MODE_DISCONNECTED:
         if not supports_disconnected(f, g):
             raise ValueError("certificate claims disconnected supports but an edge joins them")
-    elif cert.mode == MODE_DISJOINT_WAC:
-        pass
-    else:
+    elif cert.mode != MODE_DISJOINT_WAC:
         raise ValueError(f"unknown certificate mode {cert.mode!r}")
     if not is_wac(f, g):
         raise ValueError("certificate maps are not WAC")
@@ -443,7 +434,7 @@ def find_schmidt_pair(g: Graph, oracular: bool,
     f has been searched for a partner.
     """
     _check_bound(g, max_vertices)
-    return next(_schmidt_certificates(g, _endomorphism_blocks(g), (oracular,)), None)
+    return next(_schmidt_certificates(g, _checked_blocks(g, g, {}), (oracular,)), None)
 
 
 def _schmidt_certificates(g: Graph, blocks: Iterable[np.ndarray],
@@ -568,7 +559,6 @@ def _known_oracular_gadget(label: str) -> Optional[dict]:
             return {"gadget": f"cmpl(C:{2 * k})", "x": 0, "y": 1, "status": "proven_oracular"}
         return None
     if label.startswith("tensor(") and label.endswith(")"):
-        from .graphs import _split_args
         try:
             args = _split_args(label[len("tensor("):-1])
         except ValueError:
@@ -597,7 +587,7 @@ def nogo_verdict(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> Verdict:
     # one pass over the endomorphisms serves both modes; a disconnected pair
     # settles the verdict, so the pass stops there
     wac = None
-    for cert in _schmidt_certificates(g, _endomorphism_blocks(g), (True, False)):
+    for cert in _schmidt_certificates(g, _checked_blocks(g, g, {}), (True, False)):
         if cert.mode == MODE_DISCONNECTED:
             return Verdict(KIND_NO_GADGET_AT_ALL, cert, None,
                            ("disconnected-support pair excludes oracular and non-oracular "

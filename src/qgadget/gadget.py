@@ -15,6 +15,9 @@ this tool except negatively, via an explicit noncommuting representation, or
 by recorded status for families established elsewhere; the status enum keeps
 that distinction explicit.
 
+The constructors return the candidate with the property-(i) table they built
+and verified, so no caller searches that table again.
+
 The box-product disproof pipeline refutes every candidate distinguished pair
 of (odd cycle) box (path) as a gadget for the odd cycle: pairs too close are
 killed by the distance bound, and all others by a verified dimension-2
@@ -32,7 +35,7 @@ import numpy as np
 from .graphs import (Graph, adjacency_equal, box_product, categorical_product, complement,
                      complete_graph, cycle_graph, graph_from_edges, path_graph)
 from .walks import walk_table
-from .endo import enumerate_homomorphisms
+from .endo import _check_maps, _first_homomorphisms
 from .qrep import (VerificationFailure, commutator_norm, lift_box_rep,
                    path_to_cycle_rep, verify_rep)
 
@@ -84,32 +87,26 @@ def check_property_i_classical(c: GadgetCandidate) -> PropertyITable:
 
     A complete table shows property (i) holds with classical witnesses; a
     miss only shows no *classical* witness exists for that pair, which is
-    inconclusive for quantum witnesses.  Every witness the search finds is
-    re-checked against ``target.adj`` over the gadget's edges, and against
-    its two pins, in one batched test; a witness that fails raises
-    :class:`VerificationFailure`.
+    inconclusive for quantum witnesses.  The whole table is re-checked at
+    once by :func:`_checked_table`.
     """
+    full = (1 << c.target.n) - 1
     witnesses: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
     for a in range(c.target.n):
         for b in range(c.target.n):
-            found = enumerate_homomorphisms(c.gadget, c.target,
-                                            pins={c.x: a, c.y: b}, limit=1)
-            witnesses[(a, b)] = found[0] if found else None
+            domains = [full] * c.gadget.n
+            domains[c.x], domains[c.y] = 1 << a, 1 << b
+            witnesses[(a, b)] = next(_first_homomorphisms(c.gadget, c.target, domains), None)
+    return _checked_table(c, witnesses, "property (i) witness")
+
+
+def _checked_table(c: GadgetCandidate, witnesses: dict, what: str) -> PropertyITable:
+    """The property-(i) table of these witnesses, each re-checked by
+    ``endo._check_maps``, apart from the search, as a map sending (x, y) to its pair."""
     hits = [(pair, w) for pair, w in witnesses.items() if w is not None]
-    if hits:
-        pins = np.array([p for p, _ in hits])
-        maps = np.array([w for _, w in hits])
-        iu, iv = np.nonzero(np.triu(c.gadget.adj))
-        kept = c.target.adj[maps[:, iu], maps[:, iv]]
-        missed = (maps[:, [c.x, c.y]] != pins).any(axis=1)
-        if missed.any():
-            r = int(np.argmax(missed))
-            raise VerificationFailure(f"property (i) witness {maps[r].tolist()} misses its pins "
-                                      f"{tuple(pins[r].tolist())}")
-        if not kept.all():
-            r, e = np.argwhere(~kept)[0]
-            raise VerificationFailure(f"property (i) witness {maps[r].tolist()} does not "
-                                      f"preserve edge ({iu[e]},{iv[e]})")
+    pins = np.array([p for p, _ in hits], dtype=int).reshape(-1, 2)
+    rows = np.array([w for _, w in hits], dtype=int).reshape(-1, c.gadget.n)
+    _check_maps(c.gadget, c.target, rows, what, {c.x: pins[:, 0], c.y: pins[:, 1]})
     return PropertyITable(len(hits) == len(witnesses), witnesses)
 
 
@@ -153,11 +150,11 @@ def walk_obstruction(c: GadgetCandidate, lmax: Optional[int] = None) -> Optional
 # Constructions
 
 
-def complement_cycle_gadget(k: int) -> GadgetCandidate:
+def complement_cycle_gadget(k: int) -> tuple[GadgetCandidate, PropertyITable]:
     """The complement of the 2k-cycle with distinguished vertices 0, 1, aimed
-    at the complete graph K_k.  Property (ii) is established by proof for
-    this family; property (i) and the absence of walk obstructions are
-    re-checked on every construction, and failure signals a bug."""
+    at K_k, and its property-(i) table.  Property (ii) is established by
+    proof for this family; property (i) and the absence of walk obstructions
+    are re-checked on every construction, and failure signals a bug."""
     if k < 3:
         raise ValueError("complement-cycle gadget needs k >= 3")
     cand = GadgetCandidate(complement(cycle_graph(2 * k)), 0, 1, complete_graph(k),
@@ -171,41 +168,42 @@ def complement_cycle_gadget(k: int) -> GadgetCandidate:
     if obstruction is not None:
         raise VerificationFailure(f"complement-cycle gadget k={k}: unexpected walk "
                                   f"obstruction {obstruction}")
-    return cand
+    return cand, table
 
 
-def product_transfer(c: GadgetCandidate, c2: GadgetCandidate) -> GadgetCandidate:
-    """Transfer a shared gadget to the categorical product of the two targets.
+def product_transfer(c: GadgetCandidate,
+                     c2: GadgetCandidate) -> tuple[GadgetCandidate, PropertyITable]:
+    """Transfer a shared gadget to the categorical product of the two targets;
+    returns the new candidate and its property-(i) table.
 
     Requires both candidates to use the same gadget graph and distinguished
-    vertices.  Property (i) is re-checked classically by combining the two
-    witness tables pointwise; each combined map is verified to be a pinned
-    homomorphism into the product.  The proven status survives only when both
+    vertices.  A pinned map into the product is a pair of pinned factor maps,
+    and the lexicographically first is the pair of first maps, so the factor
+    tables combined pointwise equal a fresh search of the product.  Each
+    combined map is re-checked.  The proven status survives only when both
     inputs carry it.
     """
     if not adjacency_equal(c.gadget, c2.gadget) or (c.x, c.y) != (c2.x, c2.y):
         raise ValueError("candidates must share the same gadget graph and distinguished vertices")
     product = categorical_product(c.target, c2.target)
-    status = STATUS_PROVEN_ORACULAR if (c.status == STATUS_PROVEN_ORACULAR
-                                        and c2.status == STATUS_PROVEN_ORACULAR) else STATUS_CANDIDATE
-    t1 = check_property_i_classical(c)
-    t2 = check_property_i_classical(c2)
+    status = c.status if c.status == c2.status == STATUS_PROVEN_ORACULAR else STATUS_CANDIDATE
+    out = GadgetCandidate(c.gadget, c.x, c.y, product, status,
+                          provenance=f"categorical-product transfer onto "
+                                     f"{product.label or 'the product target'}")
+    t1 = check_property_i_classical(c).witnesses
+    t2 = check_property_i_classical(c2).witnesses
     nk = c2.target.n
-    for (v, vp), w1 in t1.witnesses.items():
-        for (w, wp), w2 in t2.witnesses.items():
-            if w1 is None or w2 is None:
-                if status == STATUS_PROVEN_ORACULAR:
-                    raise VerificationFailure("proven inputs produced an incomplete combined table")
-                continue
-            combined = tuple(w1[z] * nk + w2[z] for z in range(c.gadget.n))
-            if combined[c.x] != v * nk + w or combined[c.y] != vp * nk + wp:
-                raise VerificationFailure("combined witness misses its pins")
-            for (z1, z2) in c.gadget.edges():
-                if not product.has_edge(combined[z1], combined[z2]):
-                    raise VerificationFailure("combined witness is not a homomorphism")
-    return GadgetCandidate(c.gadget, c.x, c.y, product, status,
-                           provenance=f"categorical-product transfer onto "
-                                      f"{product.label or 'the product target'}")
+    witnesses: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
+    for a in range(product.n):
+        for b in range(product.n):
+            (v, w), (vp, wp) = divmod(a, nk), divmod(b, nk)
+            w1, w2 = t1[(v, vp)], t2[(w, wp)]
+            witnesses[(a, b)] = (None if w1 is None or w2 is None
+                                 else tuple(p * nk + q for p, q in zip(w1, w2)))
+    table = _checked_table(out, witnesses, "combined witness")
+    if status == STATUS_PROVEN_ORACULAR and not table.complete:
+        raise VerificationFailure("proven inputs produced an incomplete combined table")
+    return out, table
 
 
 def splice_gadget(h: Graph, comm_pairs: list[tuple[int, int]], c: GadgetCandidate) -> Graph:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -37,6 +38,7 @@ MAX_VERTICES = 4096
 # build_family recurses once per level, so deeper descriptors would exhaust
 # the interpreter's stack
 MAX_NESTING = 100
+_INT = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,8 +84,12 @@ class Graph:
 
     @cached_property
     def _edges(self) -> tuple[tuple[int, int], ...]:
-        iu, iv = np.nonzero(np.triu(self.adj))
-        return tuple(zip(iu.tolist(), iv.tolist()))
+        return tuple(zip(*(a.tolist() for a in self._edge_ends)))
+
+    @cached_property
+    def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends u < v of every edge as two index arrays, in edges() order."""
+        return np.nonzero(np.triu(self.adj))
 
     @cached_property
     def nbr_masks(self) -> tuple[int, ...]:
@@ -278,11 +284,14 @@ def _split_args(body: str) -> list[str]:
     return parts
 
 
-def _int_param(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"malformed {what} parameter {text!r}") from None
+def _parse_int(text: str, what: str = "integer") -> int:
+    """The integer of an input: surrounding whitespace, then an optional minus
+    sign and ASCII digits only.  Python's ``int`` also reads a plus sign,
+    underscores and non-ASCII digits, so "K:1_0" would build K:10."""
+    s = text.strip()
+    if not _INT.fullmatch(s):
+        raise ValueError(f"malformed {what} {text!r}")
+    return int(s)
 
 
 def build_family(spec: str) -> Graph:
@@ -314,18 +323,18 @@ def build_family(spec: str) -> Graph:
         head, _, tail = s.partition(":")
         head = head.strip().upper()
         if head == "K":
-            return complete_graph(_int_param(tail, "K"))
+            return complete_graph(_parse_int(tail, "K parameter"))
         if head == "C":
-            return cycle_graph(_int_param(tail, "C"))
+            return cycle_graph(_parse_int(tail, "C parameter"))
         if head == "P":
-            return path_graph(_int_param(tail, "P"))
+            return path_graph(_parse_int(tail, "P parameter"))
         if head == "O":
-            return odd_graph(_int_param(tail, "O"))
+            return odd_graph(_parse_int(tail, "O parameter"))
         if head == "KG":
             params = tail.split(",")
             if len(params) != 2:
                 raise ValueError(f"KG descriptor needs two parameters, got {tail!r}")
-            return kneser_graph(_int_param(params[0], "KG"), _int_param(params[1], "KG"))
+            return kneser_graph(*(_parse_int(t, "KG parameter") for t in params))
     raise ValueError(f"unrecognised family descriptor {spec!r}")
 
 
@@ -347,7 +356,7 @@ def parse_graph(text: str) -> Graph:
     if len(header) != 2:
         raise ValueError(f"malformed header {data[0]!r}, expected 'n m'")
     try:
-        n, m = int(header[0]), int(header[1])
+        n, m = _parse_int(header[0]), _parse_int(header[1])
     except ValueError:
         raise ValueError(f"malformed header {data[0]!r}, expected integers") from None
     if n < 0 or m < 0:
@@ -361,7 +370,7 @@ def parse_graph(text: str) -> Graph:
         if len(parts) != 2:
             raise ValueError(f"malformed edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _parse_int(parts[0]), _parse_int(parts[1])
         except ValueError:
             raise ValueError(f"malformed edge line {ln!r}") from None
         if u == v:

@@ -274,7 +274,7 @@ def schmidt_rep(g: Graph, f: Endomorphism, g2: Endomorphism) -> QuantumRep:
     """
     if not adjacency_equal(f.graph, g) or not adjacency_equal(g2.graph, g):
         raise ValueError("endomorphisms do not live on the given graph")
-    if f.is_identity() or g2.is_identity():
+    if not support(f) or not support(g2):
         raise ValueError("both endomorphisms must be non-identity")
     if not supports_disjoint(f, g2):
         raise ValueError("supports must be disjoint")

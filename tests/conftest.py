@@ -53,6 +53,33 @@ def endo_battery() -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
+# Maps as tuples
+
+
+def tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The maps of a ``(count, n)`` row array as tuples, for comparing with
+    list oracles and for set membership."""
+    return [tuple(r) for r in rows.tolist()]
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The vertex map a after b."""
+    return tuple(a[x] for x in b)
+
+
+def power(f: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """f composed with itself k times; the identity for k = 0."""
+    out = identity(len(f))
+    for _ in range(k):
+        out = compose(f, out)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Oracles
 
 

@@ -25,6 +25,7 @@ from qgadget import (build_family, classical_only_report, endomorphism_rows,
                      enumerate_homomorphisms, find_schmidt_pair, girths, graph_from_edges,
                      is_oracularisable, nogo_verdict, walk_table)
 from qgadget.walks import NO_WALK
+from conftest import tuples
 
 
 def girth_bfs(g):
@@ -236,7 +237,7 @@ def _first_hit_instances(draw):
 @given(_first_hit_instances())
 def test_first_hits_match_plain_backtracking(inst):
     h, g, pins, limit = inst
-    assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == \
+    assert tuples(enumerate_homomorphisms(h, g, pins=pins, limit=limit)) == \
         first_homomorphisms_backtracking(h, g, pins, limit)
 
 
@@ -245,7 +246,7 @@ def test_first_hits_match_plain_backtracking_on_families():
                            ("cmpl(C:12)", "K:6", {0: 1, 1: 2}), ("petersen", "K:3", {}),
                            ("dprime", "K:3", {0: 0, 3: 0}), ("O:3", "C:5", {0: 4})]:
         h, g = build_family(src), build_family(tgt)
-        assert enumerate_homomorphisms(h, g, pins=pins, limit=5) == \
+        assert tuples(enumerate_homomorphisms(h, g, pins=pins, limit=5)) == \
             first_homomorphisms_backtracking(h, g, pins, 5), (src, tgt)
 
 
@@ -347,7 +348,7 @@ def _twin_instances(draw):
 @given(_twin_instances())
 def test_twin_skipping_first_hits_match_plain_backtracking(inst):
     h, g, pins, limit = inst
-    assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == \
+    assert tuples(enumerate_homomorphisms(h, g, pins=pins, limit=limit)) == \
         first_homomorphisms_backtracking(h, g, pins, limit)
 
 
@@ -359,11 +360,11 @@ def test_twin_skipping_first_hits_match_plain_backtracking_on_families():
     for src, tgt, pins in cases:
         h, g = build_family(src), build_family(tgt)
         for limit in (1, 7, 40):
-            assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == \
+            assert tuples(enumerate_homomorphisms(h, g, pins=pins, limit=limit)) == \
                 first_homomorphisms_backtracking(h, g, pins, limit), (src, tgt, limit)
     h, g = build_family("box(P:2,P:2)"), complete_multipartite([2, 3, 1])
     for limit in (1, 13, 40):
-        assert enumerate_homomorphisms(h, g, pins={4: 2}, limit=limit) == \
+        assert tuples(enumerate_homomorphisms(h, g, pins={4: 2}, limit=limit)) == \
             first_homomorphisms_backtracking(h, g, {4: 2}, limit)
 
 
@@ -373,14 +374,14 @@ def test_twin_skipping_leaves_pin_values_alone():
     # (0 1) would break that pin.
     h = graph_from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     g = graph_from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert enumerate_homomorphisms(h, g, pins={1: 1}, limit=28) == \
+    assert tuples(enumerate_homomorphisms(h, g, pins={1: 1}, limit=28)) == \
         first_homomorphisms_backtracking(h, g, {1: 1}, 28) != []
     # In K:3 vertex 0 -> 0 has no map while 0 -> 1 has: the dead value 0 is
     # itself the pin value of vertex 1, so it rules out none of its twins.
     h = graph_from_edges(6, [(0, 2), (0, 3), (0, 4), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5),
                              (4, 5)])
     g = build_family("K:3")
-    assert enumerate_homomorphisms(h, g, pins={1: 0}, limit=13) == \
+    assert tuples(enumerate_homomorphisms(h, g, pins={1: 0}, limit=13)) == \
         first_homomorphisms_backtracking(h, g, {1: 0}, 13) != []
 
 

@@ -159,6 +159,99 @@ def test_oversized_graphs_exit_1_before_allocating(tmp_path, capsys, spec):
     assert "outside supported range 0..4096" in err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["analyze", "K:1_0"], "error: malformed K parameter '1_0'\n"),
+    (["analyze", "C:\u0665"], "error: malformed C parameter '\u0665'\n"),
+    (["homs", "K:3", "K:3", "--pin", "0"],
+     "error: malformed --pin item '0', expected two integers joined by '='\n"),
+    (["homs", "K:3", "K:3", "--pin", "0=+1"],
+     "error: malformed --pin item '0=+1', expected two integers joined by '='\n"),
+    (["homs", "K:3", "K:3", "--pin", "\u0660=1"],
+     "error: malformed --pin item '\u0660=1', expected two integers joined by '='\n"),
+    (["splice", "K:3", "cmpl(C:6)", "0", "1", "K:3", "--pairs", "0,1_0"],
+     "error: malformed --pairs item '0,1_0', expected two integers joined by ','\n")])
+def test_integers_must_be_ascii_digits_exit_1(capsys, argv, err):
+    # int() took "1_0" as 10, "+1" as 1 and "\u0665" as 5
+    code, out, got = run_cli(capsys, *argv, "--json")
+    assert code == 1 and out == ""
+    assert got == err
+
+
+def test_integers_must_be_ascii_digits_at_every_integer(tmp_path, capsys):
+    # an edge-list file, and the last integer of a nested descriptor
+    path = tmp_path / "g.txt"
+    path.write_text("3 1\n0 1_0\n")
+    code, out, err = run_cli(capsys, "analyze", f"@{path}")
+    assert code == 1 and err == "error: malformed edge line '0 1_0'\n"
+    code, out, err = run_cli(capsys, "homs", "box(C:5,P:+1)", "C:5", "--limit", "1")
+    assert code == 1 and err == "error: malformed P parameter '+1'\n"
+    # surrounding whitespace is still read
+    report = run_json(capsys, "homs", "K: 3", "K:3", "--pin", " 0 = 1 ", "--limit", "1")
+    assert report["result"]["homomorphisms"] == [[1, 0, 2]]
+
+
+def test_integers_must_be_ascii_digits_in_a_fresh_process():
+    proc = _run_fresh("analyze", "K:1_0")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("limit", ["0", "2"])
+@pytest.mark.parametrize("fault, match", [("edge", "does not preserve edge (0,1)"),
+                                          ("pin", "misses its pins (1,)")])
+def test_corrupted_homs_map_exit_2(monkeypatch, capsys, limit, fault, match):
+    # both searches are patched to yield one bad map of C:6 -> K:3 pinned at
+    # 0 -> 1: vertex 1 joins vertex 0's image, or vertex 0 leaves its pin
+    first, blocks = qgadget.endo._first_homomorphisms, qgadget.endo._homomorphism_blocks
+
+    def corrupt(row):
+        if fault == "edge":
+            row[1] = row[0]
+        else:
+            row[0] = (row[0] + 1) % 3
+
+    def corrupted_first(h, g, domains):
+        for i, m in enumerate(first(h, g, domains)):
+            m = list(m)
+            if i == 1:
+                corrupt(m)
+            yield tuple(m)
+
+    def corrupted_blocks(h, g, pins):
+        for i, block in enumerate(blocks(h, g, pins)):
+            block = block.copy()
+            if i == 0:
+                corrupt(block[1])
+            yield block
+
+    monkeypatch.setattr(qgadget.endo, "_first_homomorphisms", corrupted_first)
+    monkeypatch.setattr(qgadget.endo, "_homomorphism_blocks", corrupted_blocks)
+    code, out, err = run_cli(capsys, "homs", "C:6", "K:3", "--pin", "0=1", "--limit", limit,
+                             "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("verification failure: enumerated map [") and match in err
+
+
+@pytest.mark.parametrize("argv, searches", [
+    (["product-transfer", "cmpl(C:8)", "0", "1", "K:4", "K:4"], 2 * 16),
+    (["gadget-build", "complement-cycle", "4"], 16),
+    (["gadget-check", "cmpl(C:8)", "0", "1", "K:4"], 16)])
+def test_each_property_i_table_is_searched_once(monkeypatch, capsys, argv, searches):
+    # the constructors return the table they built and verified; the product
+    # table is the factor tables combined, so 2 * 16 searches, not 16 + 16 + 256
+    calls = []
+    search = qgadget.gadget._first_homomorphisms
+
+    def counted(h, g, domains):
+        calls.append(g.n)
+        return search(h, g, domains)
+
+    monkeypatch.setattr(qgadget.gadget, "_first_homomorphisms", counted)
+    report = run_json(capsys, *argv)
+    assert report["result"]["property_i"]["complete"]
+    assert len(calls) == searches
+
+
 def test_conflicting_pins_exit_1(capsys):
     code, out, err = run_cli(capsys, "homs", "K:3", "K:3", "--pin", "0=1", "--pin", "0=2",
                              "--json")
@@ -174,13 +267,13 @@ def test_conflicting_pins_exit_1(capsys):
     ["gadget-build", "complement-cycle", "3"],
     ["product-transfer", "cmpl(C:6)", "0", "1", "K:3", "K:3"]])
 def test_corrupted_property_i_witness_exit_2(monkeypatch, capsys, argv):
-    search = qgadget.gadget.enumerate_homomorphisms
+    search = qgadget.gadget._first_homomorphisms
 
-    def corrupted(h, g, pins, limit):
-        found = search(h, g, pins=pins, limit=limit)
-        return [(found[0][1],) + found[0][1:]] if found else found
+    def corrupted(h, g, domains):
+        for m in search(h, g, domains):
+            yield (m[1],) + m[1:]
 
-    monkeypatch.setattr(qgadget.gadget, "enumerate_homomorphisms", corrupted)
+    monkeypatch.setattr(qgadget.gadget, "_first_homomorphisms", corrupted)
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 2 and out == ""
     assert err.startswith("verification failure: property (i) witness")

@@ -10,7 +10,7 @@ from qgadget import (assignment_defect, build_family, cc_defect, classical_strat
                      commutator_defect, cv_defect, enumerate_homomorphisms, projector,
                      strategy_from_json, strategy_from_vertex_pvms, validate_strategy)
 from qgadget.qrep import KET0, KET1, KETMINUS, KETPLUS, MAX_STACK_ENTRIES
-from conftest import assignment_game_value
+from conftest import assignment_game_value, tuples
 
 
 P0, P1 = projector(KET0), projector(KET1)
@@ -158,7 +158,7 @@ def test_defects_zero_exactly_on_consistent_classical():
             assert assignment_defect(s) == 0.0, (hs, gs, hom)
             assert cv_defect(s) == 0.0, (hs, gs, hom)
         # non-homomorphisms have strictly positive assignment defect
-        homs = set(enumerate_homomorphisms(h, g))
+        homs = set(tuples(enumerate_homomorphisms(h, g)))
         from itertools import product as iproduct
         count = 0
         for mp in iproduct(range(g.n), repeat=h.n):

@@ -11,21 +11,29 @@ import qgadget.endo
 import qgadget.qrep
 from qgadget.endo import ListingBoundExceeded
 from qgadget import (Endomorphism, VerificationFailure, build_family, endomorphism_rows,
-                     enumerate_endomorphisms, enumerate_homomorphisms, find_schmidt_pair,
-                     graph_from_edges, identity_endomorphism, is_core, is_wac, nogo_verdict,
-                     support, supports_disconnected, supports_disjoint,
+                     enumerate_homomorphisms, find_schmidt_pair, graph_from_edges, is_core,
+                     is_wac, nogo_verdict, support, supports_disconnected, supports_disjoint,
                      verify_schmidt_certificate)
+from conftest import compose, identity, power, tuples
+
+
+def endomorphisms(g, **kwargs):
+    """Every endomorphism of g as an Endomorphism, in lexicographic order."""
+    return [Endomorphism(g, m) for m in tuples(endomorphism_rows(g, **kwargs))]
 
 
 def test_homs_k3_to_k3_are_the_six_permutations():
-    maps = enumerate_homomorphisms(build_family("K:3"), build_family("K:3"))
-    assert len(maps) == 6
+    rows = enumerate_homomorphisms(build_family("K:3"), build_family("K:3"))
+    assert rows.shape == (6, 3) and rows.dtype == np.int8
+    maps = tuples(rows)
     assert all(len(set(m)) == 3 for m in maps)
     assert maps == sorted(maps)  # lexicographic order
 
 
 def test_no_hom_odd_cycle_to_edge():
-    assert enumerate_homomorphisms(build_family("C:5"), build_family("K:2")) == []
+    for limit in (None, 1):
+        rows = enumerate_homomorphisms(build_family("C:5"), build_family("K:2"), limit=limit)
+        assert rows.shape == (0, 5) and rows.dtype == np.int8
 
 
 def test_prism_pins_all_nine():
@@ -34,7 +42,7 @@ def test_prism_pins_all_nine():
     for a in range(3):
         for b in range(3):
             found = enumerate_homomorphisms(prism, k3, pins={0: a, 1: b}, limit=1)
-            assert found, (a, b)
+            assert found.shape == (1, 6), (a, b)
             m = found[0]
             assert m[0] == a and m[1] == b
 
@@ -50,7 +58,7 @@ def test_limit_returns_lexicographic_prefix():
     g = build_family("cmpl(K:3)")
     all_maps = enumerate_homomorphisms(g, g)
     assert len(all_maps) == 27
-    assert enumerate_homomorphisms(g, g, limit=5) == all_maps[:5]
+    assert np.array_equal(enumerate_homomorphisms(g, g, limit=5), all_maps[:5])
 
 
 @st.composite
@@ -85,15 +93,21 @@ def test_homomorphisms_match_bruteforce_product(inst):
     for block in (1, 2, 3, 1024):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(qgadget.endo, "_BLOCK", block)
-            assert enumerate_homomorphisms(h, g, pins=pins, limit=limit) == expected, block
+            rows = enumerate_homomorphisms(h, g, pins=pins, limit=limit)
+            assert rows.shape == (len(expected), h.n), block
+            assert tuples(rows) == expected, block
 
 
 def test_level_search_uses_int16_above_127_target_vertices():
     # vertex indices up to 129 do not fit int8; every directed edge of C:130
     # is one map of K:2, in lexicographic order
+    # in both modes
     c130 = build_family("C:130")
-    assert enumerate_homomorphisms(build_family("K:2"), c130) == \
-        [tuple(e) for e in c130.directed_edges()]
+    rows = enumerate_homomorphisms(build_family("K:2"), c130)
+    assert rows.dtype == np.int16
+    assert tuples(rows) == c130.directed_edges()
+    first = enumerate_homomorphisms(build_family("K:2"), c130, pins={0: 129}, limit=2)
+    assert first.dtype == np.int16 and tuples(first) == [(129, 0), (129, 128)]
 
 
 def test_level_search_memory_stays_bounded():
@@ -109,7 +123,7 @@ def test_level_search_memory_stays_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert maps == []
+    assert maps.shape == (0, 20)
     assert peak < 4 * 2 ** 20, peak
 
 
@@ -118,8 +132,8 @@ def test_endomorphism_rows_match_the_backtracking_search(endo_battery):
     for g in endo_battery:
         rows = endomorphism_rows(g)
         assert rows.dtype == np.int8
-        assert [tuple(r) for r in rows.tolist()] == \
-            enumerate_homomorphisms(g, g, limit=10 ** 9), g.label
+        first = enumerate_homomorphisms(g, g, limit=10 ** 9)
+        assert first.dtype == np.int8 and np.array_equal(rows, first), g.label
 
 
 def test_corrupted_endomorphism_row_is_a_verification_failure(monkeypatch):
@@ -141,6 +155,24 @@ def test_corrupted_endomorphism_row_is_a_verification_failure(monkeypatch):
         find_schmidt_pair(build_family("C:5"), oracular=False)
 
 
+def test_check_maps_tests_range_then_pins_then_edges():
+    k3 = build_family("K:3")
+    check = qgadget.endo._check_maps
+    # -1 would index vertex 2, and 3 lies past the end
+    with pytest.raises(VerificationFailure, match=r"map \[2, -1, 0\] leaves the target"):
+        check(k3, k3, np.array([[0, 1, 2], [2, -1, 0]]), "map", {})
+    with pytest.raises(VerificationFailure, match=r"map \[0, 1, 3\] leaves the target"):
+        check(k3, k3, np.array([[0, 1, 3]]), "map", {})
+    # a pin holds one value for every row, or one per row
+    rows = np.array([[0, 1, 2], [1, 0, 2], [1, 1, 2]])
+    check(k3, k3, rows[:2], "map", {2: 2, 0: np.array([0, 1])})
+    with pytest.raises(VerificationFailure, match=r"map \[1, 0, 2\] misses its pins \(2, 2\)"):
+        check(k3, k3, rows, "map", {2: 2, 0: np.array([0, 2, 1])})
+    with pytest.raises(VerificationFailure, match=r"\[1, 1, 2\] does not preserve edge \(0,1\)"):
+        check(k3, k3, rows, "map", {2: 2})
+    check(k3, k3, np.empty((0, 3), dtype=np.int8), "map", {0: 1})
+
+
 def test_full_listing_stops_above_max_maps():
     # cmpl(K:3) has 27 endomorphisms
     g = build_family("cmpl(K:3)")
@@ -152,34 +184,33 @@ def test_full_listing_stops_above_max_maps():
 
 
 def test_endos_of_c5_are_the_ten_automorphisms():
-    endos = enumerate_endomorphisms(build_family("C:5"))
-    assert len(endos) == 10
-    assert all(e.is_bijective() for e in endos)
-    assert endos[0].is_identity()
+    maps = tuples(endomorphism_rows(build_family("C:5")))
+    assert len(maps) == 10
+    assert all(len(set(m)) == 5 for m in maps)
+    assert identity(5) in maps
 
 
 def test_diamond_contains_named_endomorphisms():
-    endos = enumerate_endomorphisms(build_family("diamond"))
-    maps = {e.mapping for e in endos}
+    maps = set(tuples(endomorphism_rows(build_family("diamond"))))
     assert (0, 1, 0, 3) in maps
     assert (2, 1, 2, 3) in maps
 
 
 def test_edgeless_has_all_maps():
-    assert len(enumerate_endomorphisms(build_family("cmpl(K:3)"))) == 27
+    assert len(endomorphism_rows(build_family("cmpl(K:3)"))) == 27
 
 
 def test_size_bound_enforced():
     with pytest.raises(ValueError, match="bound"):
-        enumerate_endomorphisms(build_family("KG:6,3"))  # 20 vertices
+        endomorphism_rows(build_family("KG:6,3"))  # 20 vertices
     # explicit override works
-    endos = enumerate_endomorphisms(build_family("C:12"), max_vertices=12)
-    assert endos[0].is_identity()
+    rows = endomorphism_rows(build_family("C:12"), max_vertices=12)
+    assert identity(12) in tuples(rows)
 
 
 def test_support_examples():
     d = build_family("diamond")
-    assert support(identity_endomorphism(d)) == frozenset()
+    assert support(Endomorphism(d, identity(4))) == frozenset()
     assert support(Endomorphism(d, (0, 1, 0, 3))) == frozenset({2})
     dp = build_family("dprime")
     g = Endomorphism(dp, (0, 5, 4, 3, 4, 5))
@@ -188,14 +219,14 @@ def test_support_examples():
 
 def test_wac_with_identity_always(endo_battery):
     for g in endo_battery[:8]:
-        ident = identity_endomorphism(g)
-        for e in enumerate_endomorphisms(g):
+        ident = Endomorphism(g, identity(g.n))
+        for e in endomorphisms(g):
             assert is_wac(ident, e) and is_wac(e, ident)
 
 
 def test_wac_reflexive(endo_battery):
     for g in endo_battery:
-        for e in enumerate_endomorphisms(g):
+        for e in endomorphisms(g):
             assert is_wac(e, e)
 
 
@@ -219,13 +250,13 @@ def test_diamond_pair_disconnected():
 def test_identity_trivially_disconnected():
     d = build_family("diamond")
     f = Endomorphism(d, (0, 1, 0, 3))
-    assert supports_disjoint(f, identity_endomorphism(d))
-    assert supports_disconnected(f, identity_endomorphism(d))
+    assert supports_disjoint(f, Endomorphism(d, identity(4)))
+    assert supports_disconnected(f, Endomorphism(d, identity(4)))
 
 
 def test_mismatched_graphs_rejected():
-    f = identity_endomorphism(build_family("K:3"))
-    g = identity_endomorphism(build_family("C:4"))
+    f = Endomorphism(build_family("K:3"), identity(3))
+    g = Endomorphism(build_family("C:4"), identity(4))
     with pytest.raises(ValueError):
         is_wac(f, g)
 
@@ -235,8 +266,8 @@ def test_wac_powers_disjoint_supports(endo_battery):
     for g in endo_battery:
         if g.n > 8:
             continue
-        endos = enumerate_endomorphisms(g)
-        powers = [[e.power(i) for i in range(1, 5)] for e in endos]
+        endos = endomorphisms(g)
+        powers = [[Endomorphism(g, power(e.mapping, i)) for i in range(1, 5)] for e in endos]
         for a, pa in zip(endos, powers):
             for b, pb in zip(endos, powers):
                 if not supports_disjoint(a, b) or not is_wac(a, b):
@@ -252,17 +283,18 @@ def test_wac_powers_need_disjoint_supports():
     k3 = build_family("K:3")
     rot = Endomorphism(k3, (1, 2, 0))
     assert is_wac(rot, rot)
-    assert not is_wac(rot.power(2), rot)
+    assert not is_wac(Endomorphism(k3, power(rot.mapping, 2)), rot)
 
 
 def test_commuting_disjoint_implies_wac(endo_battery):
     for g in endo_battery:
         if g.n > 8:
             continue
-        endos = enumerate_endomorphisms(g)
+        endos = endomorphisms(g)
         for a in endos:
             for b in endos:
-                if supports_disjoint(a, b) and a.compose(b).mapping == b.compose(a).mapping:
+                if supports_disjoint(a, b) and \
+                        compose(a.mapping, b.mapping) == compose(b.mapping, a.mapping):
                     assert is_wac(a, b), (g.label, a.mapping, b.mapping)
 
 
@@ -270,7 +302,7 @@ def test_disconnected_implies_wac(endo_battery):
     for g in endo_battery:
         if g.n > 8:
             continue
-        endos = enumerate_endomorphisms(g)
+        endos = endomorphisms(g)
         for a in endos:
             for b in endos:
                 if supports_disconnected(a, b):
@@ -281,12 +313,11 @@ def test_endomorphisms_form_monoid(endo_battery):
     for g in endo_battery:
         if g.n > 8:
             continue
-        maps = set(enumerate_homomorphisms(g, g))
-        assert tuple(range(g.n)) in maps
-        endos = [Endomorphism(g, m) for m in sorted(maps)]
-        for a in endos:
-            for b in endos:
-                assert a.compose(b).mapping in maps, g.label
+        maps = set(tuples(enumerate_homomorphisms(g, g)))
+        assert identity(g.n) in maps
+        for a in maps:
+            for b in maps:
+                assert compose(a, b) in maps, g.label
 
 
 def test_schmidt_pair_diamond():
@@ -319,8 +350,7 @@ def test_certificates_reverify(endo_battery):
 def test_schmidt_pair_is_lexicographically_first(endo_battery):
     # oracle: a plain double loop over the frozenset predicates
     for g in endo_battery:
-        endos = sorted((e for e in enumerate_endomorphisms(g) if not e.is_identity()),
-                       key=lambda e: e.mapping)
+        endos = [e for e in endomorphisms(g) if support(e)]
         for oracular in (False, True):
             expected = next(((f, h) for f in endos for h in endos
                              if (supports_disconnected(f, h) if oracular else
@@ -344,10 +374,12 @@ def test_partner_domains_hold_exactly_the_partners(endo_battery):
                                (3, 5), (4, 5)])
     assert not is_wac(Endomorphism(six, (5, 2, 2, 3, 3, 5)), Endomorphism(six, (0, 1, 1, 4, 4, 0)))
     for g in endo_battery + [build_family("cmpl(C:8)"), six]:
-        endos = enumerate_endomorphisms(g)
+        endos = endomorphisms(g)
         if len(endos) > 150:
             continue
-        for f in endos[1:]:
+        for f in endos:
+            if not support(f):
+                continue
             sf = sorted(support(f))
             for oracular in (False, True):
                 dom = qgadget.endo._partner_domains(g, list(f.mapping), sf, oracular)

@@ -1,12 +1,16 @@
 """Gadget candidates: pin tables, walk obstructions, transfer, splicing, disproof."""
 
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgadget.gadget
 from qgadget import (GadgetCandidate, VerificationFailure, adjacency_equal, build_family,
                      check_property_i_classical, complement_cycle_gadget, cycle_graph,
                      disprove_box_path_gadget, distance, enumerate_candidate_classes,
-                     product_transfer, splice_gadget, walk_obstruction, walk_table)
+                     graph_from_edges, product_transfer, splice_gadget, walk_obstruction,
+                     walk_table)
 from qgadget.gadget import analyze_candidate_pair
 from conftest import find_isomorphism
 
@@ -33,17 +37,17 @@ def test_adjacent_pins_miss_diagonal():
 
 @pytest.mark.parametrize("field, match", [(3, "does not preserve edge"), (0, "misses its pins")])
 def test_corrupted_property_i_witness_is_a_verification_failure(monkeypatch, field, match):
-    search = qgadget.gadget.enumerate_homomorphisms
+    search = qgadget.gadget._first_homomorphisms
 
-    def corrupted(h, g, pins, limit):
-        found = search(h, g, pins=pins, limit=limit)
-        if pins == {0: 1, 1: 2}:
-            m = list(found[0])
-            m[field] = m[1]  # prism vertex 3 is adjacent to 1; vertex 0 is pinned
-            found[0] = tuple(m)
-        return found
+    def corrupted(h, g, domains):
+        for m in search(h, g, domains):
+            if domains[:2] == [1 << 1, 1 << 2]:  # the pins 0 -> 1, 1 -> 2
+                m = list(m)
+                m[field] = m[1]  # prism vertex 3 is adjacent to 1; vertex 0 is pinned
+                m = tuple(m)
+            yield m
 
-    monkeypatch.setattr(qgadget.gadget, "enumerate_homomorphisms", corrupted)
+    monkeypatch.setattr(qgadget.gadget, "_first_homomorphisms", corrupted)
     cand = GadgetCandidate(build_family("cmpl(C:6)"), 0, 1, build_family("K:3"))
     with pytest.raises(VerificationFailure, match=match):
         check_property_i_classical(cand)
@@ -82,8 +86,8 @@ def test_walk_obstruction_close_candidates_for_c5():
 
 def test_obstruction_never_fires_on_complete_tables():
     for k in (3, 4, 5):
-        cand = complement_cycle_gadget(k)
-        assert check_property_i_classical(cand).complete
+        cand, table = complement_cycle_gadget(k)
+        assert table.complete and check_property_i_classical(cand).complete
         assert walk_obstruction(cand) is None
 
 
@@ -110,46 +114,102 @@ def test_odd_cycle_distance_bound():
 
 
 def test_complement_cycle_gadget_families():
-    g3 = complement_cycle_gadget(3)
+    g3, _ = complement_cycle_gadget(3)
     assert g3.status == "proven_oracular"
     assert find_isomorphism(g3.gadget, build_family("box(C:3,P:1)")) is not None
-    g4 = complement_cycle_gadget(4)
+    g4, _ = complement_cycle_gadget(4)
     assert g4.gadget.n == 8 and g4.gadget.num_edges == 20
-    g5 = complement_cycle_gadget(5)
-    assert len(check_property_i_classical(g5).witnesses) == 25
+    g5, table = complement_cycle_gadget(5)
+    assert len(table.witnesses) == 25
     with pytest.raises(ValueError):
         complement_cycle_gadget(2)
 
 
 def test_product_transfer_prism_squared():
-    g = complement_cycle_gadget(3)
-    out = product_transfer(g, g)
+    g, _ = complement_cycle_gadget(3)
+    out, table = product_transfer(g, g)
     assert out.status == "proven_oracular"
     assert out.target.n == 9
-    table = check_property_i_classical(out)
     assert table.complete and len(table.witnesses) == 81
 
 
 def test_product_transfer_nested_power():
-    g = complement_cycle_gadget(3)
-    squared = product_transfer(g, g)
-    cubed = product_transfer(g, squared)
+    g, _ = complement_cycle_gadget(3)
+    squared, _ = product_transfer(g, g)
+    cubed, table = product_transfer(g, squared)
     assert cubed.status == "proven_oracular"
     assert cubed.target.n == 27
-    table = check_property_i_classical(cubed)
     assert table.complete and len(table.witnesses) == 27 * 27
 
 
 def test_product_transfer_status_propagation():
-    g = complement_cycle_gadget(3)
+    g, _ = complement_cycle_gadget(3)
     cand = GadgetCandidate(g.gadget, 0, 1, build_family("K:3"), status="candidate")
-    out = product_transfer(g, cand)
+    out, _ = product_transfer(g, cand)
     assert out.status == "candidate"
 
 
+@st.composite
+def _small_graphs(draw, lo, hi):
+    n = draw(st.integers(lo, hi))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@st.composite
+def _transfer_inputs(draw):
+    """A gadget on 2-6 vertices with an ordered distinguished pair, and two
+    targets on 1-4 vertices; most tables are incomplete."""
+    gadget = draw(_small_graphs(2, 6))
+    x, y = draw(st.permutations(range(gadget.n)))[:2]
+    return [GadgetCandidate(gadget, x, y, draw(_small_graphs(1, 4))) for _ in range(2)]
+
+
+def _assert_same_table(table, fresh):
+    assert table == fresh
+    assert list(table.witnesses) == list(fresh.witnesses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_transfer_inputs())
+def test_product_table_is_the_fresh_search_of_the_product(cands):
+    # a pinned map into the product is a pair of pinned factor maps, and the
+    # first one is the pair of first maps
+    out, table = product_transfer(*cands)
+    _assert_same_table(table, check_property_i_classical(out))
+
+
+@pytest.mark.parametrize("gadget, x, y, t1, t2", [
+    ("cmpl(C:8)", 0, 1, "K:4", "K:4"), ("C:9", 0, 4, "C:9", "K:3"),
+    ("box(C:5,P:4)", 0, 4, "C:5", "C:5"), ("dprime", 0, 3, "K:3", "K:2"),
+    ("cmpl(C:6)", 1, 0, "K:3", "C:5")])
+def test_product_table_is_the_fresh_search_on_families(gadget, x, y, t1, t2):
+    g = build_family(gadget)
+    out, table = product_transfer(GadgetCandidate(g, x, y, build_family(t1)),
+                                  GadgetCandidate(g, x, y, build_family(t2)))
+    _assert_same_table(table, check_property_i_classical(out))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_complement_cycle_table_is_the_fresh_search(k):
+    cand, table = complement_cycle_gadget(k)
+    _assert_same_table(table, check_property_i_classical(cand))
+
+
+def test_product_transfer_refuses_a_proven_status_with_an_incomplete_table():
+    # K:2 with its two ends distinguished has no map sending both to one colour
+    edge = GadgetCandidate(build_family("K:2"), 0, 1, build_family("K:3"),
+                           status="proven_oracular")
+    with pytest.raises(VerificationFailure, match="incomplete combined table"):
+        product_transfer(edge, edge)
+    out, table = product_transfer(edge, GadgetCandidate(edge.gadget, 0, 1, edge.target))
+    assert out.status == "candidate" and not table.complete
+
+
 def test_product_transfer_rejects_mismatch():
-    g3 = complement_cycle_gadget(3)
-    g4 = complement_cycle_gadget(4)
+    g3, _ = complement_cycle_gadget(3)
+    g4, _ = complement_cycle_gadget(4)
     with pytest.raises(ValueError, match="same gadget"):
         product_transfer(g3, g4)
     shifted = GadgetCandidate(g3.gadget, 0, 2, build_family("K:3"))
@@ -159,19 +219,19 @@ def test_product_transfer_rejects_mismatch():
 
 def test_splice_two_isolated_vertices():
     h = build_family("cmpl(K:2)")
-    out = splice_gadget(h, [(0, 1)], complement_cycle_gadget(3))
+    out = splice_gadget(h, [(0, 1)], complement_cycle_gadget(3)[0])
     assert out.n == 6 and out.num_edges == 9
 
 
 def test_splice_empty_pairs_is_identity():
     h = build_family("K:3")
-    out = splice_gadget(h, [], complement_cycle_gadget(3))
+    out = splice_gadget(h, [], complement_cycle_gadget(3)[0])
     assert out.n == 3 and set(out.edges()) == set(h.edges())
 
 
 def test_splice_k3_single_pair():
     h = build_family("K:3")
-    gadget = complement_cycle_gadget(3)
+    gadget, _ = complement_cycle_gadget(3)
     out = splice_gadget(h, [(0, 1)], gadget)
     # brute-force union oracle: instance edges plus the prism edges relocated
     # onto {0, 1, 3, 4, 5, 6}; the prism's distinguished pair is non-adjacent,
@@ -192,7 +252,7 @@ def test_splice_k3_single_pair():
 
 def test_splice_multiple_pairs_and_errors():
     h = build_family("C:4")
-    gadget = complement_cycle_gadget(3)
+    gadget, _ = complement_cycle_gadget(3)
     out = splice_gadget(h, [(0, 2), (1, 3)], gadget)
     assert out.n == 4 + 2 * 4
     with pytest.raises(ValueError):

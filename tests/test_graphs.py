@@ -150,6 +150,39 @@ def test_parse_errors(doc, msg):
         parse_graph(doc)
 
 
+# int() also reads a plus sign, underscores and non-ASCII digits: "K:1_0"
+# built K:10, and "1_0 0" a 10-vertex edge list
+@pytest.mark.parametrize("spec", ["K:1_0", "C:\u0665", "K:+3", "K:\uff13", "KG:5,+2",
+                                  "box(C:5,P:1_0)"])
+def test_descriptor_integers_are_ascii_digits(spec):
+    with pytest.raises(ValueError, match="malformed"):
+        build_family(spec)
+
+
+@pytest.mark.parametrize("doc,msg", [
+    ("1_0 0\n", "malformed header"),
+    ("+2 0\n", "malformed header"),
+    ("\u0662 0\n", "malformed header"),
+    ("3 1\n0 1_0\n", "malformed edge line"),
+    ("3 1\n+0 1\n", "malformed edge line"),
+    ("3 1\n0 \u0661\n", "malformed edge line"),
+])
+def test_edge_list_integers_are_ascii_digits(doc, msg):
+    with pytest.raises(ValueError, match=msg):
+        parse_graph(doc)
+
+
+def test_strict_integers_keep_whitespace_and_range_messages():
+    g = build_family("K: 3")
+    assert g.n == 3 and g.label == "K:3"
+    with pytest.raises(ValueError, match="path length must be >= 0"):
+        build_family("P:-1")
+    with pytest.raises(ValueError, match="negative counts"):
+        parse_graph("-1 0\n")
+    with pytest.raises(ValueError, match=r"edge \(0,-1\) out of range"):
+        parse_graph("2 1\n0 -1\n")
+
+
 def test_serialize_round_trip(small_family_graphs):
     for g in small_family_graphs:
         text = serialize_graph(g)
