@@ -24,12 +24,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .graphs import Graph, _parse_int, build_family, parse_graph, serialize_graph
+from .graphs import Graph, _parse_int, _parse_pair, build_family, parse_graph, serialize_graph
 from .walks import decide_bipartite_target, girths, is_bipartite, is_oracularisable
 from .endo import (DEFAULT_MAX_VERTICES, ListingBoundExceeded, _all_bijective,
                    endomorphism_rows, enumerate_homomorphisms, find_schmidt_pair,
                    nogo_verdict)
-from .qrep import VerificationFailure, compose_reps, load_rep, verify_rep
+from .qrep import VerificationFailure, compose_reps, rep_from_json, verify_rep
 from .defect import (assignment_defect, cc_defect, commutator_defect, cv_defect,
                      pair_dist_from_json, strategy_from_json)
 from .gadget import (GadgetCandidate, check_property_i_classical, complement_cycle_gadget,
@@ -52,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def _load_json(path: str, parse):
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse(json.load(fh))
 
 
 def load_graph_arg(text: str) -> Graph:
@@ -139,18 +144,16 @@ def _bound(args) -> int:
     return args.max_vertices
 
 
-def _int_pair(item: str, sep: str, flag: str) -> tuple[int, int]:
-    """The two integers of a `flag` item written as two vertices joined by sep."""
-    u, _, v = item.partition(sep)
-    try:
-        return _parse_int(u), _parse_int(v)
-    except ValueError:
-        raise ValueError(f"malformed {flag} item {item!r}, expected two integers "
-                         f"joined by {sep!r}") from None
+def _int(text: str) -> int:
+    return _parse_int(text)
+
+
+# the type of every integer argument; argparse's errors read "invalid int value: '1_0'"
+_int.__name__ = "int"
 
 
 def _add_bound_flags(p):
-    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES,
+    p.add_argument("--max-vertices", type=_int, default=DEFAULT_MAX_VERTICES,
                    help=f"exhaustive-search size bound (default {DEFAULT_MAX_VERTICES})")
     p.add_argument("--i-know", action="store_true",
                    help="acknowledge that overriding the size bound can explode runtime")
@@ -204,7 +207,7 @@ def cmd_homs(args):
     g = load_graph_arg(args.target)
     pins = {}
     for item in args.pin or []:
-        u, a = _int_pair(item, "=", "--pin")
+        u, a = _parse_pair(item, "=", "--pin item")
         if pins.setdefault(u, a) != a:
             raise ValueError(f"vertex {u} is pinned to both {pins[u]} and {a}")
     try:
@@ -249,7 +252,8 @@ def cmd_splice(args):
     h = load_graph_arg(args.instance)
     cand = GadgetCandidate(load_graph_arg(args.gadget), args.x, args.y,
                            load_graph_arg(args.target))
-    pairs = [_int_pair(t, ",", "--pairs") for t in args.pairs.split(";")] if args.pairs else []
+    pairs = ([_parse_pair(t, ",", "--pairs item") for t in args.pairs.split(";")]
+             if args.pairs else [])
     spliced = splice_gadget(h, pairs, cand)
     emit_report(args, {"instance": args.instance, "gadget": args.gadget,
                        "x": args.x, "y": args.y, "target": args.target,
@@ -281,15 +285,15 @@ def cmd_qcore(args):
 
 
 def cmd_rep_verify(args):
-    rep = load_rep(args.path)
+    rep = _load_json(args.path, rep_from_json)
     report = verify_rep(rep, oracular=args.oracular)
     emit_report(args, {"path": args.path, "oracular": args.oracular},
                 {"dim": rep.dim, "entries": int(rep.present.sum()), "report": report})
 
 
 def cmd_rep_compose(args):
-    r1 = load_rep(args.first)
-    r2 = load_rep(args.second)
+    r1 = _load_json(args.first, rep_from_json)
+    r2 = _load_json(args.second, rep_from_json)
     for name, r in (("first", r1), ("second", r2)):
         rep = verify_rep(r)
         if not rep.passed:
@@ -310,8 +314,7 @@ def cmd_rep_compose(args):
 
 
 def cmd_defect(args):
-    with open(args.path, "r", encoding="utf-8") as fh:
-        strat = strategy_from_json(json.load(fh))
+    strat = _load_json(args.path, strategy_from_json)
     if args.model == "a":
         value = assignment_defect(strat)
     elif args.model == "c-v":
@@ -319,9 +322,7 @@ def cmd_defect(args):
     elif args.model == "c-c":
         if not args.pair_dist:
             raise ValueError("c-c model needs --pair-dist FILE")
-        with open(args.pair_dist, "r", encoding="utf-8") as fh:
-            pair_dist = pair_dist_from_json(json.load(fh))
-        value = cc_defect(strat, pair_dist)
+        value = cc_defect(strat, _load_json(args.pair_dist, pair_dist_from_json))
     elif args.model == "commutator":
         if args.x is None or args.y is None:
             raise ValueError("commutator model needs --x and --y")
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("endos", help="enumerate endomorphisms")
     p.add_argument("graph")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_int, default=None)
     _add_bound_flags(p)
 
     p = sub.add_parser("homs", help="enumerate homomorphisms, optionally pinned")
@@ -386,38 +387,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--pin", action="append", metavar="U=A",
                    help="pin source vertex U to target vertex A (repeatable)")
-    p.add_argument("--limit", type=int, default=0,
+    p.add_argument("--limit", type=_int, default=0,
                    help=f"0 means all, at most {HOMS_MAX_MAPS} of them without --i-know")
     p.add_argument("--i-know", action="store_true",
                    help="lift the bound on a full listing, which can exhaust memory")
 
     p = sub.add_parser("gadget-check", help="property-(i) table and walk obstruction")
     p.add_argument("gadget")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
+    p.add_argument("x", type=_int)
+    p.add_argument("y", type=_int)
     p.add_argument("target")
-    p.add_argument("--lmax", type=int, default=None)
+    p.add_argument("--lmax", type=_int, default=None)
 
     p = sub.add_parser("gadget-build", help="build a known gadget family")
     p.add_argument("family", choices=["complement-cycle"])
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_int)
 
     p = sub.add_parser("splice", help="glue gadget copies onto designated vertex pairs")
     p.add_argument("instance")
     p.add_argument("gadget")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
+    p.add_argument("x", type=_int)
+    p.add_argument("y", type=_int)
     p.add_argument("target")
     p.add_argument("--pairs", default="", metavar="U,V;U,V;...")
 
     p = sub.add_parser("disprove-prism", help="refute all box-product prism candidates "
                                               "for an odd cycle")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=_int)
+    p.add_argument("k", type=_int)
 
     p = sub.add_parser("qcore", help="quantum-core certificate and classicality chain")
     p.add_argument("graph")
-    p.add_argument("--lmax", type=int, default=None)
+    p.add_argument("--lmax", type=_int, default=None)
     p.add_argument("--assume-no-quantum-symmetry", action="store_true")
     _add_bound_flags(p)
 
@@ -434,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--model", choices=["a", "c-v", "c-c", "commutator"], default="a")
     p.add_argument("--pair-dist", default=None)
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
+    p.add_argument("--x", type=_int, default=None)
+    p.add_argument("--y", type=_int, default=None)
 
     p = sub.add_parser("bipartite-decide", help="morphism existence into a bipartite target")
     p.add_argument("instance")
@@ -443,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("product-transfer", help="transfer a gadget to a categorical product")
     p.add_argument("gadget")
-    p.add_argument("x", type=int)
-    p.add_argument("y", type=int)
+    p.add_argument("x", type=_int)
+    p.add_argument("y", type=_int)
     p.add_argument("target1")
     p.add_argument("target2")
     p.add_argument("--status1", default="candidate",

@@ -11,13 +11,14 @@ constructions produce.
 The vertex PVMs are held as one complex (H.n, G.n, dim, dim) stack, the
 layout of a representation's matrices: ``vertex_pvms[u, a]`` is P^u_a.  The
 builders and the JSON parser fill it directly and refuse a family for a
-vertex outside H or with the wrong number of outcomes.  Edge PVMs stay a
-sparse ``{(x, y): {(a, b): matrix}}`` map, since a document lists only the
-outcomes it uses; they are stacked (absent outcomes as zero) only while
-:func:`validate_strategy` checks them.  Every defect validates first:
-families are checked in batches, and the first family that is not a PVM
-(not hermitian, not idempotent, a non-orthogonal pair, or a sum other than
-the identity, in that order; a NaN residual fails) raises ValueError.
+vertex outside H or with the wrong number of outcomes; documents go through
+the codec of :mod:`qrep`.  Edge PVMs stay a sparse ``{(x, y): {(a, b):
+matrix}}`` map, since a document lists only the outcomes it uses; they are
+stacked (absent outcomes as zero) only while :func:`validate_strategy`
+checks them.  Every defect validates first: families are checked in
+batches, and the first family that is not a PVM (not hermitian, not
+idempotent, a non-orthogonal pair, or a sum other than the identity, in
+that order; a NaN residual fails) raises ValueError.
 
 Each defect is the weight-averaged, trace-normed sum of the squared violated
 relations of the corresponding weighted algebra:
@@ -41,10 +42,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, graph_from_json
-from .qrep import MAX_STACK_ENTRIES, _complex_array, _complex_stack, _residuals
+from .graphs import Graph, _parse_int, _parse_pair
+from .qrep import DEFAULT_TOL, _complex_stack, _frame, _matrix_json, _residuals
 
-DEFAULT_TOL = 1e-9
 # numbers per batched temporary in validation and the defects; batches of
 # 2^12 numbers and more raised the peak resident memory of a process running
 # many defects, and were no faster
@@ -66,56 +66,30 @@ class Strategy:
     tol: float = DEFAULT_TOL
 
     def to_json(self) -> dict:
-        def mat(m):
-            return [[[float(z.real), float(z.imag)] for z in row] for row in m]
         out = {"instance": self.instance.to_json(), "target": self.target.to_json(),
                "dim": self.dim, "tol": self.tol,
-               "vertex_pvms": {str(u): [mat(p) for p in fam]
-                               for u, fam in enumerate(self.vertex_pvms)},
+               "vertex_pvms": {str(u): fam for u, fam in enumerate(_matrix_json(self.vertex_pvms))},
                "dist": {f"{x},{y}": f"{w.numerator}/{w.denominator}"
                         for (x, y), w in sorted(self.dist.items())}}
         if self.edge_pvms is not None:
-            out["edge_pvms"] = {f"{x},{y}": {f"{a},{b}": mat(m) for (a, b), m in sorted(fam.items())}
+            out["edge_pvms"] = {f"{x},{y}": {f"{a},{b}": _matrix_json(m)
+                                             for (a, b), m in sorted(fam.items())}
                                 for (x, y), fam in sorted(self.edge_pvms.items())}
         return out
 
 
-def _as_matrix(m, dim: int) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValueError(f"matrix has shape {m.shape}, expected ({dim},{dim})")
-    return m
-
-
-def _as_family(fam, dim: int) -> np.ndarray:
-    out = np.zeros((len(fam), dim, dim), dtype=complex)
-    for a, m in enumerate(fam):
-        out[a] = _as_matrix(m, dim)
-    return out
-
-
-def _parse_family(fam, dim: int) -> np.ndarray:
-    """A JSON family of [re, im] matrices as one (len(fam), dim, dim) array."""
-    stack = _complex_stack(fam, dim)
-    if stack is None:  # matrix by matrix, to name the first bad one
-        return _as_family([_complex_array(m) for m in fam], dim)
-    return stack
-
-
-def _vertex_stack(h: Graph, g: Graph, dim: int, fams,
-                  family: Callable[[object, int], np.ndarray]) -> np.ndarray:
+def _vertex_stack(h: Graph, g: Graph, dim: int, fams) -> np.ndarray:
     """The (h.n, g.n, dim, dim) stack of the (vertex, family) pairs ``fams``,
-    each family converted by ``family``; every instance vertex needs exactly
-    one family of g.n elements."""
+    each family a list of [re, im] matrices; every instance vertex needs
+    exactly one family of g.n elements."""
     stack = np.zeros((h.n, g.n, dim, dim), dtype=complex)
     seen = np.zeros(h.n, dtype=bool)
     for u, fam in fams:
-        u = int(u)
         if not 0 <= u < h.n:
             raise ValueError(f"vertex_pvms key {u} is not an instance vertex (0..{h.n - 1})")
         if len(fam) != g.n:
             raise ValueError(f"vertex {u} PVM has {len(fam)} outcomes, expected {g.n}")
-        stack[u] = family(fam, dim)
+        stack[u] = _complex_stack(fam, dim)
         seen[u] = True
     if not seen.all():
         raise ValueError(f"vertex {int(np.argmin(seen))} has no PVM")
@@ -127,33 +101,25 @@ def strategy_from_json(obj: dict) -> Strategy:
     document, or on one whose vertex stack would exceed MAX_STACK_ENTRIES
     numbers."""
     try:
-        dim = int(obj["dim"])
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        inst, targ = graph_from_json(obj["instance"]), graph_from_json(obj["target"])
-        size = inst.n * targ.n * dim * dim
-        if size > MAX_STACK_ENTRIES:
-            raise ValueError(f"{inst.n} vertex PVMs of {targ.n} outcomes in dimension {dim} "
-                             f"need {size} matrix elements, more than {MAX_STACK_ENTRIES}")
-        vertex_pvms = _vertex_stack(inst, targ, dim, obj["vertex_pvms"].items(), _parse_family)
+        inst, targ, dim, tol = _frame(obj, "instance", "target")
+        vertex_pvms = _vertex_stack(inst, targ, dim, ((_parse_int(u, "vertex_pvms key"), fam)
+                                                      for u, fam in obj["vertex_pvms"].items()))
         dist = {}
         weights: dict = {}  # each distinct weight value is parsed once
         for key, val in obj["dist"].items():
-            x, y = (int(t) for t in key.split(","))
             try:
                 w = weights[val]
             except (KeyError, TypeError):
                 # an unhashable value raises Fraction's own error here
                 w = weights[val] = Fraction(val)
-            dist[(x, y)] = w
+            dist[_parse_pair(key, ",", "dist key")] = w
         edge_pvms = None
         if obj.get("edge_pvms") is not None:
             edge_pvms = {}
             for ekey, fam in obj["edge_pvms"].items():
-                x, y = (int(t) for t in ekey.split(","))
-                outcomes = [tuple(int(t) for t in okey.split(",")) for okey in fam]
-                edge_pvms[(x, y)] = dict(zip(outcomes, _parse_family(list(fam.values()), dim)))
-        tol = float(obj.get("tol", DEFAULT_TOL))
+                outcomes = [_parse_pair(okey, ",", "outcome key") for okey in fam]
+                edge_pvms[_parse_pair(ekey, ",", "edge_pvms key")] = \
+                    dict(zip(outcomes, _complex_stack(list(fam.values()), dim)))
     except KeyError as exc:
         raise ValueError(f"strategy document lacks field {exc}") from None
     except (TypeError, AttributeError, ArithmeticError) as exc:
@@ -170,9 +136,8 @@ def pair_dist_from_json(obj) -> dict[tuple[DirectedEdge, DirectedEdge], Fraction
             left, bar, right = key.partition("|")
             if not bar:
                 raise ValueError(f"pair key {key!r} is not of the form 'x,y|x2,y2'")
-            x, y = (int(t) for t in left.split(","))
-            x2, y2 = (int(t) for t in right.split(","))
-            pair_dist[((x, y), (x2, y2))] = Fraction(val)
+            pair_dist[(_parse_pair(left, ",", "pair key edge"),
+                       _parse_pair(right, ",", "pair key edge"))] = Fraction(val)
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed pair distribution document: {exc}") from None
     return pair_dist
@@ -465,5 +430,6 @@ def strategy_from_vertex_pvms(h: Graph, g: Graph, dim: int,
                               dist: Optional[dict[DirectedEdge, Fraction]] = None) -> Strategy:
     """Strategy from one family of g.n matrices per instance vertex, with the
     uniform edge weight unless ``dist`` is given."""
-    return Strategy(h, g, dim, _vertex_stack(h, g, dim, pvms.items(), _as_family),
+    fams = ((u, [_matrix_json(m) for m in fam]) for u, fam in pvms.items())
+    return Strategy(h, g, dim, _vertex_stack(h, g, dim, fams),
                     dist if dist is not None else uniform_edge_dist(h))

@@ -39,6 +39,8 @@ MAX_VERTICES = 4096
 # the interpreter's stack
 MAX_NESTING = 100
 _INT = re.compile(r"-?[0-9]+")
+# two such integers joined by a separator, whitespace around each
+_PAIRS = {sep: re.compile(rf"\s*({_INT.pattern})\s*{sep}\s*({_INT.pattern})\s*") for sep in ",="}
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,6 +294,14 @@ def _parse_int(text: str, what: str = "integer") -> int:
     if not _INT.fullmatch(s):
         raise ValueError(f"malformed {what} {text!r}")
     return int(s)
+
+
+def _parse_pair(text: str, sep: str, what: str) -> tuple[int, int]:
+    """Two integers, each read as by _parse_int, joined by ``sep`` ("," or "=")."""
+    m = _PAIRS[sep].fullmatch(text)
+    if m is None:
+        raise ValueError(f"malformed {what} {text!r}, expected two integers joined by {sep!r}")
+    return int(m[1]), int(m[2])
 
 
 def build_family(spec: str) -> Graph:

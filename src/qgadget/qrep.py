@@ -16,19 +16,22 @@ candidate is an analysis, not an error.  All constructions in this module are
 exact in exact arithmetic, so the default tolerance is a strict 1e-9.
 
 The stack is checked in batches; dimensions in practice never exceed 16.
+
+It owns the document codec that :mod:`defect` shares: _frame, _complex_stack
+and _matrix_json, with keys read by graphs._parse_pair.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import (Graph, adjacency_equal, box_product, complete_graph, cycle_graph,
-                     graph_from_json, path_graph)
+from .graphs import (Graph, _parse_pair, adjacency_equal, box_product, complete_graph,
+                     cycle_graph, graph_from_json, path_graph)
 from .endo import Endomorphism, VerificationFailure, is_wac, support, supports_disjoint
 
 DEFAULT_TOL = 1e-9
@@ -65,9 +68,8 @@ class QuantumRep:
         return self.mats[u, v]
 
     def to_json(self) -> dict:
-        mats = {f"{u},{v}": [[[float(z.real), float(z.imag)] for z in row]
-                             for row in self.mats[u, v]]
-                for u, v in zip(*np.nonzero(self.present))}
+        us, vs = np.nonzero(self.present)
+        mats = {f"{u},{v}": m for u, v, m in zip(us, vs, _matrix_json(self.mats[us, vs]))}
         return {"domain": self.domain.to_json(), "codomain": self.codomain.to_json(),
                 "dim": self.dim, "tol": self.tol, "mats": mats}
 
@@ -76,6 +78,13 @@ def _nonzero_rep(domain: Graph, codomain: Graph, mats: np.ndarray,
                  tol: float = DEFAULT_TOL) -> QuantumRep:
     """A constructed representation lists exactly its nonzero entries."""
     return QuantumRep(domain, codomain, mats.shape[2], mats, _residuals(mats) > 0.0, tol)
+
+
+def _matrix_json(m) -> list:
+    """Complex matrices as nested lists ending in [re, im] pairs, the layout
+    of every matrix in a document."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _complex_array(data) -> np.ndarray:
@@ -92,54 +101,67 @@ def _complex_array(data) -> np.ndarray:
     return a.astype(float, copy=False).view(complex)[..., 0]
 
 
-def _complex_stack(data, dim: int):
-    """A list of [re, im] matrices as one (len(data), dim, dim) complex
-    array, or None when it is empty or does not stack to that shape."""
+def _complex_stack(data, dim: int) -> np.ndarray:
+    """A list of [re, im] matrices as one (len(data), dim, dim) complex array.
+    Matrix by matrix only if they do not stack, to name the first bad one:
+    TypeError as in _complex_array, ValueError on a matrix of another shape."""
     try:
         stack = _complex_array(data)
+        if stack.shape[1:] == (dim, dim):
+            return stack
     except TypeError:
-        return None
-    return stack if stack.shape[1:] == (dim, dim) else None
+        pass
+    stack = np.zeros((len(data), dim, dim), dtype=complex)
+    for i, m in enumerate(data):
+        m = _complex_array(m)
+        if m.shape != (dim, dim):
+            raise ValueError(f"matrix has shape {m.shape}, expected ({dim},{dim})")
+        stack[i] = m
+    return stack
+
+
+def _check_stack(rows: int, cols: int, dim: int) -> None:
+    """Refuse a (rows, cols, dim, dim) stack of more than MAX_STACK_ENTRIES
+    numbers, before anything of that size is allocated."""
+    size = rows * cols * dim * dim
+    if size > MAX_STACK_ENTRIES:
+        raise ValueError(f"{rows} x {cols} matrices of dimension {dim} need "
+                         f"{size} matrix elements, more than {MAX_STACK_ENTRIES}")
+
+
+def _frame(obj, first: str, second: str) -> tuple[Graph, Graph, int, float]:
+    """The graphs under ``first`` and ``second``, an integer ``dim`` >= 1 and
+    a finite ``tol`` >= 0 of a document, its stack size checked."""
+    dim = operator.index(obj["dim"])
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    g1, g2 = graph_from_json(obj[first]), graph_from_json(obj[second])
+    _check_stack(g1.n, g2.n, dim)
+    tol = obj.get("tol", DEFAULT_TOL)
+    if not isinstance(tol, (int, float)) or not 0 <= float(tol) < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return g1, g2, dim, float(tol)
 
 
 def rep_from_json(obj: dict) -> QuantumRep:
     """Inverse of :meth:`QuantumRep.to_json`; raises ValueError on a malformed
     document, or on one whose stack would exceed MAX_STACK_ENTRIES numbers."""
     try:
-        dim = int(obj["dim"])
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
-        domain = graph_from_json(obj["domain"])
-        codomain = graph_from_json(obj["codomain"])
-        size = domain.n * codomain.n * dim * dim
-        if size > MAX_STACK_ENTRIES:
-            raise ValueError(f"{domain.n} x {codomain.n} entries of dimension {dim} need "
-                             f"{size} matrix elements, more than {MAX_STACK_ENTRIES}")
+        domain, codomain, dim, tol = _frame(obj, "domain", "codomain")
+        stack = _complex_stack(list(obj["mats"].values()), dim)
         mats = np.zeros((domain.n, codomain.n, dim, dim), dtype=complex)
         present = np.zeros((domain.n, codomain.n), dtype=bool)
-        entries = list(obj["mats"].items())
-        # one array for all entries; entry by entry only if they do not stack
-        stack = _complex_stack([rows for _, rows in entries], dim)
-        for i, (key, rows) in enumerate(entries):
-            u, v = (int(t) for t in key.split(","))
+        for key, m in zip(obj["mats"], stack):
+            u, v = _parse_pair(key, ",", "mats key")
             if not (0 <= u < domain.n and 0 <= v < codomain.n):
                 raise ValueError(f"entry key {key} out of range for the stated graphs")
-            m = _complex_array(rows) if stack is None else stack[i]
-            if m.shape != (dim, dim):
-                raise ValueError(f"matrix at {key} has shape {m.shape}, expected ({dim},{dim})")
             mats[u, v] = m
             present[u, v] = True
-        tol = float(obj.get("tol", DEFAULT_TOL))
     except KeyError as exc:
         raise ValueError(f"representation document lacks field {exc}") from None
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed representation document: {exc}") from None
     return QuantumRep(domain, codomain, dim, mats, present, tol)
-
-
-def load_rep(path: str) -> QuantumRep:
-    with open(path, "r", encoding="utf-8") as fh:
-        return rep_from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +370,7 @@ def compose_reps(r1: QuantumRep, r2: QuantumRep) -> QuantumRep:
     if not adjacency_equal(r1.codomain, r2.domain):
         raise ValueError("codomain of the first representation must equal the domain of the second")
     dim = r1.dim * r2.dim
+    _check_stack(r1.domain.n, r2.codomain.n, dim)
     mats = np.einsum("abij,bckl->acikjl", r1.mats, r2.mats)
     return _nonzero_rep(r1.domain, r2.codomain,
                         mats.reshape(r1.domain.n, r2.codomain.n, dim, dim),

@@ -11,6 +11,10 @@ isomorphism is decided by plain backtracking.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -50,6 +54,15 @@ def small_family_graphs() -> list[Graph]:
 @pytest.fixture(scope="session")
 def endo_battery() -> list[Graph]:
     return [build_family(s) for s in ENDO_BATTERY_SPECS]
+
+
+def run_fresh(*argv) -> subprocess.CompletedProcess:
+    """``qgadget *argv`` in a new interpreter, on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,11 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,12 +18,13 @@ import qgadget.cli
 import qgadget.endo
 import qgadget.gadget
 import qgadget.qcore
-from qgadget import (QuantumCoreCertificate, build_family, classical_strategy,
-                     enumerate_homomorphisms, graph_from_edges, pair_swap_rep,
+from qgadget import (QuantumCoreCertificate, QuantumRep, build_family, classical_rep,
+                     classical_strategy, enumerate_homomorphisms, graph_from_edges,
+                     pair_dist_from_json, pair_swap_rep, rep_from_json, strategy_from_json,
                      verify_quantum_core_certificate)
 from qgadget.cli import main
 from qgadget.graphs import MAX_NESTING
-from conftest import hom_exists_forward_checking
+from conftest import hom_exists_forward_checking, run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -191,9 +189,49 @@ def test_integers_must_be_ascii_digits_at_every_integer(tmp_path, capsys):
 
 
 def test_integers_must_be_ascii_digits_in_a_fresh_process():
-    proc = _run_fresh("analyze", "K:1_0")
+    proc = run_fresh("analyze", "K:1_0")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+# one bad value for each integer argument; the rest of each line is a valid call
+INTEGER_ARGUMENTS = [
+    ["analyze", "C:5", "--max-vertices", "1_2"],
+    ["endos", "C:5", "--limit", "1_0"],
+    ["homs", "C:5", "K:3", "--limit", "+1"],
+    ["gadget-check", "cmpl(C:6)", "\u0660", "1", "K:3"],
+    ["gadget-check", "cmpl(C:6)", "0", "+1", "K:3"],
+    ["gadget-check", "cmpl(C:6)", "0", "1", "K:3", "--lmax", "1_0"],
+    ["gadget-build", "complement-cycle", "+4"],
+    ["splice", "K:2", "cmpl(C:6)", "+0", "1", "K:3"],
+    ["splice", "K:2", "cmpl(C:6)", "0", "0_1", "K:3"],
+    ["disprove-prism", "\u0662", "4"],
+    ["disprove-prism", "2", "+4"],
+    ["qcore", "C:5", "--lmax", "1_0"],
+    ["defect", "STRATEGY", "--model", "commutator", "--x", "+0", "--y", "1"],
+    ["defect", "STRATEGY", "--model", "commutator", "--x", "0", "--y", "\u0661"],
+    ["product-transfer", "cmpl(C:8)", "+0", "1", "K:4", "K:4"],
+    ["product-transfer", "cmpl(C:8)", "0", "1_0", "K:4", "K:4"],
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_ARGUMENTS, ids=" ".join)
+def test_integer_arguments_must_be_ascii_digits_exit_1(tmp_path, capsys, argv):
+    # type=int took "1_0" as 10, "+1" as 1 and "\u0662" as 2
+    argv = [str(_c_c_strategy(tmp_path)) if a == "STRATEGY" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--json"])
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert out.err.startswith("usage: qgadget") and "Traceback" not in out.err
+    assert "error: argument" in out.err and "invalid int value" in out.err
+
+
+def test_integer_arguments_must_be_ascii_digits_in_a_fresh_process():
+    proc = run_fresh("endos", "C:5", "--limit", "1_0", "--json")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: qgadget") and "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("error: argument --limit: invalid int value: '1_0'\n")
 
 
 @pytest.mark.parametrize("limit", ["0", "2"])
@@ -391,12 +429,17 @@ def test_qcore_builds_certificate_once(monkeypatch, capsys):
 
 def _malformed_rep_docs():
     good = pair_swap_rep(4).to_json()
+    k2 = build_family("K:2")
+    one = classical_rep(k2, k2, [1, 0]).to_json()  # dimension 1
     big = graph_from_edges(1100, []).to_json()
 
-    def edit(fn):
-        doc = json.loads(json.dumps(good))
+    def edit(fn, base=good):
+        doc = json.loads(json.dumps(base))
         fn(doc)
         return doc
+
+    def rekey(new):
+        return edit(lambda d: d["mats"].update({new: d["mats"].pop("0,0")}))
 
     return {
         "no-domain": edit(lambda d: d.pop("domain")),
@@ -412,6 +455,16 @@ def _malformed_rep_docs():
         "edge-not-pair": edit(lambda d: d["domain"].update(edges=[[0]])),
         "n-missing": edit(lambda d: d["codomain"].pop("n")),
         "dim-zero": edit(lambda d: d.update(dim=0)),
+        # keys and dim were read by int(), which truncates 1.9 and reads "+0",
+        # "0_0" and Arabic-Indic digits; an infinite tol passed every residual
+        "key-plus": rekey("+0,0"),
+        "key-underscore": rekey("0_0,0"),
+        "key-arabic-digit": rekey(" \u0660,0"),
+        "dim-float": edit(lambda d: d.update(dim=1.9), one),
+        "dim-string": edit(lambda d: d.update(dim="1"), one),
+        "tol-infinite": edit(lambda d: d.update(tol=math.inf)),
+        "tol-nan": edit(lambda d: d.update(tol=math.nan)),
+        "tol-negative": edit(lambda d: d.update(tol=-1)),
         # 1100 * 1100 entries of dimension 2: a valid document, but above the stack bound
         "stack-too-large": edit(lambda d: d.update(domain=big, codomain=big, mats={})),
         "not-an-object": [1, 2, 3],
@@ -420,8 +473,11 @@ def _malformed_rep_docs():
 
 @pytest.mark.parametrize("name", sorted(_malformed_rep_docs()))
 def test_rep_verify_malformed_document_exit_1(tmp_path, capsys, name):
+    doc = _malformed_rep_docs()[name]
+    with pytest.raises(ValueError):
+        rep_from_json(doc)
     path = tmp_path / "rep.json"
-    path.write_text(json.dumps(_malformed_rep_docs()[name]))
+    path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "rep-verify", str(path), "--json")
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
     assert out == ""
@@ -438,11 +494,54 @@ def test_defect_malformed_strategy_exit_1(tmp_path, capsys, drop):
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
 
 
+def _malformed_strategy_docs():
+    h, g = build_family("C:6"), build_family("K:3")
+    good = classical_strategy(h, g, enumerate_homomorphisms(h, g, limit=1)[0],
+                              with_edge_pvms=True).to_json()
+
+    def rekey(fams, fix):
+        # the first key, "0" or "0,b", as int() read it too
+        key = next(iter(fams))
+        assert key.startswith("0")
+        fams[fix(key)] = fams.pop(key)
+
+    edits = {"dim-float": lambda d: d.update(dim=1.9),
+             "dim-string": lambda d: d.update(dim="1"),
+             "tol-infinite": lambda d: d.update(tol=math.inf),
+             "tol-nan": lambda d: d.update(tol=math.nan),
+             "tol-negative": lambda d: d.update(tol=-1),
+             "vertex_pvms-plus": lambda d: rekey(d["vertex_pvms"], lambda k: "+" + k)}
+    for name, fix in (("plus", lambda k: "+" + k), ("underscore", lambda k: "0_" + k),
+                      ("arabic-digit", lambda k: " \u0660" + k[1:])):
+        edits[f"dist-{name}"] = lambda d, fix=fix: rekey(d["dist"], fix)
+        edits[f"edge_pvms-{name}"] = lambda d, fix=fix: rekey(d["edge_pvms"], fix)
+        edits[f"outcome-{name}"] = lambda d, fix=fix: rekey(d["edge_pvms"]["0,1"], fix)
+    docs = {}
+    for name, fn in edits.items():
+        docs[name] = json.loads(json.dumps(good))
+        fn(docs[name])
+    return docs
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_strategy_docs()))
+def test_defect_malformed_strategy_document_exit_1(tmp_path, capsys, name):
+    doc = _malformed_strategy_docs()[name]
+    field = name.split("-")[0]
+    with pytest.raises(ValueError, match=field if field != "dim" else "integer"):
+        strategy_from_json(doc)
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "defect", str(path), "--model", "c-v", "--json")
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
 MALFORMED_PAIR_DISTS = {
     "list": [["0,1|1,2", "1"]],
     "list-weight": {"0,1|1,2": [1]},
     "no-bar": {"0,1": "1"},
     "zero-denominator": {"0,1|1,2": "1/0"},
+    "plus-key": {"0,+1|1,0": "1"},
 }
 
 
@@ -456,6 +555,8 @@ def _c_c_strategy(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_PAIR_DISTS))
 def test_defect_malformed_pair_dist_exit_1(tmp_path, capsys, name):
+    with pytest.raises(ValueError):
+        pair_dist_from_json(MALFORMED_PAIR_DISTS[name])
     pd_path = tmp_path / "pairs.json"
     pd_path.write_text(json.dumps(MALFORMED_PAIR_DISTS[name]))
     code, out, err = run_cli(capsys, "defect", str(_c_c_strategy(tmp_path)), "--model", "c-c",
@@ -464,18 +565,10 @@ def test_defect_malformed_pair_dist_exit_1(tmp_path, capsys, name):
     assert out == ""
 
 
-def _run_fresh(*argv):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-
-
 def test_malformed_rep_document_in_a_fresh_process(tmp_path):
     path = tmp_path / "rep.json"
     path.write_text(json.dumps(_malformed_rep_docs()["no-domain"]))
-    proc = _run_fresh("rep-verify", str(path))
+    proc = run_fresh("rep-verify", str(path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
@@ -486,7 +579,7 @@ def test_deeply_nested_descriptor_in_a_fresh_process(template):
     spec = "K:2"
     for _ in range(1000):
         spec = template.format(spec)
-    proc = _run_fresh("analyze", spec)
+    proc = run_fresh("analyze", spec)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: family descriptor nested deeper than {MAX_NESTING} levels\n"
 
@@ -495,7 +588,7 @@ def test_deeply_nested_descriptor_in_a_fresh_process(template):
 def test_malformed_pair_dist_in_a_fresh_process(tmp_path, name):
     pd_path = tmp_path / "pairs.json"
     pd_path.write_text(json.dumps(MALFORMED_PAIR_DISTS[name]))
-    proc = _run_fresh("defect", str(_c_c_strategy(tmp_path)), "--model", "c-c",
+    proc = run_fresh("defect", str(_c_c_strategy(tmp_path)), "--model", "c-c",
                       "--pair-dist", str(pd_path))
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
@@ -518,14 +611,14 @@ def test_defect_nan_strategy_exit_1(tmp_path, capsys):
 
 
 def test_defect_nan_strategy_in_a_fresh_process(tmp_path):
-    proc = _run_fresh("defect", str(_nan_strategy(tmp_path)), "--model", "a", "--json")
+    proc = run_fresh("defect", str(_nan_strategy(tmp_path)), "--model", "a", "--json")
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("x, y", [("99", "0"), ("-1", "0")])
 def test_defect_commutator_vertex_out_of_range_in_a_fresh_process(tmp_path, x, y):
-    proc = _run_fresh("defect", str(_c_c_strategy(tmp_path)), "--model", "commutator",
+    proc = run_fresh("defect", str(_c_c_strategy(tmp_path)), "--model", "commutator",
                       "--x", x, "--y", y)
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
@@ -538,7 +631,7 @@ def test_defect_commutator_vertex_out_of_range_in_a_fresh_process(tmp_path, x, y
                                   ["gadget-check", "C:9", "0", "4", "C:9"]])
 def test_huge_lmax_costs_what_the_auto_lmax_costs(capsys, argv):
     # neither the walk tables nor the length searches may scale with lmax
-    proc = _run_fresh(*argv, "--lmax", str(10**12), "--json")
+    proc = run_fresh(*argv, "--lmax", str(10**12), "--json")
     assert proc.returncode == 0, proc.stderr
     huge = json.loads(proc.stdout)
     auto = run_json(capsys, *argv)
@@ -561,6 +654,16 @@ def test_rep_verify_and_compose(tmp_path, capsys):
     assert report["result"]["report"]["passed"]
     assert report["result"]["dim"] == 4
     assert out_path.exists()
+
+
+def test_rep_compose_above_the_stack_bound_exit_1(tmp_path, capsys):
+    k1 = build_family("K:1")
+    rep = QuantumRep(k1, k1, 64, np.eye(64, dtype=complex)[None, None], np.ones((1, 1), bool))
+    path = tmp_path / "rep64.json"
+    path.write_text(json.dumps(rep.to_json()))
+    code, out, err = run_cli(capsys, "rep-compose", str(path), str(path), "--json")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: 1 x 1 matrices of dimension 4096 need")
 
 
 def test_rep_compose_rejects_broken_rep_exit_2(tmp_path, capsys):
@@ -718,7 +821,7 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         seen.append(_normal(out))
-    fresh = [_normal(_run_fresh(*argv).stdout) for argv in (pinned, plain)]
+    fresh = [_normal(run_fresh(*argv).stdout) for argv in (pinned, plain)]
     assert seen == [fresh[0], fresh[0], fresh[1]]
     assert json.loads(seen[0])["result"]["count"] < json.loads(seen[2])["result"]["count"]
 
@@ -790,6 +893,6 @@ def test_non_finite_reports_keep_their_bytes(tmp_path, capsys):
 
 
 def test_infinite_entry_warns_nothing_in_a_fresh_process(tmp_path):
-    proc = _run_fresh("rep-verify", str(_inf_rep_doc(tmp_path)), "--json")
+    proc = run_fresh("rep-verify", str(_inf_rep_doc(tmp_path)), "--json")
     assert proc.returncode == 0 and proc.stderr == ""
     assert INF_REP_RESULT in proc.stdout

@@ -1,6 +1,7 @@
 """Finite-dimensional representation constructions and verification."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qgadget import (Endomorphism, QuantumRep, build_family, classical_rep, comm
                      four_cycle_rep, lift_box_rep, pair_swap_rep, path_shift_pair,
                      path_to_cycle_rep, projector, rep_from_json, schmidt_rep,
                      schmidt_witness, supports_disconnected, verify_rep)
-from qgadget.qrep import KET0, KETPLUS
+from qgadget.qrep import KET0, KETPLUS, MAX_STACK_ENTRIES
 from conftest import operator_norm_svd
 
 
@@ -197,6 +198,23 @@ def test_compose_rejects_mismatch():
                       [0, 1, 0, 1])
     with pytest.raises(ValueError):
         compose_reps(r, s)
+
+
+def test_composite_above_the_stack_bound_refused_before_allocation():
+    # two documents within the bound, whose composite has 4096^2 numbers
+    k1 = build_family("K:1")
+    doc = QuantumRep(k1, k1, 64, np.eye(64, dtype=complex)[None, None],
+                     np.ones((1, 1), bool)).to_json()
+    r = rep_from_json(json.loads(json.dumps(doc)))
+    assert verify_rep(r).passed
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_STACK_ENTRIES)):
+            compose_reps(r, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_path_shift_pair_disconnected():
