@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, _parse_int, _parse_pair
-from .qrep import DEFAULT_TOL, _complex_stack, _frame, _matrix_json, _residuals
+from .qrep import DEFAULT_TOL, _complex_stack, _frame, _matrix_json, _read_keys, _residuals
 
 # numbers per batched temporary in validation and the defects; batches of
 # 2^12 numbers and more raised the peak resident memory of a process running
@@ -102,24 +102,25 @@ def strategy_from_json(obj: dict) -> Strategy:
     numbers."""
     try:
         inst, targ, dim, tol = _frame(obj, "instance", "target")
-        vertex_pvms = _vertex_stack(inst, targ, dim, ((_parse_int(u, "vertex_pvms key"), fam)
-                                                      for u, fam in obj["vertex_pvms"].items()))
+        fams = obj["vertex_pvms"]
+        vertex_pvms = _vertex_stack(inst, targ, dim, zip(
+            _read_keys(fams, "vertex_pvms key", _parse_int), fams.values()))
         dist = {}
         weights: dict = {}  # each distinct weight value is parsed once
-        for key, val in obj["dist"].items():
+        for edge, val in zip(_read_keys(obj["dist"], "dist key"), obj["dist"].values()):
             try:
                 w = weights[val]
             except (KeyError, TypeError):
                 # an unhashable value raises Fraction's own error here
                 w = weights[val] = Fraction(val)
-            dist[_parse_pair(key, ",", "dist key")] = w
+            dist[edge] = w
         edge_pvms = None
         if obj.get("edge_pvms") is not None:
             edge_pvms = {}
-            for ekey, fam in obj["edge_pvms"].items():
-                outcomes = [_parse_pair(okey, ",", "outcome key") for okey in fam]
-                edge_pvms[_parse_pair(ekey, ",", "edge_pvms key")] = \
-                    dict(zip(outcomes, _complex_stack(list(fam.values()), dim)))
+            for edge, fam in zip(_read_keys(obj["edge_pvms"], "edge_pvms key"),
+                                 obj["edge_pvms"].values()):
+                edge_pvms[edge] = dict(zip(_read_keys(fam, "outcome key"),
+                                           _complex_stack(list(fam.values()), dim)))
     except KeyError as exc:
         raise ValueError(f"strategy document lacks field {exc}") from None
     except (TypeError, AttributeError, ArithmeticError) as exc:
@@ -127,17 +128,19 @@ def strategy_from_json(obj: dict) -> Strategy:
     return Strategy(inst, targ, dim, vertex_pvms, dist, edge_pvms, tol)
 
 
+def _edge_pair(key: str, what: str) -> tuple[DirectedEdge, DirectedEdge]:
+    left, bar, right = key.partition("|")
+    if not bar:
+        raise ValueError(f"{what} {key!r} is not of the form 'x,y|x2,y2'")
+    return _parse_pair(left, ",", f"{what} edge"), _parse_pair(right, ",", f"{what} edge")
+
+
 def pair_dist_from_json(obj) -> dict[tuple[DirectedEdge, DirectedEdge], Fraction]:
     """The pair distribution of :func:`cc_defect` from a ``{"x,y|x2,y2": "p/q"}``
     document; raises ValueError on a malformed document."""
     try:
-        pair_dist = {}
-        for key, val in obj.items():
-            left, bar, right = key.partition("|")
-            if not bar:
-                raise ValueError(f"pair key {key!r} is not of the form 'x,y|x2,y2'")
-            pair_dist[(_parse_pair(left, ",", "pair key edge"),
-                       _parse_pair(right, ",", "pair key edge"))] = Fraction(val)
+        pair_dist = {pair: Fraction(val)
+                     for pair, val in zip(_read_keys(obj, "pair key", _edge_pair), obj.values())}
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed pair distribution document: {exc}") from None
     return pair_dist
@@ -194,11 +197,14 @@ def _check_pvms(fams: np.ndarray, tol: float, label: Callable[[int], str]):
     eye = np.eye(d)
     for chunk in _chunks(n_fam, k * d * d):
         p = fams[chunk]
-        herm = _residuals(p - p.conj().swapaxes(-1, -2))
-        idem = _residuals(p @ p - p)
+        # a huge entry overflows and an infinite one gives inf - inf = NaN;
+        # both residuals fail quietly, as in qrep.verify_rep
+        with np.errstate(invalid="ignore", over="ignore"):
+            herm = _residuals(p - p.conj().swapaxes(-1, -2))
+            idem = _residuals(p @ p - p)
+            bad_sum = ~(_residuals(p.sum(axis=1) - eye) <= tol)
+            pair = _first_bad_pair(p, tol)
         bad_el = (~(herm <= tol) | ~(idem <= tol)).any(axis=1)
-        bad_sum = ~(_residuals(p.sum(axis=1) - eye) <= tol)
-        pair = _first_bad_pair(p, tol)
         bad = np.flatnonzero(bad_el | bad_sum)
         if not len(bad) and pair is None:
             continue

@@ -211,14 +211,14 @@ def kneser_graph(n: int, k: int) -> Graph:
     """
     if not (n >= k >= 1):
         raise ValueError("Kneser graph needs n >= k >= 1")
-    _check_order(math.comb(n, k))
-    subsets = [frozenset(c) for c in combinations(range(n), k)]
-    nv = len(subsets)
-    adj = np.zeros((nv, nv), dtype=bool)
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if not (subsets[i] & subsets[j]):
-                adj[i, j] = adj[j, i] = True
+    nv = math.comb(n, k)
+    _check_order(nv)
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(nv, k)
+    incidence = np.zeros((nv, n), dtype=np.float32)
+    incidence[np.arange(nv)[:, None], subsets] = 1
+    # entry (i, j) counts the elements subsets i and j share: an integer of
+    # at most k < 2^24, exact in float32 whatever the summation order
+    adj = incidence @ incidence.T == 0
     return Graph(nv, adj, f"KG:{n},{k}", note="vertices are k-subsets in lexicographic order")
 
 

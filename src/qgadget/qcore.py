@@ -26,12 +26,16 @@ distances in O(n^2), whatever the search bound.
 
 The module stays entirely combinatorial: it never touches algebra elements.
 Verification does not trust the table that found the lengths, nor its
-packed-row kernel: it re-checks every recorded length with dense bool-dtype
-powers of the adjacency matrix (products by repeated squaring, which cannot
-overflow), so the trusted computing base is the boolean matrix power.  The
-recorded lengths are grouped, so each distinct length costs one power and
-one batched check of all its pairs.  A missing length within the search
-bound makes the result inconclusive, not a disproof.
+packed-row kernel: it re-checks every recorded length with powers of the
+adjacency matrix by repeated squaring, held as bool matrices.  Each product
+is a float32 BLAS product of the 0/1 operands thresholded at ``> 0``.  Its
+entries count walks through a middle vertex, integers of at most
+n <= graphs.MAX_VERTICES = 4096 < 2^24, so float32 holds every partial sum
+exactly, whatever the summation order or thread split; the trusted
+computing base is that thresholded product.  The recorded lengths are
+grouped, so each distinct length costs one power and one batched check of
+all its pairs.  A missing length within the search bound makes the result
+inconclusive, not a disproof.
 """
 
 from __future__ import annotations
@@ -114,25 +118,35 @@ def quantum_core_certificate(g: Graph, lmax: int) -> Optional[QuantumCoreCertifi
     return QuantumCoreCertificate(g, column, cross)
 
 
-def _bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for bool matrices, through float32 BLAS; exact, as the module
+    docstring says."""
+    return np.matmul(x, y, dtype=np.float32) > 0
+
+
+def _power(squares: list[np.ndarray], ell: int) -> np.ndarray:
     """adj^ell in bool dtype by repeated squaring; squares[i] is adj^(2^i)
     and is extended in place as needed."""
     out = None
     bit = 0
     while ell >> bit:
         if bit == len(squares):
-            squares.append(squares[-1] @ squares[-1])
+            squares.append(_product(squares[-1], squares[-1]))
         if (ell >> bit) & 1:
-            out = squares[bit] if out is None else out @ squares[bit]
+            out = squares[bit] if out is None else _product(out, squares[bit])
         bit += 1
     return np.eye(len(squares[0]), dtype=bool) if out is None else out
 
 
 def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
-    """Re-verify every recorded length with bool-dtype powers of the adjacency
-    matrix, independent of the walk table; raises ValueError when an array
-    does not hold one length per pair of g, else on the first failing pair
-    in row-major order, a pair's column check before its cross check.
+    """Re-verify every recorded length with powers of the adjacency matrix,
+    independent of the walk table; raises ValueError when an array does not
+    hold one length per pair of g, else on the first failing pair in
+    row-major order, a pair's column check before its cross check.
+
+    Each product is ``np.matmul(x, y, dtype=np.float32) > 0`` on bool
+    operands: its entries are integers of at most n < 2^24, exact in
+    float32, so the threshold gives the boolean product.
 
     The recorded lengths are grouped: the distinct ones are taken in
     ascending order, each power is the one before times a cached power of
@@ -159,12 +173,12 @@ def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> N
         if ell < 0:
             continue
         if power is None:
-            power = _bool_power(squares, ell)
+            power = _power(squares, ell)
         else:
             diff = ell - at
             if diff not in steps:
-                steps[diff] = _bool_power(squares, diff)
-            power = power @ steps[diff]
+                steps[diff] = _power(squares, diff)
+            power = _product(power, steps[diff])
         at = ell
         key = keys[which == k]
         forbidden = np.where(key % 2, power[eu, ev].any(), power.diagonal().any())

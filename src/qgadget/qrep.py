@@ -17,8 +17,8 @@ exact in exact arithmetic, so the default tolerance is a strict 1e-9.
 
 The stack is checked in batches; dimensions in practice never exceed 16.
 
-It owns the document codec that :mod:`defect` shares: _frame, _complex_stack
-and _matrix_json, with keys read by graphs._parse_pair.
+It owns the document codec that :mod:`defect` shares: _frame, _complex_stack,
+_matrix_json and _read_keys, with keys read by graphs._parse_pair.
 """
 
 from __future__ import annotations
@@ -129,6 +129,25 @@ def _check_stack(rows: int, cols: int, dim: int) -> None:
                          f"{size} matrix elements, more than {MAX_STACK_ENTRIES}")
 
 
+def _read_keys(keys, what: str, read=None) -> list:
+    """``read(key, what)`` of each key of a document map, in order; by
+    default a key is an "a,b" pair.  Two keys may read as the same entry
+    ("0,0" and "00,0"), and a map of entries would keep only the last of
+    them silently, so that raises ValueError."""
+    if read is None:
+        entries = [_parse_pair(key, ",", what) for key in keys]
+    else:
+        entries = [read(key, what) for key in keys]
+    if len(set(entries)) < len(entries):
+        first: dict = {}
+        for key, entry in zip(keys, entries):
+            if entry in first:
+                raise ValueError(f"{what}s {first[entry]!r} and {key!r} name the same entry "
+                                 + str(entry).replace(" ", ""))
+            first[entry] = key
+    return entries
+
+
 def _frame(obj, first: str, second: str) -> tuple[Graph, Graph, int, float]:
     """The graphs under ``first`` and ``second``, an integer ``dim`` >= 1 and
     a finite ``tol`` >= 0 of a document, its stack size checked."""
@@ -151,8 +170,7 @@ def rep_from_json(obj: dict) -> QuantumRep:
         stack = _complex_stack(list(obj["mats"].values()), dim)
         mats = np.zeros((domain.n, codomain.n, dim, dim), dtype=complex)
         present = np.zeros((domain.n, codomain.n), dtype=bool)
-        for key, m in zip(obj["mats"], stack):
-            u, v = _parse_pair(key, ",", "mats key")
+        for key, (u, v), m in zip(obj["mats"], _read_keys(obj["mats"], "mats key"), stack):
             if not (0 <= u < domain.n and 0 <= v < codomain.n):
                 raise ValueError(f"entry key {key} out of range for the stated graphs")
             mats[u, v] = m

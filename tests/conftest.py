@@ -2,11 +2,13 @@
 
 The oracles here deliberately take a different route from the library code
 they check: walks are enumerated by explicit DFS instead of matrix powers,
-homomorphism existence is decided by backtracking search when checking the
-parity shortcut, and by forward checking over vertex sets when checking a
-pinned table's misses, operator norms come from numpy's SVD instead of power
-iteration, game values are counted directly from the predicate, and graph
-isomorphism is decided by plain backtracking.
+quantum-core certificates are re-checked pair by pair with bool-dtype powers
+instead of grouped float32 BLAS products, homomorphism existence is decided
+by backtracking search when checking the parity shortcut, and by forward
+checking over vertex sets when checking a pinned table's misses, operator
+norms come from numpy's SVD instead of power iteration, game values are
+counted directly from the predicate, and graph isomorphism is decided by
+plain backtracking.
 """
 
 from __future__ import annotations
@@ -101,6 +103,57 @@ def walk_exists_dfs(g: Graph, length: int, u: int, v: int) -> bool:
     if length == 0:
         return u == v
     return any(walk_exists_dfs(g, length - 1, int(w), v) for w in g.neighbors(u))
+
+
+def bool_power(squares: list[np.ndarray], ell: int) -> np.ndarray:
+    """adj^ell in bool dtype by repeated squaring with numpy's bool ``@``,
+    which cannot overflow; squares[i] is adj^(2^i) and is extended in place
+    as needed (oracle for the verifier's float32 products)."""
+    out = None
+    bit = 0
+    while ell >> bit:
+        if bit == len(squares):
+            squares.append(squares[-1] @ squares[-1])
+        if (ell >> bit) & 1:
+            out = squares[bit] if out is None else out @ squares[bit]
+        bit += 1
+    return np.eye(len(squares[0]), dtype=bool) if out is None else out
+
+
+def verify_loop(g: Graph, cert) -> Optional[str]:
+    """The message of a quantum-core certificate's first failure, pair by
+    pair in row-major order, or None when it holds; each recorded length's
+    power comes from bool_power, once per distinct length."""
+    n_pairs = g.n * (g.n - 1) // 2
+    for kind, lengths, want in (("column", cert.column_lengths, n_pairs),
+                                ("cross", cert.cross_lengths, n_pairs - g.num_edges)):
+        if len(lengths) != want:
+            return f"certificate holds {len(lengths)} {kind} lengths for {want} {kind} pairs"
+    squares = [g.adj]
+    powers: dict = {}
+
+    def walks(ell):
+        # (power, some closed walk, some adjacent pair joined) at length ell
+        if ell not in powers:
+            p = bool_power(squares, ell)
+            powers[ell] = p, bool(p.diagonal().any()), bool(p[g.adj].any())
+        return powers[ell]
+
+    columns, crosses = iter(cert.column_lengths.tolist()), iter(cert.cross_lengths.tolist())
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            ell = next(columns)
+            if ell < 0 or not walks(ell)[0][a, b]:
+                return f"column pair ({a},{b}): no walk of length {ell}"
+            if walks(ell)[1]:
+                return f"column pair ({a},{b}): closed walk of length {ell} exists"
+            if not g.has_edge(a, b):
+                ell = next(crosses)
+                if ell < 0 or not walks(ell)[0][a, b]:
+                    return f"cross pair ({a},{b}): no walk of length {ell}"
+                if walks(ell)[2]:
+                    return f"cross pair ({a},{b}): adjacent pair joined at length {ell}"
+    return None
 
 
 def hom_exists_bruteforce(h: Graph, g: Graph) -> bool:

@@ -460,6 +460,8 @@ def _malformed_rep_docs():
         "key-plus": rekey("+0,0"),
         "key-underscore": rekey("0_0,0"),
         "key-arabic-digit": rekey(" \u0660,0"),
+        # the last of two keys for one entry used to win silently
+        "key-repeated": edit(lambda d: d["mats"].update({"00,0": d["mats"]["0,0"]})),
         "dim-float": edit(lambda d: d.update(dim=1.9), one),
         "dim-string": edit(lambda d: d.update(dim="1"), one),
         "tol-infinite": edit(lambda d: d.update(tol=math.inf)),
@@ -505,6 +507,11 @@ def _malformed_strategy_docs():
         assert key.startswith("0")
         fams[fix(key)] = fams.pop(key)
 
+    def repeat(fams):
+        # the first key again, written "0..." as "00...", after the others
+        key = next(iter(fams))
+        fams["0" + key] = fams[key]
+
     edits = {"dim-float": lambda d: d.update(dim=1.9),
              "dim-string": lambda d: d.update(dim="1"),
              "tol-infinite": lambda d: d.update(tol=math.inf),
@@ -516,6 +523,9 @@ def _malformed_strategy_docs():
         edits[f"dist-{name}"] = lambda d, fix=fix: rekey(d["dist"], fix)
         edits[f"edge_pvms-{name}"] = lambda d, fix=fix: rekey(d["edge_pvms"], fix)
         edits[f"outcome-{name}"] = lambda d, fix=fix: rekey(d["edge_pvms"]["0,1"], fix)
+    for field in ("vertex_pvms", "dist", "edge_pvms"):
+        edits[f"{field}-repeated"] = lambda d, f=field: repeat(d[f])
+    edits["outcome-repeated"] = lambda d: repeat(d["edge_pvms"]["0,1"])
     docs = {}
     for name, fn in edits.items():
         docs[name] = json.loads(json.dumps(good))
@@ -542,6 +552,7 @@ MALFORMED_PAIR_DISTS = {
     "no-bar": {"0,1": "1"},
     "zero-denominator": {"0,1|1,2": "1/0"},
     "plus-key": {"0,+1|1,0": "1"},
+    "repeated-key": {"0,1|1,2": "1", "00,1|1,2": "0"},
 }
 
 

@@ -1,6 +1,7 @@
 """Weighted-algebra defects for finite-dimensional strategies."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -233,6 +234,27 @@ def test_nan_strategy_fails_validation():
     s.vertex_pvms[1, 1, 1, 1] = complex(1.0, np.nan)
     with pytest.raises(ValueError, match="vertex 1 PVM: element 1 is not hermitian"):
         validate_strategy(s)
+
+
+@pytest.mark.parametrize("entry, check", [(1e300, "idempotent"), (np.inf, "hermitian"),
+                                          (-np.inf, "hermitian")], ids=["1e300", "inf", "-inf"])
+@pytest.mark.parametrize("edge", [False, True], ids=["vertex", "edge"])
+def test_non_finite_strategy_fails_without_numpy_warnings(entry, check, edge):
+    # a huge entry overflows in the products and an infinite one gives
+    # inf - inf; either must reach the ValueError without a RuntimeWarning
+    h = build_family("K:2")
+    doc = classical_strategy(h, h, [0, 1], with_edge_pvms=True).to_json()
+    if edge:
+        doc["edge_pvms"]["0,1"]["0,1"][0][0][0] = entry
+        what = r"edge \(0,1\) PVM: element 0"
+    else:
+        doc["vertex_pvms"]["0"][0][0][0][0] = entry
+        what = "vertex 0 PVM: element 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = strategy_from_json(doc)
+        with pytest.raises(ValueError, match=f"^{what} is not {check}$"):
+            validate_strategy(s, need_edge_pvms=True)
 
 
 def test_commutator_vertices_must_be_instance_vertices():

@@ -201,3 +201,32 @@ def test_mutated_documents_in_a_fresh_process(tmp_path, seed):
                  ["defect", str(good), "--model", "c-c", "--pair-dist", str(pairs)]):
         proc = run_fresh(*argv, "--json")
         assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr
+
+
+def _repeat(fams, key, again):
+    fams[again] = fams[key]
+
+
+@pytest.mark.parametrize("load, edit, message", [
+    (rep_from_json, lambda d: _repeat(d["mats"], "0,1", " 0, 01 "),
+     "mats keys '0,1' and ' 0, 01 ' name the same entry (0,1)"),
+    (strategy_from_json, lambda d: _repeat(d["vertex_pvms"], "2", "002"),
+     "vertex_pvms keys '2' and '002' name the same entry 2"),
+    (strategy_from_json, lambda d: _repeat(d["dist"], "1,2", "01,2"),
+     "dist keys '1,2' and '01,2' name the same entry (1,2)"),
+    (strategy_from_json, lambda d: _repeat(d["edge_pvms"], "2,3", "2,003"),
+     "edge_pvms keys '2,3' and '2,003' name the same entry (2,3)"),
+    (strategy_from_json, lambda d: _repeat(d["edge_pvms"]["0,1"], "0,1", "-0,1"),
+     "outcome keys '0,1' and '-0,1' name the same entry (0,1)"),
+    (pair_dist_from_json, lambda d: _repeat(d, "1,2|2,3", "1,2|2,03"),
+     "pair keys '1,2|2,3' and '1,2|2,03' name the same entry ((1,2),(2,3))"),
+], ids=["mats", "vertex_pvms", "dist", "edge_pvms", "outcome", "pair-dist"])
+def test_two_keys_for_one_entry_are_refused(load, edit, message):
+    # a map of entries would keep the last of the two, whatever its value
+    doc = {rep_from_json: _rep_doc, strategy_from_json: lambda: _edge_strategy().to_json(),
+           pair_dist_from_json: lambda: dict(_PAIR_DIST)}[load]()
+    load(doc)
+    edit(doc)
+    with pytest.raises(ValueError) as info:
+        load(doc)
+    assert str(info.value) == message

@@ -1,6 +1,7 @@
 """Graph construction, families, products, and edge-list IO."""
 
 import json
+import math
 from itertools import combinations
 
 import numpy as np
@@ -125,6 +126,25 @@ def test_kneser_edge_count_bruteforce():
             subsets = list(combinations(range(n), k))
             expected = sum(1 for a, b in combinations(subsets, 2) if not set(a) & set(b))
             assert build_family(f"KG:{n},{k}").num_edges == expected
+
+
+def _kneser_pair_loop(n, k):
+    """KG:n,k's adjacency by the definition: one disjointness test per pair
+    of k-subsets, taken in lexicographic order, as bitmasks.  A subset meets
+    itself, so the diagonal is false."""
+    masks = [sum(1 << e for e in c) for c in combinations(range(n), k)]
+    return np.array([[not a & b for b in masks] for a in masks], dtype=bool)
+
+
+def test_kneser_adjacency_matches_the_pair_loop():
+    # every (n, k) with C(n, k) <= 200; KG:n,n has one vertex for every n,
+    # and KG:n,1 is K:n
+    for n in range(1, 201):
+        for k in range(1, n + 1):
+            if math.comb(n, k) <= 200:
+                g = build_family(f"KG:{n},{k}")
+                assert np.array_equal(g.adj, _kneser_pair_loop(n, k)), (n, k)
+        assert np.array_equal(build_family(f"KG:{n},1").adj, build_family(f"K:{n}").adj)
 
 
 def test_parse_path():

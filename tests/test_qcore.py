@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgadget.endo
-from qgadget import (QuantumCoreCertificate, build_family, classical_only_report, girths,
+from qgadget import (Graph, QuantumCoreCertificate, build_family, classical_only_report, girths,
                      graph_from_edges, quantum_core_certificate,
                      verify_quantum_core_certificate)
+from conftest import verify_loop
 
 
 def _pairs(g):
@@ -160,6 +162,69 @@ def test_tampered_certificate_reports_the_first_pair_in_row_major_order():
     with pytest.raises(ValueError) as info:
         verify_quantum_core_certificate(g, tampered)
     assert str(info.value) == "cross pair (0,2): adjacent pair joined at length 4"
+
+
+def _outcome(g, cert):
+    """None when the verifier passes cert, else its message."""
+    try:
+        verify_quantum_core_certificate(g, cert)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _certificates(draw):
+    """Graphs of up to 30 vertices, sparse and dense, and certified cycles
+    and odd graphs, with lengths drawn at random (negative and huge ones
+    among them) or the finder's lengths with a few redrawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = build_family(draw(st.sampled_from(["C:5", "C:11", "C:29", "O:3", "petersen"])))
+    else:
+        n = draw(st.integers(1, 30))
+        upper = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.3, 0.9])), 1)
+        g = Graph(n, upper | upper.T)
+    found = quantum_core_certificate(g, 2 * g.n + 2)
+    n_pairs = g.n * (g.n - 1) // 2
+    arrays = []
+    for size, valid in ((n_pairs, None if found is None else found.column_lengths),
+                        (n_pairs - g.num_edges, None if found is None else found.cross_lengths)):
+        drawn = rng.integers(-2, 2 * g.n + 4, size=size)
+        drawn[rng.random(size) < 0.05] = draw(st.sampled_from([2**40, 2**40 + 1, 2**62]))
+        if valid is not None and draw(st.booleans()):
+            keep = rng.random(size) < draw(st.sampled_from([0.0, 0.9, 0.99]))
+            drawn = np.where(keep, valid, drawn)
+        arrays.append(drawn)
+    return g, QuantumCoreCertificate(g, *arrays)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_certificates())
+def test_verifier_matches_the_bool_power_reference(case):
+    g, cert = case
+    assert _outcome(g, cert) == verify_loop(g, cert)
+
+
+@pytest.mark.parametrize("spec", ["K:258", "K:300"])
+def test_products_are_exact_beyond_small_integer_counts(spec):
+    # every off-diagonal entry of A^2 is n - 2: 256 on K:258, which wraps
+    # to 0 in uint8, and 298 on K:300, past int8
+    g = build_family(spec)
+    cert = quantum_core_certificate(g, 3)
+    verify_quantum_core_certificate(g, cert)
+    with pytest.raises(ValueError, match=r"^column pair \(0,1\): closed walk of length 2 exists$"):
+        verify_quantum_core_certificate(g, _tampered(g, cert, column=[((0, 1), 2)]))
+
+
+@pytest.mark.parametrize("ell", [2**40, 2**40 + 1])
+def test_huge_recorded_length_gets_the_reference_verdict(ell):
+    # pair (0,1) comes first; the finder's lengths are int32
+    g = build_family("C:9")
+    cert = quantum_core_certificate(g, 20)
+    cert = replace(cert, column_lengths=[ell] + cert.column_lengths.tolist()[1:])
+    assert _outcome(g, cert) == verify_loop(g, cert) == \
+        f"column pair (0,1): closed walk of length {ell} exists"
 
 
 REFUSED = "refused at construction"

@@ -1,11 +1,11 @@
 """The parity-distance walk layer against per-length bool-power references.
 
 ``bool_powers`` builds the walk-existence tensor the slow way: one bool-dtype
-matrix power per length, which cannot overflow.  ``certificate_loop``,
-``verify_loop`` and ``obstruction_loop`` are the per-length and per-pair
-algorithms that read such a tensor directly: minimal lengths found by
-scanning l = 1, 2, ..., the first failing pair of a certificate in
-row-major order, and the first obstruction length in increasing order.
+matrix power per length, which cannot overflow.  ``certificate_loop`` and
+``obstruction_loop`` are the per-length algorithms that read such a tensor
+directly: minimal lengths found by scanning l = 1, 2, ..., and the first
+obstruction length in increasing order.  ``conftest.verify_loop`` finds the
+first failing pair of a certificate in row-major order.
 """
 
 import math
@@ -19,6 +19,7 @@ from qgadget import (GadgetCandidate, build_family, distance, graph_from_edges,
                      walk_obstruction, walk_table)
 from qgadget.gadget import default_obstruction_lmax
 from qgadget.qcore import QuantumCoreCertificate
+from conftest import verify_loop
 
 
 def bool_powers(g, lmax):
@@ -51,31 +52,6 @@ def certificate_loop(g, lmax):
                     return None
                 cross.append(found)
     return column, cross
-
-
-def verify_loop(g, cert):
-    """The message of the first failure, or None when the certificate holds."""
-    n_pairs = g.n * (g.n - 1) // 2
-    for kind, lengths, want in (("column", cert.column_lengths, n_pairs),
-                                ("cross", cert.cross_lengths, n_pairs - g.num_edges)):
-        if len(lengths) != want:
-            return f"certificate holds {len(lengths)} {kind} lengths for {want} {kind} pairs"
-    columns, crosses = iter(cert.column_lengths.tolist()), iter(cert.cross_lengths.tolist())
-    exists = bool_powers(g, max([0, *cert.column_lengths.tolist(), *cert.cross_lengths.tolist()]))
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            ell = next(columns)
-            if ell < 0 or not exists[ell][a, b]:
-                return f"column pair ({a},{b}): no walk of length {ell}"
-            if exists[ell].diagonal().any():
-                return f"column pair ({a},{b}): closed walk of length {ell} exists"
-            if not g.has_edge(a, b):
-                ell = next(crosses)
-                if ell < 0 or not exists[ell][a, b]:
-                    return f"cross pair ({a},{b}): no walk of length {ell}"
-                if any(exists[ell][u, v] for u, v in g.edges()):
-                    return f"cross pair ({a},{b}): adjacent pair joined at length {ell}"
-    return None
 
 
 def obstruction_loop(c, lmax):
