@@ -10,15 +10,16 @@ constructions produce.
 
 The vertex PVMs are held as one complex (H.n, G.n, dim, dim) stack, the
 layout of a representation's matrices: ``vertex_pvms[u, a]`` is P^u_a.  The
-builders and the JSON parser fill it directly and refuse a family for a
-vertex outside H or with the wrong number of outcomes; documents go through
-the codec of :mod:`qrep`.  Edge PVMs stay a sparse ``{(x, y): {(a, b):
-matrix}}`` map, since a document lists only the outcomes it uses; they are
-stacked (absent outcomes as zero) only while :func:`validate_strategy`
-checks them.  Every defect validates first: families are checked in
-batches, and the first family that is not a PVM (not hermitian, not
-idempotent, a non-orthogonal pair, or a sum other than the identity, in
-that order; a NaN residual fails) raises ValueError.
+edge PVMs are one stack over directed edges, in ``directed_edges()`` order,
+with a bool ``edge_present`` mask of the listed outcomes, like a
+representation's ``present``.  The builders and the JSON parser (through
+the codec of :mod:`qrep`) fill both and refuse a family for a vertex outside
+H, with the wrong number of outcomes, keyed by no directed edge of H, with
+an outcome that is no directed edge of G, or with no outcome.  Every defect
+validates first: families are checked in batches, in row order, and the
+first family that is not a PVM (not hermitian, not idempotent, a
+non-orthogonal pair, or a sum other than the identity, in that order; a
+NaN residual fails) raises ValueError.
 
 Each defect is the weight-averaged, trace-normed sum of the squared violated
 relations of the corresponding weighted algebra:
@@ -43,7 +44,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, _parse_int, _parse_pair
-from .qrep import DEFAULT_TOL, _complex_stack, _frame, _matrix_json, _read_keys, _residuals
+from .qrep import (DEFAULT_TOL, _check_stack, _complex_stack, _frame, _matrix_json, _read_keys,
+                   _residuals)
 
 # numbers per batched temporary in validation and the defects; batches of
 # 2^12 numbers and more raised the peak resident memory of a process running
@@ -62,7 +64,9 @@ class Strategy:
     dim: int
     vertex_pvms: np.ndarray  # complex, shape (instance.n, target.n, dim, dim)
     dist: dict[DirectedEdge, Fraction]
-    edge_pvms: Optional[dict[DirectedEdge, dict[DirectedEdge, np.ndarray]]] = None
+    # complex, shape (len(instance.directed_edges()), len(target.directed_edges()), dim, dim)
+    edge_pvms: Optional[np.ndarray] = None
+    edge_present: Optional[np.ndarray] = None  # bool, shape edge_pvms.shape[:2]
     tol: float = DEFAULT_TOL
 
     def to_json(self) -> dict:
@@ -72,10 +76,17 @@ class Strategy:
                "dist": {f"{x},{y}": f"{w.numerator}/{w.denominator}"
                         for (x, y), w in sorted(self.dist.items())}}
         if self.edge_pvms is not None:
-            out["edge_pvms"] = {f"{x},{y}": {f"{a},{b}": _matrix_json(m)
-                                             for (a, b), m in sorted(fam.items())}
-                                for (x, y), fam in sorted(self.edge_pvms.items())}
+            edges, outcomes = self.instance.directed_edges(), self.target.directed_edges()
+            rs, cs = np.nonzero(self.edge_present)
+            out["edge_pvms"] = fams = {}
+            for r, c, m in zip(rs.tolist(), cs.tolist(), _matrix_json(self.edge_pvms[rs, cs])):
+                fams.setdefault("{},{}".format(*edges[r]), {})["{},{}".format(*outcomes[c])] = m
         return out
+
+
+def _index(g: Graph) -> dict[DirectedEdge, int]:
+    """Row (or column) of each directed edge of g in an edge PVM stack."""
+    return {e: i for i, e in enumerate(g.directed_edges())}
 
 
 def _vertex_stack(h: Graph, g: Graph, dim: int, fams) -> np.ndarray:
@@ -96,10 +107,37 @@ def _vertex_stack(h: Graph, g: Graph, dim: int, fams) -> np.ndarray:
     return stack
 
 
+def _edge_stack(h: Graph, g: Graph, dim: int, fams) -> tuple[np.ndarray, np.ndarray]:
+    """The edge PVM stack of the (edge, {outcome: matrix}) pairs ``fams``,
+    matrices as [re, im] lists, and the mask of the listed outcomes.  An
+    edge must be a directed edge of h, an outcome one of g, and a family
+    must list an outcome; the stack is bounded like the vertex stack."""
+    rows, cols = _index(h), _index(g)
+    _check_stack(len(rows), len(cols), dim)
+    rs, cs, mats = [], [], []
+    for (x, y), fam in fams:
+        if (x, y) not in rows:
+            raise ValueError(f"edge_pvms key {x},{y} is not a directed edge of the instance")
+        if not fam:
+            raise ValueError(f"edge_pvms key {x},{y} lists no outcome")
+        for a, b in fam:
+            if (a, b) not in cols:
+                raise ValueError(f"edge_pvms key {x},{y}: outcome key {a},{b} is not a "
+                                 "directed edge of the target")
+            rs.append(rows[x, y])
+            cs.append(cols[a, b])
+        mats += fam.values()
+    stack = np.zeros((len(rows), len(cols), dim, dim), dtype=complex)
+    present = np.zeros((len(rows), len(cols)), dtype=bool)
+    stack[rs, cs] = _complex_stack(mats, dim)
+    present[rs, cs] = True
+    return stack, present
+
+
 def strategy_from_json(obj: dict) -> Strategy:
     """Inverse of :meth:`Strategy.to_json`; raises ValueError on a malformed
-    document, or on one whose vertex stack would exceed MAX_STACK_ENTRIES
-    numbers."""
+    document, or on one whose vertex or edge stack would exceed
+    MAX_STACK_ENTRIES numbers."""
     try:
         inst, targ, dim, tol = _frame(obj, "instance", "target")
         fams = obj["vertex_pvms"]
@@ -114,18 +152,17 @@ def strategy_from_json(obj: dict) -> Strategy:
                 # an unhashable value raises Fraction's own error here
                 w = weights[val] = Fraction(val)
             dist[edge] = w
-        edge_pvms = None
-        if obj.get("edge_pvms") is not None:
-            edge_pvms = {}
-            for edge, fam in zip(_read_keys(obj["edge_pvms"], "edge_pvms key"),
-                                 obj["edge_pvms"].values()):
-                edge_pvms[edge] = dict(zip(_read_keys(fam, "outcome key"),
-                                           _complex_stack(list(fam.values()), dim)))
+        edge_pvms = edge_present = None
+        if (fams := obj.get("edge_pvms")) is not None:
+            edge_pvms, edge_present = _edge_stack(inst, targ, dim, zip(
+                _read_keys(fams, "edge_pvms key"),
+                (dict(zip(_read_keys(fam, "outcome key"), fam.values()))
+                 for fam in fams.values())))
     except KeyError as exc:
         raise ValueError(f"strategy document lacks field {exc}") from None
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed strategy document: {exc}") from None
-    return Strategy(inst, targ, dim, vertex_pvms, dist, edge_pvms, tol)
+    return Strategy(inst, targ, dim, vertex_pvms, dist, edge_pvms, edge_present, tol)
 
 
 def _edge_pair(key: str, what: str) -> tuple[DirectedEdge, DirectedEdge]:
@@ -188,15 +225,15 @@ def _first_bad_pair(p: np.ndarray, tol: float) -> Optional[tuple[int, int, int]]
     return None
 
 
-def _check_pvms(fams: np.ndarray, tol: float, label: Callable[[int], str]):
-    """Raise ValueError for the first family of the (F, k, d, d) stack that is
+def _check_pvms(stack: np.ndarray, rows: np.ndarray, tol: float, label: Callable[[int], str]):
+    """Raise ValueError for the first family stack[r], r in ``rows``, that is
     not a PVM: per element hermitian then idempotent, then the pairs (i, j)
     in row-major order, then the sum.  A residual that is not a number
-    fails.  ``label(f)`` names family f in the message."""
-    n_fam, k, d = fams.shape[:3]
+    fails.  ``label(r)`` names family r in the message."""
+    k, d = stack.shape[1:3]
     eye = np.eye(d)
-    for chunk in _chunks(n_fam, k * d * d):
-        p = fams[chunk]
+    for chunk in _chunks(len(rows), k * d * d):
+        p = stack[rows[chunk]]
         # a huge entry overflows and an infinite one gives inf - inf = NaN;
         # both residuals fail quietly, as in qrep.verify_rep
         with np.errstate(invalid="ignore", over="ignore"):
@@ -208,8 +245,8 @@ def _check_pvms(fams: np.ndarray, tol: float, label: Callable[[int], str]):
         bad = np.flatnonzero(bad_el | bad_sum)
         if not len(bad) and pair is None:
             continue
-        f = min(int(bad[0]) if len(bad) else n_fam, pair[0] if pair else n_fam)
-        what = label(chunk.start + f)
+        f = min(int(bad[0]) if len(bad) else len(p), pair[0] if pair else len(p))
+        what = label(int(rows[chunk][f]))
         if bad_el[f]:
             i = int(np.argmax(~(herm[f] <= tol) | ~(idem[f] <= tol)))
             check = "hermitian" if not herm[f, i] <= tol else "idempotent"
@@ -219,47 +256,16 @@ def _check_pvms(fams: np.ndarray, tol: float, label: Callable[[int], str]):
         raise ValueError(f"{what}: family does not sum to the identity")
 
 
-def _edge_family_error(e: DirectedEdge, fam: dict, index: dict, dim: int) -> Optional[str]:
-    """Why edge family ``fam`` cannot be stacked over the target edges
-    ``index``, or None."""
-    for key, m in fam.items():
-        if key not in index:
-            return f"edge PVM ({e[0]},{e[1]}) outcome {key} is not a directed target edge"
-        if np.shape(m) != (dim, dim):
-            return f"edge ({e[0]},{e[1]}) PVM: element {index[key]} has shape {np.shape(m)}"
-    return None
-
-
-def _check_edge_pvms(s: Strategy):
-    """Check the edge families in dict order, each stacked over the directed
-    target edges (absent outcomes zero); a family that cannot be stacked
-    raises once the families before it have passed."""
-    target_edges = s.target.directed_edges()
-    index = {e: i for i, e in enumerate(target_edges)}
-    fams = list(s.edge_pvms.items())
-    errors = [_edge_family_error(e, fam, index, s.dim) for e, fam in fams]
-    n_ok = next((f for f, err in enumerate(errors) if err), len(fams))
-    for chunk in _chunks(n_ok, len(target_edges) * s.dim * s.dim):
-        part = fams[:n_ok][chunk]
-        stack = np.zeros((len(part), len(target_edges), s.dim, s.dim), dtype=complex)
-        for f, (_, fam) in enumerate(part):
-            for key, m in fam.items():
-                stack[f, index[key]] = m
-        _check_pvms(stack, s.tol, lambda f: "edge ({},{}) PVM".format(*part[f][0]))
-    if n_ok < len(fams):
-        raise ValueError(errors[n_ok])
-
-
 def validate_strategy(s: Strategy, need_edge_pvms: bool = False):
     shape = (s.instance.n, s.target.n, s.dim, s.dim)
     if np.shape(s.vertex_pvms) != shape:
         raise ValueError(f"vertex PVM stack has shape {np.shape(s.vertex_pvms)}, "
                          f"expected {shape}")
-    _check_pvms(s.vertex_pvms, s.tol, lambda u: f"vertex {u} PVM")
+    _check_pvms(s.vertex_pvms, np.arange(s.instance.n), s.tol, lambda u: f"vertex {u} PVM")
+    row = _index(s.instance)
     total = Fraction(0)
-    directed = set(s.instance.directed_edges())
     for (x, y), w in s.dist.items():
-        if (x, y) not in directed:
+        if (x, y) not in row:
             raise ValueError(f"dist key ({x},{y}) is not a directed edge of the instance")
         if w < 0:
             raise ValueError("dist weights must be nonnegative")
@@ -269,12 +275,12 @@ def validate_strategy(s: Strategy, need_edge_pvms: bool = False):
     if need_edge_pvms:
         if s.edge_pvms is None:
             raise ValueError("strategy has no edge PVMs")
+        listed = s.edge_present.any(axis=1)
         for (x, y), w in s.dist.items():
-            if w == 0:
-                continue
-            if (x, y) not in s.edge_pvms:
+            if w != 0 and not listed[row[x, y]]:
                 raise ValueError(f"edge ({x},{y}) has weight but no PVM")
-        _check_edge_pvms(s)
+        _check_pvms(s.edge_pvms, np.flatnonzero(listed), s.tol,
+                    lambda r: "edge ({},{}) PVM".format(*list(row)[r]))
 
 
 # ---------------------------------------------------------------------------
@@ -323,45 +329,40 @@ def cv_defect(s: Strategy) -> float:
     weighted by dist(x,y)/2.
     """
     validate_strategy(s, need_edge_pvms=True)
-    phis, slots, starts = [], [], []
-    for (x, y), w in sorted(s.dist.items()):
-        if w == 0:
-            continue
-        starts.append(len(phis))
-        for (a, b), phi in sorted(s.edge_pvms[(x, y)].items()):
-            phis += [phi, phi]
-            slots += [(x, a), (y, b)]
-    phis = np.array(phis, dtype=complex).reshape(-1, s.dim, s.dim)
-    us, cs = np.array(slots, dtype=np.intp).reshape(-1, 2).T
-    norms = np.empty(len(phis))
-    for c in _chunks(len(phis), 3 * s.dim * s.dim):
-        norms[c] = _tau_sq(phis[c] @ (np.eye(s.dim) - s.vertex_pvms[us[c], cs[c]]))
-    # every weighted family is a validated PVM, hence non-empty
+    row = _index(s.instance)
+    weighted = np.array([e for e, w in sorted(s.dist.items()) if w != 0], dtype=np.intp)
+    rows = np.array([row[x, y] for x, y in weighted.tolist()], dtype=np.intp)
+    f, c = np.nonzero(s.edge_present[rows])
+    outcomes = np.array(s.target.directed_edges(), dtype=np.intp).reshape(-1, 2)
+    # listed outcome (a, b) of edge (x, y) is scored at slot (x, a), then at (y, b)
+    rs, cs = np.repeat(rows[f], 2), np.repeat(c, 2)
+    us, vs = weighted[f].ravel(), outcomes[c].ravel()
+    norms, eye = np.empty(len(us)), np.eye(s.dim)
+    for k in _chunks(len(us), 3 * s.dim * s.dim):
+        norms[k] = _tau_sq(s.edge_pvms[rs[k], cs[k]] @ (eye - s.vertex_pvms[us[k], vs[k]]))
+    # every weighted edge lists an outcome, so each edge's slots start a run
+    starts = 2 * np.searchsorted(f, np.arange(len(rows)))
     return _weighted_sum(s, np.add.reduceat(norms, starts) / 2.0)
-
-
-def _stacked_family(fam: dict[DirectedEdge, np.ndarray], dim: int):
-    """Outcomes (k, 2) in sorted order and their matrices (k, dim, dim)."""
-    keys = sorted(fam)
-    return (np.array(keys, dtype=np.intp).reshape(-1, 2),
-            np.array([fam[key] for key in keys], dtype=complex).reshape(-1, dim, dim))
 
 
 def cc_defect(s: Strategy, pair_dist: dict[tuple[DirectedEdge, DirectedEdge], Fraction]) -> float:
     """Constraint-constraint defect: products of two edge-PVM outcomes that
     disagree at a shared instance vertex, weighted by pair_dist."""
     validate_strategy(s, need_edge_pvms=True)
-    directed = set(s.instance.directed_edges())
+    row, listed = _index(s.instance), s.edge_present.any(axis=1)
     total = Fraction(0)
     for (e1, e2), w in pair_dist.items():
-        if e1 not in directed or e2 not in directed:
+        if e1 not in row or e2 not in row:
             raise ValueError(f"pair_dist key ({e1},{e2}) is not a pair of directed edges")
         if w < 0:
             raise ValueError("pair_dist weights must be nonnegative")
+        for x, y in (e1, e2):
+            if w != 0 and not listed[row[x, y]]:
+                raise ValueError(f"pair_dist edge ({x},{y}) has weight but no PVM")
         total += w
     if total != 1:
         raise ValueError(f"pair_dist weights sum to {total}, expected 1")
-    stacked = {}
+    outcomes = np.array(s.target.directed_edges(), dtype=np.intp).reshape(-1, 2)
     out = 0.0
     for (e1, e2), w in sorted(pair_dist.items()):
         if w == 0:
@@ -369,17 +370,15 @@ def cc_defect(s: Strategy, pair_dist: dict[tuple[DirectedEdge, DirectedEdge], Fr
         shared = [(i, j) for i in range(2) for j in range(2) if e1[i] == e2[j]]
         if not shared:
             continue
-        for e in (e1, e2):
-            if e not in stacked:
-                stacked[e] = _stacked_family(s.edge_pvms.get(e, {}), s.dim)
-        (keys1, mats1), (keys2, mats2) = stacked[e1], stacked[e2]
-        disagree = np.zeros((len(keys1), len(keys2)), dtype=bool)
+        r1, r2 = row[e1], row[e2]
+        c1, c2 = np.flatnonzero(s.edge_present[r1]), np.flatnonzero(s.edge_present[r2])
+        disagree = np.zeros((len(c1), len(c2)), dtype=bool)
         for i, j in shared:
-            disagree |= keys1[:, i, None] != keys2[None, :, j]
+            disagree |= outcomes[c1, i, None] != outcomes[None, c2, j]
         i1, i2 = np.nonzero(disagree)
         term = 0.0
         for c in _chunks(len(i1), 3 * s.dim * s.dim):
-            term += float(_tau_sq(mats1[i1[c]] @ mats2[i2[c]]).sum())
+            term += float(_tau_sq(s.edge_pvms[r1, c1[i1[c]]] @ s.edge_pvms[r2, c2[i2[c]]]).sum())
         out += float(w) * term
     return out
 
@@ -418,17 +417,17 @@ def classical_strategy(h: Graph, g: Graph, assignment: Sequence[int],
     vertex_pvms = np.zeros((h.n, g.n, 1, 1), dtype=complex)
     vertex_pvms[np.arange(h.n), np.array(assignment, dtype=np.intp)] = 1.0
     dist = dist if dist is not None else uniform_edge_dist(h)
-    edge_pvms = None
+    edge_pvms = edge_present = None
     if with_edge_pvms:
-        one = np.ones((1, 1), dtype=complex)
-        edge_pvms = {}
+        fams = []
         for (x, y) in h.directed_edges():
             img = (assignment[x], assignment[y])
             if not g.has_edge(*img):
                 raise ValueError(f"assignment maps edge ({x},{y}) to non-edge {img}; "
                                  "no consistent edge PVM exists")
-            edge_pvms[(x, y)] = {img: one.copy()}
-    return Strategy(h, g, 1, vertex_pvms, dist, edge_pvms)
+            fams.append(((x, y), {img: [[[1.0, 0.0]]]}))
+        edge_pvms, edge_present = _edge_stack(h, g, 1, fams)
+    return Strategy(h, g, 1, vertex_pvms, dist, edge_pvms, edge_present)
 
 
 def strategy_from_vertex_pvms(h: Graph, g: Graph, dim: int,

@@ -22,7 +22,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from qgadget import Graph, build_family
+from qgadget import Graph, Strategy, build_family
+from qgadget.defect import _edge_stack
+from qgadget.qrep import _matrix_json
 
 # every named family on at most 12 vertices; the workhorse battery
 SMALL_FAMILY_SPECS = [
@@ -199,6 +201,14 @@ def hom_exists_forward_checking(h: Graph, g: Graph) -> bool:
         return False
 
     return extend({u: set(range(g.n)) for u in range(h.n)})
+
+
+def set_edge_pvms(s: Strategy, fams: dict) -> None:
+    """Give ``s`` the edge PVMs ``{(x, y): {(a, b): matrix}}``, stacked by
+    the loader's own _edge_stack."""
+    s.edge_pvms, s.edge_present = _edge_stack(
+        s.instance, s.target, s.dim,
+        ((e, {t: _matrix_json(m) for t, m in fam.items()}) for e, fam in fams.items()))
 
 
 def operator_norm_svd(m: np.ndarray) -> float:

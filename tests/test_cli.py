@@ -427,6 +427,22 @@ def test_qcore_builds_certificate_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_qcore_exits_2_when_its_certificate_fails_re_verification(monkeypatch, capsys):
+    build = qgadget.qcore.quantum_core_certificate
+
+    def one_length_off(*args):
+        cert = build(*args)
+        column = cert.column_lengths.copy()
+        column[0] += 1  # pair (0,1) has no walk of length 2 on C:7
+        return QuantumCoreCertificate(cert.graph, column, cert.cross_lengths)
+
+    monkeypatch.setattr(qgadget.qcore, "quantum_core_certificate", one_length_off)
+    code, out, err = run_cli(capsys, "qcore", "C:7", "--json")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err == ("verification failure: freshly built certificate failed re-verification: "
+                   "column pair (0,1): no walk of length 2\n")
+
+
 def _malformed_rep_docs():
     good = pair_swap_rep(4).to_json()
     k2 = build_family("K:2")
@@ -574,6 +590,27 @@ def test_defect_malformed_pair_dist_exit_1(tmp_path, capsys, name):
                              "--pair-dist", str(pd_path), "--json")
     assert code == 1 and err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["edge_pvms"].update({"0,2": d["edge_pvms"]["0,1"]}),
+     "edge_pvms key 0,2 is not a directed edge of the instance"),
+    (lambda d: d.update(dist={"0,1": "1/1"}) or d["edge_pvms"].pop("1,2"),
+     "pair_dist edge (1,2) has weight but no PVM"),
+], ids=["non-edge-key", "pair-edge-without-pvm"])
+def test_defect_c_c_refuses_edge_families_no_stack_could_score(tmp_path, capsys, edit, message):
+    # P:2 -> K:3 at dimension 1: a family keyed by a non-edge, or a pair
+    # weight on an edge with no family, once read as a defect of 0.0
+    h, g = build_family("P:2"), build_family("K:3")
+    doc = classical_strategy(h, g, [0, 1, 2], with_edge_pvms=True).to_json()
+    edit(doc)
+    path, pd_path = tmp_path / "strategy.json", tmp_path / "pairs.json"
+    path.write_text(json.dumps(doc))
+    pd_path.write_text(json.dumps({"0,1|1,2": "1/1"}))
+    code, out, err = run_cli(capsys, "defect", str(path), "--model", "c-c",
+                             "--pair-dist", str(pd_path), "--json")
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == f"error: {message}\n"
 
 
 def test_malformed_rep_document_in_a_fresh_process(tmp_path):

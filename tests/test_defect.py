@@ -11,7 +11,7 @@ from qgadget import (assignment_defect, build_family, cc_defect, classical_strat
                      commutator_defect, cv_defect, enumerate_homomorphisms, projector,
                      strategy_from_json, strategy_from_vertex_pvms, validate_strategy)
 from qgadget.qrep import KET0, KET1, KETMINUS, KETPLUS, MAX_STACK_ENTRIES
-from conftest import assignment_game_value, tuples
+from conftest import assignment_game_value, set_edge_pvms, tuples
 
 
 P0, P1 = projector(KET0), projector(KET1)
@@ -77,7 +77,7 @@ def test_cv_defect_single_edge_dim2():
     edge = {(0, 1): {(0, 1): P0, (1, 0): P1},
             (1, 0): {(1, 0): P0, (0, 1): P1}}
     s = strategy_from_vertex_pvms(h, g, 2, vertex)
-    s.edge_pvms = edge
+    set_edge_pvms(s, edge)
     # oracle: hand 2x2 traces.  For directed edge (0,1):
     #   slot x=0: Phi_(0,1)(1-P0) = 0 and Phi_(1,0)(1-P1) = 0;
     #   slot y=1: Phi_(0,1)(1-Q1) with |Phi|^2 trace = tau(Q0 P0 Q0)... compute directly
@@ -109,10 +109,8 @@ def test_cc_defect_hardwired_disagreement():
     vertex = {u: [one.copy(), np.zeros((1, 1), dtype=complex),
                   np.zeros((1, 1), dtype=complex)] for u in range(3)}
     s = strategy_from_vertex_pvms(h, g, 1, vertex)
-    s.edge_pvms = {(0, 1): {(0, 1): one.copy()},
-                   (1, 2): {(2, 0): one.copy()},
-                   (1, 0): {(1, 0): one.copy()},
-                   (2, 1): {(0, 2): one.copy()}}
+    set_edge_pvms(s, {(0, 1): {(0, 1): one}, (1, 2): {(2, 0): one},
+                      (1, 0): {(1, 0): one}, (2, 1): {(0, 2): one}})
     # outcomes at the shared vertex 1: edge (0,1) says 1, edge (1,2) says 2
     pair_dist = {((0, 1), (1, 2)): Fraction(1, 2), ((1, 2), (0, 1)): Fraction(1, 2)}
     assert cc_defect(s, pair_dist) == 1.0
@@ -122,13 +120,13 @@ def test_cc_defect_quantum_value():
     h, g = build_family("K:2"), build_family("K:4")
     vertex = {0: [P0, P1, Z2, Z2], 1: [Q0, Q1, Z2, Z2]}
     s = strategy_from_vertex_pvms(h, g, 2, vertex)
-    s.edge_pvms = {(0, 1): {(0, 1): P0, (2, 3): P1},
-                   (1, 0): {(1, 0): Q0, (3, 2): Q1}}
+    edge = {(0, 1): {(0, 1): P0, (2, 3): P1}, (1, 0): {(1, 0): Q0, (3, 2): Q1}}
+    set_edge_pvms(s, edge)
     pair_dist = {((0, 1), (1, 0)): Fraction(1)}
     # oracle: shared slots (0<->1): disagreement pairs among outcomes
     expected = 0.0
-    for b1, phi1 in s.edge_pvms[(0, 1)].items():
-        for b2, phi2 in s.edge_pvms[(1, 0)].items():
+    for b1, phi1 in edge[(0, 1)].items():
+        for b2, phi2 in edge[(1, 0)].items():
             if b1[0] != b2[1] or b1[1] != b2[0]:
                 m = phi1 @ phi2
                 expected += float(np.trace(m.conj().T @ m).real) / 2
@@ -323,9 +321,6 @@ def test_json_family_names_the_matrix_of_the_wrong_shape():
     doc["vertex_pvms"]["1"][1] = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     with pytest.raises(ValueError, match=r"matrix has shape \(2, 2\), expected \(1,1\)"):
         strategy_from_json(doc)
-    doc["vertex_pvms"]["1"] = [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]
-    doc["edge_pvms"] = {"0,1": {}}  # an edge family may list no outcome
-    assert strategy_from_json(doc).edge_pvms == {(0, 1): {}}
 
 
 def test_vertex_stack_bound_refused_before_allocation():
@@ -343,15 +338,64 @@ def test_vertex_stack_bound_refused_before_allocation():
 
 
 def test_edge_pvm_checks_run_in_family_order():
-    # a broken family listed before one with a stray outcome raises first
+    # of two broken families, the first in (x, y) order raises, wherever the
+    # document lists it
     h, g = build_family("K:2"), build_family("K:3")
-    s = classical_strategy(h, g, [0, 1], with_edge_pvms=True)
-    s.edge_pvms = {(0, 1): {(0, 1): np.full((1, 1), 1j)}, (1, 0): {(0, 0): np.ones((1, 1))}}
-    with pytest.raises(ValueError, match=r"edge \(0,1\) PVM: element 0 is not hermitian"):
-        cv_defect(s)
-    s.edge_pvms[(0, 1)] = {(0, 1): np.ones((1, 1))}
-    with pytest.raises(ValueError, match=r"edge PVM \(1,0\) outcome \(0, 0\) is not a directed"):
-        cv_defect(s)
+    doc = classical_strategy(h, g, [0, 1], with_edge_pvms=True).to_json()
+    doc["edge_pvms"] = {"1,0": {"1,0": [[[2.0, 0.0]]]}, "0,1": {"0,1": [[[0.0, 1.0]]]}}
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) PVM: element 0 is not hermitian$"):
+        cv_defect(strategy_from_json(doc))
+
+
+def _p2_k3_doc():
+    h, g = build_family("P:2"), build_family("K:3")
+    return classical_strategy(h, g, [0, 1, 2], with_edge_pvms=True).to_json()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda fams: fams.update({"0,2": fams["0,1"]}),
+     "edge_pvms key 0,2 is not a directed edge of the instance"),
+    (lambda fams: fams["0,1"].update({"1,1": [[[0.0, 0.0]]]}),
+     "edge_pvms key 0,1: outcome key 1,1 is not a directed edge of the target"),
+    (lambda fams: fams.update({"0,1": {}}), "edge_pvms key 0,1 lists no outcome"),
+], ids=["non-edge-key", "non-edge-outcome", "empty-family"])
+def test_edge_families_no_stack_could_hold_are_refused_at_load(edit, message):
+    doc = _p2_k3_doc()
+    strategy_from_json(doc)
+    edit(doc["edge_pvms"])
+    with pytest.raises(ValueError) as info:
+        strategy_from_json(doc)
+    assert str(info.value) == message
+
+
+def test_edge_stack_bound_refused_before_allocation():
+    # K:17's 17 x 17 vertex matrices of dimension 8 fit the bound; its
+    # 272 x 272 edge matrices do not, though the document lists one
+    h, eye, zero = build_family("K:17"), np.eye(8), np.zeros((8, 8))
+    doc = strategy_from_vertex_pvms(h, h, 8, {u: [eye if a == u else zero for a in range(h.n)]
+                                              for u in range(h.n)}).to_json()
+    doc["edge_pvms"] = {"0,1": {"0,1": doc["vertex_pvms"]["0"][0]}}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"272 x 272 matrices of dimension 8 need "
+                                             f"{272 * 272 * 64} matrix elements"):
+            strategy_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_cc_defect_refuses_a_weighted_pair_edge_without_pvm():
+    # weight on (0,1) only, and no family for (1,2)
+    doc = _p2_k3_doc()
+    doc["dist"] = {"0,1": "1/1"}
+    del doc["edge_pvms"]["1,2"]
+    s = strategy_from_json(doc)
+    assert cv_defect(s) == 0.0
+    with pytest.raises(ValueError, match=r"^pair_dist edge \(1,2\) has weight but no PVM$"):
+        cc_defect(s, {((0, 1), (1, 2)): Fraction(1)})
+    assert cc_defect(s, {((0, 1), (1, 2)): Fraction(0), ((0, 1), (1, 0)): Fraction(1)}) == 0.0
 
 
 @pytest.mark.parametrize("assignment", [[0], [0, 3], [0, -1]])

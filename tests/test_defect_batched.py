@@ -5,7 +5,9 @@ pair) at a time, raising the first failure in the order the library
 promises.  The four ``*_loop`` defects sum normalised traces one outcome
 (pair) at a time.  Strategies are random: each family splits the basis of a
 random unitary (or of the standard basis) among its outcomes, so every
-family is an exact PVM up to rounding.
+family is an exact PVM up to rounding.  The references read the edge
+families from the ``{(x, y): {(a, b): matrix}}`` map they were drawn as;
+the strategy under test holds them as the loader's stack.
 """
 
 from fractions import Fraction
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgadget import (Strategy, assignment_defect, cc_defect, commutator_defect, cv_defect,
                      defect, graph_from_edges, validate_strategy)
+from conftest import set_edge_pvms
 
 # batch sizes (numbers per temporary) that split even these small strategies
 CHUNKS = st.sampled_from([1, 7, 64, defect._CHUNK])
@@ -49,12 +52,13 @@ def check_pvm_loop(fam, dim, tol, what):
         raise ValueError(f"{what}: family does not sum to the identity")
 
 
-def validate_loop(s: Strategy):
-    """The family checks of validate_strategy(s, need_edge_pvms=True)."""
+def validate_loop(s: Strategy, edge_pvms: dict):
+    """The family checks of validate_strategy(s, need_edge_pvms=True), edge
+    families in (x, y) order."""
     for u in range(s.instance.n):
         check_pvm_loop(list(s.vertex_pvms[u]), s.dim, s.tol, f"vertex {u} PVM")
     target_edges = s.target.directed_edges()
-    for (x, y), fam in s.edge_pvms.items():
+    for (x, y), fam in sorted(edge_pvms.items()):
         check_pvm_loop([fam.get(e, np.zeros((s.dim, s.dim), dtype=complex))
                         for e in target_edges], s.dim, s.tol, f"edge ({x},{y}) PVM")
 
@@ -74,21 +78,21 @@ def assignment_loop(s: Strategy) -> float:
     return out
 
 
-def cv_loop(s: Strategy) -> float:
+def cv_loop(s: Strategy, edge_pvms: dict) -> float:
     eye = np.eye(s.dim, dtype=complex)
     out = 0.0
     for (x, y), w in sorted(s.dist.items()):
         if w == 0:
             continue
         term = 0.0
-        for (a, b), phi in sorted(s.edge_pvms[(x, y)].items()):
+        for (a, b), phi in sorted(edge_pvms[(x, y)].items()):
             for endpoint, c in ((x, a), (y, b)):
                 term += trace_norm_sq(phi @ (eye - s.vertex_pvms[endpoint][c]))
         out += float(w) / 2.0 * term
     return out
 
 
-def cc_loop(s: Strategy, pair_dist) -> float:
+def cc_loop(s: Strategy, edge_pvms: dict, pair_dist) -> float:
     out = 0.0
     for (e1, e2), w in sorted(pair_dist.items()):
         if w == 0:
@@ -97,8 +101,8 @@ def cc_loop(s: Strategy, pair_dist) -> float:
         if not shared:
             continue
         term = 0.0
-        for b1, phi1 in sorted(s.edge_pvms.get(e1, {}).items()):
-            for b2, phi2 in sorted(s.edge_pvms.get(e2, {}).items()):
+        for b1, phi1 in sorted(edge_pvms[e1].items()):
+            for b2, phi2 in sorted(edge_pvms[e2].items()):
                 if any(b1[i] != b2[j] for i, j in shared):
                     term += trace_norm_sq(phi1 @ phi2)
         out += float(w) * term
@@ -138,7 +142,8 @@ def _pvm(draw, rng, dim, k):
 @st.composite
 def strategies(draw):
     """A strategy with random vertex and edge PVMs and random rational weights
-    on the directed instance edges (some of them zero)."""
+    on the directed instance edges (some of them zero), and its edge PVMs as
+    a map."""
     h = draw(graphs(2, 5, min_edges=1))
     g = draw(graphs(2, 5, min_edges=1))
     dim = draw(st.integers(1, 4))
@@ -154,12 +159,15 @@ def strategies(draw):
     raw = draw(st.lists(st.integers(0, 5), min_size=len(directed), max_size=len(directed))
                .filter(any))
     dist = {e: Fraction(r, sum(raw)) for e, r in zip(directed, raw)}
-    return Strategy(h, g, dim, vertex_pvms, dist, edge_pvms)
+    s = Strategy(h, g, dim, vertex_pvms, dist)
+    set_edge_pvms(s, edge_pvms)
+    return s, edge_pvms
 
 
 @settings(max_examples=150, deadline=None)
 @given(strategies(), CHUNKS, st.data())
-def test_defects_match_loop_references(s, chunk, data):
+def test_defects_match_loop_references(drawn, chunk, data):
+    s, edge_pvms = drawn
     directed = s.instance.directed_edges()
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(directed), st.sampled_from(directed)),
                                min_size=1, unique=True))
@@ -171,8 +179,8 @@ def test_defects_match_loop_references(s, chunk, data):
     with mock.patch.object(defect, "_CHUNK", chunk):
         validate_strategy(s, need_edge_pvms=True)
         assert abs(assignment_defect(s) - assignment_loop(s)) <= 1e-12
-        assert abs(cv_defect(s) - cv_loop(s)) <= 1e-12
-        assert abs(cc_defect(s, pair_dist) - cc_loop(s, pair_dist)) <= 1e-12
+        assert abs(cv_defect(s) - cv_loop(s, edge_pvms)) <= 1e-12
+        assert abs(cc_defect(s, pair_dist) - cc_loop(s, edge_pvms, pair_dist)) <= 1e-12
         assert abs(commutator_defect(s, x, y) - commutator_loop(s, x, y)) <= 1e-12
 
 
@@ -207,12 +215,13 @@ def _first_error(check, s):
 @settings(max_examples=200, deadline=None)
 @given(strategies(), st.sampled_from(["hermitian", "idempotent", "orthogonal", "sum", "noise"]),
        st.booleans(), CHUNKS, st.data())
-def test_single_element_mutants_raise_the_reference_error(s, kind, on_edge, chunk, data):
+def test_single_element_mutants_raise_the_reference_error(drawn, kind, on_edge, chunk, data):
+    s, edge_pvms = drawn
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if on_edge:
-        e = data.draw(st.sampled_from(sorted(s.edge_pvms)))
+        e = data.draw(st.sampled_from(sorted(edge_pvms)))
         target_edges = s.target.directed_edges()
-        fam = np.array([s.edge_pvms[e].get(t, np.zeros((s.dim, s.dim), dtype=complex))
+        fam = np.array([edge_pvms[e].get(t, np.zeros((s.dim, s.dim), dtype=complex))
                         for t in target_edges])
     else:
         u = data.draw(st.integers(0, s.instance.n - 1))
@@ -222,9 +231,10 @@ def test_single_element_mutants_raise_the_reference_error(s, kind, on_edge, chun
     j = data.draw(st.sampled_from([t for t in range(len(fam)) if t != i]))
     _mutate(fam, kind, i, j, rng)
     if on_edge:
-        s.edge_pvms[e] = {t: m for t, m in zip(target_edges, fam)
-                          if np.any(m) or t in s.edge_pvms[e]}
-    want = _first_error(validate_loop, s)
+        edge_pvms[e] = {t: m for t, m in zip(target_edges, fam)
+                        if np.any(m) or t in edge_pvms[e]}
+        set_edge_pvms(s, edge_pvms)
+    want = _first_error(lambda s: validate_loop(s, edge_pvms), s)
     if kind != "noise":
         assert MESSAGES[kind] in want
     with mock.patch.object(defect, "_CHUNK", chunk):

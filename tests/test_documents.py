@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qgadget import (QuantumRep, Strategy, assignment_defect, cc_defect, classical_strategy,
                      commutator_defect, cv_defect, graph_from_edges, pair_dist_from_json,
                      rep_from_json, strategy_from_json, verify_rep)
-from conftest import run_fresh
+from conftest import run_fresh, set_edge_pvms
 
 _FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(width=64)
 
@@ -51,13 +51,21 @@ _VERTEX_PAIRS = st.tuples(st.integers(-1, 3), st.integers(-1, 3))
 
 @st.composite
 def _strategies(draw):
+    """Edge families keyed by directed instance edges, each listing one to
+    three directed target edges, zero matrices among them; the loader
+    refuses any other key, which the mutation tests below reach."""
     inst, targ, dim = draw(_graphs()), draw(_graphs()), draw(st.integers(1, 2))
-    matrices = _stacks(dim, dim)
-    edge_pvms = draw(st.none() | st.dictionaries(
-        _VERTEX_PAIRS, st.dictionaries(_VERTEX_PAIRS, matrices, max_size=3), max_size=3))
-    return Strategy(inst, targ, dim, draw(_stacks(inst.n, targ.n, dim, dim)),
-                    draw(st.dictionaries(_VERTEX_PAIRS, st.fractions(), max_size=4)),
-                    edge_pvms, draw(st.floats(0.0, 1.0)))
+    s = Strategy(inst, targ, dim, draw(_stacks(inst.n, targ.n, dim, dim)),
+                 draw(st.dictionaries(_VERTEX_PAIRS, st.fractions(), max_size=4)),
+                 tol=draw(st.floats(0.0, 1.0)))
+    edges, outcomes = inst.directed_edges(), targ.directed_edges()
+    matrices = _stacks(dim, dim) | st.just(np.zeros((dim, dim), dtype=complex))
+    families = st.dictionaries(st.sampled_from(edges), st.dictionaries(
+        st.sampled_from(outcomes), matrices, min_size=1, max_size=3), max_size=3)
+    edge_pvms = draw(st.none() | (families if edges and outcomes else st.just({})))
+    if edge_pvms is not None:
+        set_edge_pvms(s, edge_pvms)
+    return s
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,6 +165,13 @@ def test_strategy_loader_returns_a_strategy_or_raises_value_error(s, data):
     except ValueError:
         return
     assert back.vertex_pvms.shape == (back.instance.n, back.target.n, back.dim, back.dim)
+    if back.edge_pvms is not None:
+        # every family and every outcome the document lists has its own entry
+        fams = doc["edge_pvms"]
+        assert back.edge_pvms.shape[:2] == back.edge_present.shape == (
+            len(back.instance.directed_edges()), len(back.target.directed_edges()))
+        assert back.edge_present.any(axis=1).sum() == len(fams)
+        assert back.edge_present.sum() == sum(len(fam) for fam in fams.values())
     for defect in (assignment_defect, cv_defect, lambda s: commutator_defect(s, 0, 0)):
         try:
             with np.errstate(all="ignore"):  # infinite entries overflow
