@@ -2,11 +2,16 @@
 
 Every subcommand assembles the same report object (command echo, inputs,
 result payload, tool version, elapsed time) and either pretty-prints it or
-dumps it as JSON with sorted keys, so identical inputs produce byte-identical
-reports apart from the elapsed-time field.
+writes it as JSON with sorted keys, so identical inputs produce
+byte-identical reports apart from the elapsed-time field.  Integer arrays in
+a report (map listings, quantum-core certificate lengths) are written
+straight from their numpy rows, with the bytes ``json.dumps`` would give.
 
 Exit codes: 0 = analysis completed (whatever the verdict), 1 = usage error,
-2 = internal verification failure (a constructed object failed its own check).
+2 = internal verification failure (a constructed object failed its own check),
+141 = stdout was closed before the report was written (``qgadget ... | head``);
+nothing is printed then.  141 is 128 + SIGPIPE, what a shell reports for a
+writer that the closed pipe stopped.
 
 Graph arguments accept a family descriptor (see graphs module) or @path to an
 edge-list file.
@@ -18,10 +23,13 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import __version__
 from .graphs import Graph, _parse_int, _parse_pair, build_family, parse_graph, serialize_graph
@@ -34,11 +42,16 @@ from .defect import (assignment_defect, cc_defect, commutator_defect, cv_defect,
                      pair_dist_from_json, strategy_from_json)
 from .gadget import (GadgetCandidate, check_property_i_classical, complement_cycle_gadget,
                      disprove_box_path_gadget, product_transfer, splice_gadget, walk_obstruction)
-from .qcore import classical_only_report, verify_quantum_core_certificate
+from .qcore import PairLengths, classical_only_report, verify_quantum_core_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
+EXIT_CLOSED_STDOUT = 141
+
+# an integer array is written in blocks of rows of about this many bytes of
+# text, so its temporaries stay a small multiple of the report
+_BLOCK_BYTES = 1 << 18
 
 # the most maps `homs` lists without --limit, unless --i-know lifts the bound
 HOMS_MAX_MAPS = 2 ** 20
@@ -79,6 +92,123 @@ def _default(obj):
     raise TypeError(f"cannot serialise {type(obj)} into a report")
 
 
+def _dumps(obj) -> str:
+    """obj as JSON with sorted keys, an infinite float written as "infinity"."""
+    try:
+        return json.dumps(obj, sort_keys=True, default=_default, allow_nan=False)
+    except ValueError:
+        # a non-finite float: json would write inf as Infinity, and reports
+        # write "infinity", so only such subtrees take the recursive walk
+        return json.dumps(_jsonable(obj), sort_keys=True)
+
+
+def _int_json(values: np.ndarray, heads: Optional[np.ndarray] = None) -> list[str]:
+    """The JSON text of a 2-D integer array, as str pieces: the list of its
+    rows, or, given ``heads``, an object that maps each row's key to its
+    one value.  Row i of the uint8 array ``heads`` holds key i's '"key": '
+    padded with NUL bytes.
+
+    The digits of each value come from a table built for this call, with
+    ", " appended and NUL padding to one cell width.  A block of rows is
+    gathered from the table into one buffer, between the row brackets or
+    after the keys, and one ``bytes.translate`` deletes the padding.  The
+    text equals ``json.dumps`` of the same rows as lists or dict."""
+    if (values.ndim != 2 or values.dtype.kind not in "iu"
+            or not np.can_cast(values.dtype, np.int64)):
+        raise TypeError(f"cannot serialise a {values.ndim}-D {values.dtype} array "
+                        f"into a report")
+    count, n = values.shape
+    if heads is None:
+        opening, closing, heads, tail = "[", "]", np.frombuffer(b"[", dtype=np.uint8), b"], "
+    else:
+        opening, closing, tail = "{", "}", b", "
+    if count == 0:
+        return [opening + closing]
+    lo, hi = (int(values.min()), int(values.max())) if values.size else (0, 0)
+    # the table spans the value range unless that is longer than the array
+    distinct = None if hi - lo <= values.size else np.unique(values)
+    texts = [str(v) for v in (range(lo, hi + 1) if distinct is None else distinct.tolist())]
+    width = max(map(len, texts)) + 2
+    cell = np.dtype((np.void, width))
+    spaced = np.array([t + ", " for t in texts], dtype=f"S{width}").view(cell)
+    last = np.array(texts, dtype=f"S{width}").view(cell)
+    start, stop = heads.shape[-1], heads.shape[-1] + n * width
+    row_bytes = stop + len(tail)
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    pieces = [opening]
+    for s in range(0, count, step):
+        block = values[s:s + step]
+        index = (np.subtract(block, lo, dtype=np.intp) if distinct is None
+                 else np.searchsorted(distinct, block))
+        buf = np.empty((len(block), row_bytes), dtype=np.uint8)
+        buf[:, :start] = heads[s:s + step] if heads.ndim == 2 else heads
+        cells = buf[:, start:stop].view(cell)
+        # every index is in range; "clip" lets take write into the buffer unbuffered
+        np.take(spaced, index, out=cells, mode="clip")
+        if n:
+            # a row's last value takes no ", "; its tail ends it
+            cells[:, -1] = last[index[:, -1]]
+        buf[:, stop:] = np.frombuffer(tail, dtype=np.uint8)
+        pieces.append(buf.tobytes().translate(None, b"\0").decode("ascii"))
+    # the last row's tail separates it from nothing
+    pieces[-1] = pieces[-1][:-2]
+    pieces.append(closing)
+    return pieces
+
+
+class _Path(dict):
+    """A report dict with an integer array below it, through dicts only."""
+
+
+# values _lower leaves as they are: JSON leaves, and lists, which it does
+# not walk (an integer array in a list reaches _default and is refused)
+_PLAIN = {str, int, float, bool, type(None), list, tuple}
+
+
+def _lower(obj):
+    """obj with each object on a path of dicts replaced by its ``to_json``,
+    and each dict on such a path to an integer array made a _Path."""
+    if type(obj) in _PLAIN or isinstance(obj, (np.ndarray, PairLengths)):
+        return obj
+    if hasattr(obj, "to_json"):
+        return _lower(obj.to_json())
+    if not isinstance(obj, dict):
+        return obj
+    lowered, path = {}, False
+    for k, v in obj.items():
+        if type(v) not in _PLAIN:
+            v = _lower(v)
+            path = path or isinstance(v, (_Path, np.ndarray, PairLengths))
+        lowered[k] = v
+    return _Path(lowered) if path else lowered
+
+
+def _write(obj, pieces: list[str]) -> None:
+    if isinstance(obj, np.ndarray):
+        pieces += _int_json(obj)
+    elif isinstance(obj, PairLengths):
+        keys, lengths = obj.key_rows()
+        pieces += _int_json(lengths, keys)
+    elif isinstance(obj, _Path):
+        sep = "{"
+        for k in sorted(obj):
+            pieces.append(f"{sep}{json.dumps(k)}: ")
+            _write(obj[k], pieces)
+            sep = ", "
+        pieces.append("}")
+    else:
+        pieces.append(_dumps(obj))
+
+
+def _json_pieces(obj) -> list[str]:
+    """The JSON text of a report object as str pieces.  Integer arrays are
+    written by _int_json, the dicts on the path to one key by key, and every
+    other subtree by one json.dumps call."""
+    pieces: list[str] = []
+    _write(_lower(obj), pieces)
+    return pieces
+
+
 def _jsonable(obj):
     """Recursively convert report payloads to plain JSON types, writing an
     infinite float as "infinity"."""
@@ -94,6 +224,8 @@ def _jsonable(obj):
         # plain ints (most elements of map lists) need no conversion; a bool
         # fails the exact type test and still goes through _jsonable
         return [v if type(v) is int else _jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if hasattr(obj, "to_json"):
         return _jsonable(obj.to_json())
     raise TypeError(f"cannot serialise {type(obj)} into a report")
@@ -121,20 +253,22 @@ def _render_text(obj, indent=0):
     return lines
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away before the report was written."""
+
+
 def emit_report(args, inputs: dict, result: dict) -> None:
     report = {"command": args.command, "inputs": inputs, "result": result,
               "tool_version": __version__,
               "elapsed_seconds": round(time.monotonic() - args._t0, 6)}
-    if not args.json:
-        print("\n".join(_render_text(_jsonable(report))))
-        return
+    pieces = (_json_pieces(report) if args.json
+              else ["\n".join(_render_text(_jsonable(report)))])
+    pieces.append("\n")
     try:
-        text = json.dumps(report, sort_keys=True, default=_default, allow_nan=False)
-    except ValueError:
-        # a non-finite float: json would write inf as Infinity, and reports
-        # write "infinity", so only such reports take the recursive walk
-        text = json.dumps(_jsonable(report), sort_keys=True)
-    print(text)
+        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def _bound(args) -> int:
@@ -190,8 +324,8 @@ def cmd_endos(args):
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     g = load_graph_arg(args.graph)
     rows = endomorphism_rows(g, _bound(args))
-    ident = list(range(g.n))
-    maps = [ident] + [m for m in rows.tolist() if m != ident]
+    ident = np.arange(g.n, dtype=rows.dtype)
+    maps = np.concatenate([ident[None], rows[(rows != ident).any(axis=1)]])
     if args.limit is not None:
         maps = maps[:args.limit]
     emit_report(args, {"graph": args.graph, "limit": args.limit,
@@ -221,7 +355,7 @@ def cmd_homs(args):
     if args.i_know:
         # echoed only when given, so reports within the bound keep their bytes
         inputs["i_know"] = True
-    emit_report(args, inputs, {"count": len(rows), "homomorphisms": rows.tolist()})
+    emit_report(args, inputs, {"count": len(rows), "homomorphisms": rows})
 
 
 def cmd_gadget_check(args):
@@ -474,6 +608,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except _StdoutClosed:
+        # the rest of the report still sits in stdout's buffer; point stdout
+        # at the null device so the flush at exit cannot fail and complain
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -16,7 +16,8 @@ A certificate holds the lengths as two read-only 1-D integer arrays over the
 pairs a < b in ``np.triu_indices(n, 1)`` order: ``column_lengths`` has one
 entry per pair, ``cross_lengths`` one per non-adjacent pair.  Finder,
 verifier and report all read that layout; only ``to_json`` names the pairs,
-as "a,b" keys.
+as "a,b" keys, through ``PairLengths``: the report writer takes its key
+bytes and lengths as arrays, and its own ``to_json`` gives the plain dict.
 
 Both conditions are threshold conditions per parity: a walk a -> a' of
 length l exists iff l reaches the pair's parity distance, and "some closed
@@ -40,6 +41,7 @@ inconclusive, not a disproof.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,13 +73,64 @@ class QuantumCoreCertificate:
             object.__setattr__(self, name, lengths)
 
     def to_json(self) -> dict:
-        a, b = np.triu_indices(self.graph.n, 1)
-        keys = [f"{x},{y}" for x, y in zip(a.tolist(), b.tolist())]
-        cross = np.flatnonzero(~self.graph.adj[a, b]).tolist()
+        n = self.graph.n
         return {"graph": self.graph.label,
-                "column_lengths": dict(zip(keys, self.column_lengths.tolist(), strict=True)),
-                "cross_lengths": dict(zip([keys[i] for i in cross],
-                                          self.cross_lengths.tolist(), strict=True))}
+                "column_lengths": PairLengths(n, np.ones(n * (n - 1) // 2, dtype=bool),
+                                              self.column_lengths),
+                "cross_lengths": PairLengths(n, ~self.graph.adj[_pair_keys(n)[0]],
+                                             self.cross_lengths)}
+
+
+@functools.lru_cache(maxsize=64)
+def _pair_keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the pairs a < b of n vertices: the (n, n) mask that picks them
+    in ``np.triu_indices(n, 1)`` order, their indices in that order sorted
+    by their "a,b" keys, and, in key order, one uint8 row per pair holding
+    '"a,b": ' padded with NUL bytes.  The comma sorts below every digit, so
+    key order is the string order of a, then of b."""
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    a, b = np.nonzero(upper)
+    text_rank = np.empty(n, dtype=np.intp)
+    text_rank[sorted(range(n), key=str)] = np.arange(n)
+    order = np.lexsort((text_rank[b], text_rank[a])).astype(np.int32)
+    firsts = np.array([f'"{x}' for x in range(n)], dtype="S")
+    seconds = np.array([f',{y}": ' for y in range(n)], dtype="S")
+    keys = np.concatenate([
+        firsts[a[order]].view(np.uint8).reshape(len(order), firsts.itemsize),
+        seconds[b[order]].view(np.uint8).reshape(len(order), seconds.itemsize)], axis=1)
+    for cached in (upper, order, keys):
+        cached.setflags(write=False)
+    return upper, order, keys
+
+
+@dataclass(frozen=True, eq=False)
+class PairLengths:
+    """One length per selected pair a < b of n vertices, written as an
+    object with "a,b" keys: ``selected`` masks the pairs in
+    ``np.triu_indices(n, 1)`` order and ``lengths`` holds theirs, in that
+    order."""
+
+    n: int
+    selected: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        if int(self.selected.sum()) != len(self.lengths):
+            raise ValueError(f"{len(self.lengths)} lengths for {int(self.selected.sum())} pairs")
+
+    def key_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The selected pairs in key order: their key rows (see _pair_keys)
+        and their lengths as a ``(k, 1)`` array."""
+        _, order, keys = _pair_keys(self.n)
+        chosen = self.selected[order]
+        position = np.cumsum(self.selected) - 1
+        return keys[chosen], self.lengths[position[order[chosen]]][:, None]
+
+    def to_json(self) -> dict:
+        a, b = np.nonzero(_pair_keys(self.n)[0])
+        return {f"{x},{y}": v for x, y, v in zip(a[self.selected].tolist(),
+                                                  b[self.selected].tolist(),
+                                                  self.lengths.tolist())}
 
 
 def _minimal_lengths(dist: np.ndarray, forbidden_from: np.ndarray) -> np.ndarray:

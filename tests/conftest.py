@@ -3,7 +3,8 @@
 The oracles here deliberately take a different route from the library code
 they check: walks are enumerated by explicit DFS instead of matrix powers,
 quantum-core certificates are re-checked pair by pair with bool-dtype powers
-instead of grouped float32 BLAS products, homomorphism existence is decided
+instead of grouped float32 BLAS products and written as dicts key by key
+instead of from arrays, homomorphism existence is decided
 by backtracking search when checking the parity shortcut, and by forward
 checking over vertex sets when checking a pinned table's misses, operator
 norms come from numpy's SVD instead of power iteration, game values are
@@ -60,13 +61,14 @@ def endo_battery() -> list[Graph]:
     return [build_family(s) for s in ENDO_BATTERY_SPECS]
 
 
-def run_fresh(*argv) -> subprocess.CompletedProcess:
-    """``qgadget *argv`` in a new interpreter, on this checkout's sources."""
+def run_fresh(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``qgadget *argv`` in a new interpreter, on this checkout's sources;
+    stdout is captured unless another file descriptor is given."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +158,18 @@ def verify_loop(g: Graph, cert) -> Optional[str]:
                 if walks(ell)[2]:
                     return f"cross pair ({a},{b}): adjacent pair joined at length {ell}"
     return None
+
+
+def certificate_json(cert) -> dict:
+    """A quantum-core certificate as the dict its report holds, built key by
+    key in row-major pair order (reference for the array writer)."""
+    a, b = np.triu_indices(cert.graph.n, 1)
+    keys = [f"{x},{y}" for x, y in zip(a.tolist(), b.tolist())]
+    cross = np.flatnonzero(~cert.graph.adj[a, b]).tolist()
+    return {"graph": cert.graph.label,
+            "column_lengths": dict(zip(keys, cert.column_lengths.tolist(), strict=True)),
+            "cross_lengths": dict(zip([keys[i] for i in cross],
+                                      cert.cross_lengths.tolist(), strict=True))}
 
 
 def hom_exists_bruteforce(h: Graph, g: Graph) -> bool:

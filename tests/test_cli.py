@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qgadget.cli
 import qgadget.endo
@@ -422,7 +424,7 @@ def test_qcore_builds_certificate_once(monkeypatch, capsys):
 
     g = build_family("C:7")
     rebuilt = QuantumCoreCertificate(g, lengths("column_lengths"), lengths("cross_lengths"))
-    assert rebuilt.to_json() == cert
+    assert json.loads("".join(qgadget.cli._json_pieces(rebuilt))) == cert
     verify_quantum_core_certificate(g, rebuilt)
     assert len(calls) == 1
 
@@ -798,6 +800,8 @@ def _jsonable_reference(obj):
         return {str(k): _jsonable_reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable_reference(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if hasattr(obj, "to_json"):
         return _jsonable_reference(obj.to_json())
     raise TypeError(f"cannot serialise {type(obj)} into a report")
@@ -820,13 +824,24 @@ _REPORT_PAYLOADS = st.recursive(
                   | st.dictionaries(st.text(max_size=3), kids, max_size=3)
                   | kids.map(_ToJson)),
     max_leaves=20)
+# 2-D int8 and int16 arrays, empty ones and one-column ones among them, with
+# values at both ends of their range
+_INT_ARRAYS = st.sampled_from([np.int8, np.int16]).flatmap(
+    lambda dtype: arrays(dtype, st.tuples(st.integers(0, 4), st.integers(0, 4))))
+# integer arrays sit in reports only as dict values, under dicts and to_json
+# objects, beside plain subtrees
+_REPORT_TREES = st.recursive(
+    _REPORT_PAYLOADS | _INT_ARRAYS,
+    lambda kids: st.dictionaries(st.text(max_size=3), kids, max_size=3) | kids.map(_ToJson),
+    max_leaves=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_REPORT_PAYLOADS)
+@given(_REPORT_TREES)
 def test_jsonable_matches_the_recursive_reference(payload):
     # the emitted bytes, fast path or the non-finite fallback, against the
-    # recursive encoder; json.dumps tells true from 1 and 1.0 from 1
+    # recursive encoder, which writes an integer array as its tolist();
+    # json.dumps tells true from 1 and 1.0 from 1
     args = argparse.Namespace(command="analyze", json=True, _t0=time.monotonic())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -857,7 +872,8 @@ def test_cached_parser_prints_what_a_fresh_parser_prints(capsys):
 
 
 def _normal(text):
-    return re.sub(r'"elapsed_seconds": [-+0-9.eE]+', '"elapsed_seconds": 0', text)
+    """The report with elapsed_seconds written as 0, in JSON or text mode."""
+    return re.sub(r'("?elapsed_seconds"?: )[-+0-9.eE]+', r"\g<1>0", text)
 
 
 def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
@@ -927,6 +943,55 @@ def test_qcore_reports_keep_their_bytes(capsys, spec):
     code, out, err = run_cli(capsys, "qcore", spec, "--json")
     assert code == 0, err
     assert hashlib.sha256(_normal(out).encode()).hexdigest() == QCORE_REPORT_SHA256[spec]
+
+
+# sha256 of map listings in JSON and text mode, with elapsed_seconds written
+# as 0; the array writer must keep the bytes json.dumps wrote
+LISTING_REPORT_SHA256 = {
+    ("endos", "P:11", "--json"):
+        "8473124fc198d553a73779ee1a3ec7df052c605ef6741df20de630dcf3c14ec5",
+    ("endos", "P:11"): "d141aa8b333b7214e898cb28c10b4a5fdb1294ccb3c6ab13ebc5750f1ff2c43b",
+    ("endos", "C:12", "--json"):
+        "3678125a70a59dee4775659af9a614730c68269c3c10064554c8b3e92fe57f1c",
+    ("endos", "C:12"): "6bf69e89e709b40dd25c9d6b0fb4dcac5ad12c3d6fafca4598f33aecd1eb3d6e",
+    ("endos", "cmpl(C:10)", "--json"):
+        "37a3c91930a5676f21613f2759e0ea6473aa7f0e2e6018606a08006c5f5eeb34",
+    ("endos", "cmpl(C:10)"): "fc8c91370c7885efaa66155fbb7fc32fc653fc57ca368a00d0d21417086501bc",
+    ("endos", "K:6", "--limit", "5", "--json"):
+        "1b2e12301d3bf27a274d11fadc6f49f3f5aa204d72362152ccac25d410dda806",
+    ("endos", "K:6", "--limit", "5"):
+        "cf74e34e070b2920e710b2d4a2fdb86c7b47608fccb67b97525c7eb7448ddc77",
+    ("homs", "cmpl(C:8)", "K:4", "--json"):
+        "baa916d532799479415e11fac8d1e76eb9a8436ef3511c235910439b4209c94a",
+    ("homs", "cmpl(C:8)", "K:4"): "b34d24db8a931ad4cd461b147754f88bb3366cfdd8fd55b5ecf639182ab8e6ce",
+    ("homs", "C:9", "K:3", "--pin", "0=1", "--limit", "3", "--json"):
+        "e5fb3c66482243ac60dcf42a721ec9706a52c9f8959cc0a72b522fbce34be2b8",
+    ("homs", "C:9", "K:3", "--pin", "0=1", "--limit", "3"):
+        "b89d55dd24a0e674d1f68e70e5ffa92fb2f665a0eda4b222f16acd927388fb5d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LISTING_REPORT_SHA256))
+def test_listing_reports_keep_their_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(_normal(out).encode()).hexdigest() == LISTING_REPORT_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv", [["endos", "P:11", "--json"], ["endos", "P:11"],
+                                  ["qcore", "C:5", "--json"]])
+def test_closed_stdout_exits_141_and_prints_nothing(argv):
+    # stdout is a pipe whose reader is gone, as in `qgadget endos P:11 --json
+    # | head -c 10` once head exits; the report write used to print "error:
+    # [Errno 32] Broken pipe" and exit 1, and a report that fit in stdout's
+    # buffer failed at exit with an "Exception ignored" message instead
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_fresh(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 141 and proc.stderr == ""
 
 
 def test_non_finite_reports_keep_their_bytes(tmp_path, capsys):

@@ -120,6 +120,54 @@ def test_products_commute_up_to_isomorphism():
                     assert left.adj[u, v] == right.adj[swap[u], swap[v]]
 
 
+def _networkx(g: Graph):
+    nx = pytest.importorskip("networkx")
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+def _assert_isomorphism_oracle_agrees(g: Graph, h: Graph):
+    # find_isomorphism against networkx's VF2, both ways; a found map must
+    # carry g's adjacency onto h's
+    nx = pytest.importorskip("networkx")
+    expected = nx.is_isomorphic(_networkx(g), _networkx(h))
+    for a, b in ((g, h), (h, g)):
+        p = find_isomorphism(a, b)
+        assert (p is not None) == expected
+        if p is not None:
+            assert sorted(p) == list(range(a.n))
+            assert np.array_equal(b.adj[np.ix_(p, p)], a.adj)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_isomorphism_oracle_matches_networkx(n, data):
+    pairs = list(combinations(range(n), 2))
+    g = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    if data.draw(st.booleans()):
+        # a relabelled copy: isomorphic by construction
+        perm = data.draw(st.permutations(range(n)))
+        h = graph_from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+    else:
+        # as many edges, often not isomorphic
+        h = graph_from_edges(n, data.draw(st.lists(st.sampled_from(pairs), min_size=g.num_edges,
+                                                   max_size=g.num_edges, unique=True))
+                             if pairs else [])
+    _assert_isomorphism_oracle_agrees(g, h)
+
+
+@pytest.mark.parametrize("left, right", [("KG:5,2", "petersen"), ("O:3", "KG:5,2"),
+                                         ("O:4", "KG:7,3"), ("petersen", "box(C:5,P:1)")])
+def test_family_identities_match_networkx(left, right):
+    # KG:5,2 is the Petersen graph and O:n is KG:2n-1,n-1; the pentagonal
+    # prism, cubic on 10 vertices like Petersen, is the negative control
+    _assert_isomorphism_oracle_agrees(build_family(left), build_family(right))
+    found = find_isomorphism(build_family(left), build_family(right))
+    assert (found is None) == (right == "box(C:5,P:1)")
+
+
 def test_kneser_edge_count_bruteforce():
     for n in range(1, 10):
         for k in range(1, n + 1):

@@ -1,5 +1,6 @@
 """Quantum-core certification via walk conditions."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgadget.endo
+from qgadget.cli import _json_pieces, _jsonable, _render_text
 from qgadget import (Graph, QuantumCoreCertificate, build_family, classical_only_report, girths,
                      graph_from_edges, quantum_core_certificate,
                      verify_quantum_core_certificate)
-from conftest import verify_loop
+from conftest import certificate_json, verify_loop
 
 
 def _pairs(g):
@@ -148,7 +150,8 @@ def test_tampered_certificate_rejected():
                 verify_quantum_core_certificate(h, blank)
         else:
             verify_quantum_core_certificate(h, blank)
-            assert blank.to_json() == {"graph": spec, "column_lengths": {}, "cross_lengths": {}}
+            assert json.loads("".join(_json_pieces(blank))) == {
+                "graph": spec, "column_lengths": {}, "cross_lengths": {}}
 
 
 def test_tampered_certificate_reports_the_first_pair_in_row_major_order():
@@ -204,6 +207,31 @@ def _certificates(draw):
 def test_verifier_matches_the_bool_power_reference(case):
     g, cert = case
     assert _outcome(g, cert) == verify_loop(g, cert)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 130), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       st.sampled_from(["small", "signed", "huge"]), st.sampled_from([np.int32, np.int64]))
+def test_certificate_maps_match_the_dict_reference(n, seed, density, spread, dtype):
+    # the "a,b" maps written from arrays against the dicts built key by key,
+    # in JSON (sorted string keys: "1,10" < "1,2" < "10,2") and in text mode
+    # (row-major pairs); "huge" lengths are too far apart for a table over
+    # their range
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    g = Graph(n, upper | upper.T)
+    n_pairs = n * (n - 1) // 2
+    lengths = []
+    for size in (n_pairs, n_pairs - g.num_edges):
+        drawn = rng.integers(1 if spread == "small" else -2, 2 * n + 4, size=size)
+        if spread == "huge":
+            far = rng.random(size) < 0.05
+            drawn[far] = rng.choice([2**31 - 1, -2**31, 2**30], size=int(far.sum()))
+        lengths.append(drawn.astype(dtype))
+    cert = QuantumCoreCertificate(g, *lengths)
+    want = certificate_json(cert)
+    assert "".join(_json_pieces(cert)) == json.dumps(want, sort_keys=True)
+    assert _render_text(_jsonable(cert)) == _render_text(want)
 
 
 @pytest.mark.parametrize("spec", ["K:258", "K:300"])
