@@ -1,11 +1,12 @@
 """Command-line front end: one subcommand per analysis, text or JSON output.
 
 Every subcommand assembles the same report object (command echo, inputs,
-result payload, tool version, elapsed time) and either pretty-prints it or
-writes it as JSON with sorted keys, so identical inputs produce
-byte-identical reports apart from the elapsed-time field.  Integer arrays in
-a report (map listings, quantum-core certificate lengths) are written
-straight from their numpy rows, with the bytes ``json.dumps`` would give.
+result payload, tool version, elapsed time), lowers it once (``_lower``) and
+writes the lowered tree as JSON with sorted keys or, in text mode, as
+indented lines in the report's key order, so identical inputs produce
+byte-identical reports apart from the elapsed-time field.  Integer arrays
+(map listings, quantum-core certificate lengths) sit only as dict values,
+and JSON mode writes them straight from their numpy rows.
 
 Exit codes: 0 = analysis completed (whatever the verdict), 1 = usage error,
 2 = internal verification failure (a constructed object failed its own check),
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -79,27 +79,19 @@ def load_graph_arg(text: str) -> Graph:
     return build_family(text)
 
 
-def _default(obj):
-    """``json.dumps`` hook for the types a report holds beyond plain JSON.
-
-    Report dicts must have string keys: every ``to_json`` and ``cmd_*``
-    writes them that way, and under ``sort_keys`` int keys would sort as
-    numbers, not as the strings they are written as."""
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
-    raise TypeError(f"cannot serialise {type(obj)} into a report")
+# json.loads reads these constants back from json.dumps's own output
+_NON_FINITE = {"Infinity": "infinity", "-Infinity": "infinity", "NaN": math.nan}
 
 
 def _dumps(obj) -> str:
     """obj as JSON with sorted keys, an infinite float written as "infinity"."""
     try:
-        return json.dumps(obj, sort_keys=True, default=_default, allow_nan=False)
+        return json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError:
-        # a non-finite float: json would write inf as Infinity, and reports
-        # write "infinity", so only such subtrees take the recursive walk
-        return json.dumps(_jsonable(obj), sort_keys=True)
+        # a non-finite float: json writes it as a bare constant, and reports
+        # write an infinite one as "infinity" and keep NaN
+        return json.dumps(json.loads(json.dumps(obj), parse_constant=_NON_FINITE.__getitem__),
+                          sort_keys=True)
 
 
 def _int_json(values: np.ndarray, heads: Optional[np.ndarray] = None) -> list[str]:
@@ -161,13 +153,16 @@ class _Path(dict):
 
 
 # values _lower leaves as they are: JSON leaves, and lists, which it does
-# not walk (an integer array in a list reaches _default and is refused)
+# not walk (an integer array in a list reaches json.dumps and is refused)
 _PLAIN = {str, int, float, bool, type(None), list, tuple}
 
 
 def _lower(obj):
     """obj with each object on a path of dicts replaced by its ``to_json``,
-    and each dict on such a path to an integer array made a _Path."""
+    and each dict on such a path to an integer array made a _Path.  Integer
+    arrays and ``to_json`` objects sit in a report only as dict values, and
+    report dicts have string keys (``sort_keys`` would sort int keys as
+    numbers, not as the strings they are written as)."""
     if type(obj) in _PLAIN or isinstance(obj, (np.ndarray, PairLengths)):
         return obj
     if hasattr(obj, "to_json"):
@@ -209,47 +204,37 @@ def _json_pieces(obj) -> list[str]:
     return pieces
 
 
-def _jsonable(obj):
-    """Recursively convert report payloads to plain JSON types, writing an
-    infinite float as "infinity"."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return "infinity" if math.isinf(obj) else obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        # plain ints (most elements of map lists) need no conversion; a bool
-        # fails the exact type test and still goes through _jsonable
-        return [v if type(v) is int else _jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "to_json"):
-        return _jsonable(obj.to_json())
-    raise TypeError(f"cannot serialise {type(obj)} into a report")
+def _text_leaf(v) -> str:
+    """A text-mode value that opens no block, as one line of JSON."""
+    return _dumps(v) if isinstance(v, float) else json.dumps(v)
 
 
-def _render_text(obj, indent=0):
+def _render_text(obj, indent=0) -> list[str]:
+    """The text-mode lines of a lowered report, in its key order: a nonempty
+    dict or list value opens an indented block, and every other value is
+    one line of JSON.  An integer array is rendered as its ``tolist()`` and
+    a ``PairLengths`` as its ``to_json()``."""
     pad = "  " * indent
     lines = []
     if isinstance(obj, dict):
         for k, v in obj.items():
-            if isinstance(v, (dict, list)) and v:
+            if isinstance(v, np.ndarray):
+                v = v.tolist()
+            elif isinstance(v, PairLengths):
+                v = v.to_json()
+            if isinstance(v, (dict, list, tuple)) and v:
                 lines.append(f"{pad}{k}:")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}{k}: {json.dumps(v)}")
-    elif isinstance(obj, list):
+                lines.append(f"{pad}{k}: {v if type(v) is int else _text_leaf(v)}")
+    else:
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 lines.extend(_render_text(v, indent + 1))
             else:
-                lines.append(f"{pad}- {json.dumps(v)}")
-    else:
-        lines.append(f"{pad}{json.dumps(obj)}")
+                # an exact int (most leaves: map listings) is written as json.dumps would
+                lines.append(f"{pad}- {v if type(v) is int else _text_leaf(v)}")
     return lines
 
 
@@ -262,7 +247,7 @@ def emit_report(args, inputs: dict, result: dict) -> None:
               "tool_version": __version__,
               "elapsed_seconds": round(time.monotonic() - args._t0, 6)}
     pieces = (_json_pieces(report) if args.json
-              else ["\n".join(_render_text(_jsonable(report)))])
+              else ["\n".join(_render_text(_lower(report)))])
     pieces.append("\n")
     try:
         sys.stdout.writelines(pieces)

@@ -30,7 +30,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
-from typing import Optional
 
 import numpy as np
 
@@ -50,7 +49,6 @@ class Graph:
     n: int
     adj: np.ndarray
     label: str = ""
-    note: Optional[str] = None
 
     def __post_init__(self):
         a = np.asarray(self.adj, dtype=bool)
@@ -141,7 +139,7 @@ def _check_order(n: int) -> None:
         raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
 
 
-def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None) -> Graph:
+def graph_from_edges(n: int, edges, label: str = "") -> Graph:
     _check_order(n)
     adj = np.zeros((n, n), dtype=bool)
     for u, v in edges:
@@ -150,7 +148,7 @@ def graph_from_edges(n: int, edges, label: str = "", note: Optional[str] = None)
         if u == v:
             raise ValueError(f"loop edge ({u},{v}) not allowed")
         adj[u, v] = adj[v, u] = True
-    return Graph(n, adj, label, note)
+    return Graph(n, adj, label)
 
 
 def graph_from_json(obj) -> Graph:
@@ -194,13 +192,13 @@ def cycle_graph(n: int) -> Graph:
 
 
 def path_graph(length: int) -> Graph:
-    """Path of the given length: length+1 vertices 0..length."""
+    """Path of the given length: length+1 vertices 0..length, renumbered
+    0-based from the 1-based convention."""
     if length < 0:
         raise ValueError("path length must be >= 0")
     _check_order(length + 1)
     edges = [(i, i + 1) for i in range(length)]
-    return graph_from_edges(length + 1, edges, f"P:{length}",
-                            note="vertices renumbered 0-based from 1-based convention")
+    return graph_from_edges(length + 1, edges, f"P:{length}")
 
 
 def kneser_graph(n: int, k: int) -> Graph:
@@ -219,20 +217,20 @@ def kneser_graph(n: int, k: int) -> Graph:
     # entry (i, j) counts the elements subsets i and j share: an integer of
     # at most k < 2^24, exact in float32 whatever the summation order
     adj = incidence @ incidence.T == 0
-    return Graph(nv, adj, f"KG:{n},{k}", note="vertices are k-subsets in lexicographic order")
+    return Graph(nv, adj, f"KG:{n},{k}")
 
 
 def odd_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError("odd graph needs n >= 2")
     g = kneser_graph(2 * n - 1, n - 1)
-    return Graph(g.n, g.adj, f"O:{n}", note=g.note)
+    return Graph(g.n, g.adj, f"O:{n}")
 
 
 def diamond_graph() -> Graph:
-    # 4-cycle 0-1-2-3 plus the chord {1,3}
-    return graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)], "diamond",
-                            note="vertices renumbered 0-based from 1-based convention")
+    """The 4-cycle 0-1-2-3 plus the chord {1,3}, renumbered 0-based from the
+    1-based convention."""
+    return graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)], "diamond")
 
 
 def dprime_graph() -> Graph:
@@ -324,7 +322,7 @@ def build_family(spec: str) -> Graph:
             return fn(build_family(args[0]), build_family(args[1]))
     if low == "petersen":
         g = kneser_graph(5, 2)
-        return Graph(g.n, g.adj, "petersen", note=g.note)
+        return Graph(g.n, g.adj, "petersen")
     if low == "diamond":
         return diamond_graph()
     if low == "dprime":

@@ -233,41 +233,16 @@ def _shortest_odd_closed_walk(g: Graph, s: int) -> Optional[list[int]]:
     return [v for v, _ in reversed(walk)]
 
 
-def _extract_odd_cycle(g: Graph, walk: list[int]) -> list[int]:
-    """Split an odd closed walk at repeated vertices until a simple odd cycle
-    remains.  The result is a cyclic path whose length is at most the walk's."""
-    cur = walk
-    while True:
-        length = len(cur) - 1
-        interior = cur[:-1]
-        seen: dict[int, int] = {}
-        split = None
-        for idx, v in enumerate(interior):
-            if v in seen:
-                split = (seen[v], idx)
-                break
-            seen[v] = idx
-        if split is None:
-            if length % 2 != 1 or length < 3:
-                raise VerificationFailure(f"walk splitting left a closed walk of length {length}, "
-                                          f"not an odd cycle")
-            return cur
-        i, j = split
-        piece_a = cur[i:j + 1]           # closed walk of length j-i
-        piece_b = cur[:i + 1] + cur[j + 1:]  # closed walk of length L-(j-i)
-        cur = piece_a if (j - i) % 2 == 1 else piece_b
-        # re-root so the repeated endpoint is explicit
-        if cur[0] != cur[-1]:
-            raise VerificationFailure("walk splitting produced a non-closed piece")
-
-
 def girths(g: Graph) -> GirthReport:
     """Girth, odd girth, odd walk girth, and diameter.
 
     Girth and odd girth come from the layered bitmask BFS.  The odd girth is
     cross-checked by a second path: a parent-tracking BFS on the bipartite
-    double cover from the root of the best odd hit, whose odd closed walk is
-    split into a simple odd cycle of the same length with every edge present.
+    double cover from the root of the best odd hit, whose shortest odd
+    closed walk must be a simple cycle of the odd girth's length with every
+    step an edge.  Through a vertex of a shortest odd cycle that walk is
+    exactly that long, and a walk of that length that repeated a vertex
+    would split into a shorter odd closed walk.
     odd_walk_girth comes from the diagonal of the walk table's odd parity
     distances, so its equality with odd_girth is a genuine cross-check
     rather than a tautology.  The diameter is the largest shortest-walk
@@ -275,15 +250,16 @@ def girths(g: Graph) -> GirthReport:
     """
     girth, odd_girth, root = _layered_girths(g)
     if root >= 0:
-        witness = _shortest_odd_closed_walk(g, root)
-        if witness is None:
+        cyc = _shortest_odd_closed_walk(g, root)
+        if cyc is None:
             raise VerificationFailure(f"no odd closed walk through root {root}")
-        cyc = _extract_odd_cycle(g, witness)
         clen = len(cyc) - 1
-        # a cycle is itself a closed walk, so the extracted one cannot be shorter
-        if not clen == len(witness) - 1 == odd_girth:
+        if clen != odd_girth:
             raise VerificationFailure(f"odd cycle of length {clen} from root {root}, "
                                       f"layered search found {odd_girth}")
+        if cyc[0] != cyc[-1] or len(set(cyc)) != clen:
+            raise VerificationFailure(f"odd closed walk {cyc} from root {root} is not a "
+                                      f"simple cycle")
         for a, b in zip(cyc, cyc[1:]):
             if not g.has_edge(a, b):
                 raise VerificationFailure(f"odd cycle {cyc} from root {root} uses the "

@@ -14,7 +14,12 @@ plain backtracking.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +28,8 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from qgadget import Graph, Strategy, build_family
+from qgadget import Graph, Strategy, build_family, pair_swap_rep
+from qgadget.cli import main
 from qgadget.defect import _edge_stack
 from qgadget.qrep import _matrix_json
 
@@ -69,6 +75,39 @@ def run_fresh(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+
+
+def inf_rep_json() -> str:
+    """pair_swap_rep(4) as a document whose entry (0,0) holds 1e400, which
+    overflows to an infinite float when it is read."""
+    doc = json.dumps(pair_swap_rep(4).to_json())
+    out = doc.replace('"0,0": [[[1.0,', '"0,0": [[[1e400,', 1)
+    assert "1e400" in out
+    return out
+
+
+# the golden corpus: one sha256 per report, written by tests/regen_golden.py
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+
+
+def golden_digests() -> dict[str, str]:
+    """The corpus, keyed by the argv of each report joined by spaces."""
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def normal_report(text: str) -> str:
+    """The report with elapsed_seconds written as 0, in JSON or text mode."""
+    return re.sub(r'("?elapsed_seconds"?: )[-+0-9.eE]+', r"\g<1>0", text)
+
+
+def report_sha256(argv) -> str:
+    """sha256 of the report ``qgadget *argv`` writes in-process, with
+    elapsed_seconds written as 0; the command must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, f"{' '.join(argv)} exited {code}"
+    return hashlib.sha256(normal_report(out.getvalue()).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

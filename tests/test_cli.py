@@ -2,14 +2,11 @@
 
 import argparse
 import contextlib
-import hashlib
 import io
 import json
 import math
 import os
-import re
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,7 +23,8 @@ from qgadget import (QuantumCoreCertificate, QuantumRep, build_family, classical
                      verify_quantum_core_certificate)
 from qgadget.cli import main
 from qgadget.graphs import MAX_NESTING
-from conftest import hom_exists_forward_checking, run_fresh
+from conftest import (golden_digests, hom_exists_forward_checking, inf_rep_json, normal_report,
+                      report_sha256, run_fresh)
 
 
 def run_cli(capsys, *argv):
@@ -789,13 +787,12 @@ def test_json_round_trips(capsys):
 
 
 def _jsonable_reference(obj):
-    """The report encoder before plain ints in lists skipped the recursion."""
+    """The recursive report encoder that text mode and the non-finite
+    fallback once went through."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
         return "infinity" if math.isinf(obj) else obj
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
         return {str(k): _jsonable_reference(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -807,6 +804,29 @@ def _jsonable_reference(obj):
     raise TypeError(f"cannot serialise {type(obj)} into a report")
 
 
+def _render_text_reference(obj, indent=0):
+    """Text mode as it was written over _jsonable_reference's output."""
+    pad = "  " * indent
+    lines = []
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            if isinstance(v, (dict, list)) and v:
+                lines.append(f"{pad}{k}:")
+                lines.extend(_render_text_reference(v, indent + 1))
+            else:
+                lines.append(f"{pad}{k}: {json.dumps(v)}")
+    elif isinstance(obj, list):
+        for v in obj:
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}-")
+                lines.extend(_render_text_reference(v, indent + 1))
+            else:
+                lines.append(f"{pad}- {json.dumps(v)}")
+    else:
+        lines.append(f"{pad}{json.dumps(obj)}")
+    return lines
+
+
 class _ToJson:
     def __init__(self, payload):
         self.payload = payload
@@ -816,40 +836,40 @@ class _ToJson:
 
 
 _REPORT_LEAVES = (st.none() | st.booleans() | st.integers() | st.text(max_size=3)
-                  | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan])
-                  | st.fractions())
-_REPORT_PAYLOADS = st.recursive(
+                  | st.floats() | st.sampled_from([math.inf, -math.inf, math.nan]))
+_PLAIN_PAYLOADS = st.recursive(
     _REPORT_LEAVES,
     lambda kids: (st.lists(kids, max_size=4) | st.tuples(kids, kids)
-                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)
-                  | kids.map(_ToJson)),
+                  | st.dictionaries(st.text(max_size=3), kids, max_size=3)),
     max_leaves=20)
 # 2-D int8 and int16 arrays, empty ones and one-column ones among them, with
 # values at both ends of their range
 _INT_ARRAYS = st.sampled_from([np.int8, np.int16]).flatmap(
     lambda dtype: arrays(dtype, st.tuples(st.integers(0, 4), st.integers(0, 4))))
-# integer arrays sit in reports only as dict values, under dicts and to_json
-# objects, beside plain subtrees
+# the placement rule: integer arrays and to_json objects sit in reports only
+# as dict values, under dicts and to_json objects, beside plain subtrees
 _REPORT_TREES = st.recursive(
-    _REPORT_PAYLOADS | _INT_ARRAYS,
+    _PLAIN_PAYLOADS | _INT_ARRAYS,
     lambda kids: st.dictionaries(st.text(max_size=3), kids, max_size=3) | kids.map(_ToJson),
     max_leaves=8)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_REPORT_TREES)
-def test_jsonable_matches_the_recursive_reference(payload):
-    # the emitted bytes, fast path or the non-finite fallback, against the
-    # recursive encoder, which writes an integer array as its tolist();
-    # json.dumps tells true from 1 and 1.0 from 1
-    args = argparse.Namespace(command="analyze", json=True, _t0=time.monotonic())
+@given(_REPORT_TREES, st.booleans())
+def test_jsonable_matches_the_recursive_reference(payload, json_mode):
+    # the emitted bytes, JSON (fast path or the non-finite fallback) or
+    # text, against the recursive encoder, which writes an integer array as
+    # its tolist(); json.dumps tells true from 1 and 1.0 from 1
+    args = argparse.Namespace(command="analyze", json=json_mode, _t0=time.monotonic())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         qgadget.cli.emit_report(args, {"payload": payload}, {"value": payload})
-    report = {"command": "analyze", "inputs": {"payload": payload}, "result": {"value": payload},
-              "tool_version": qgadget.__version__,
-              "elapsed_seconds": json.loads(out.getvalue())["elapsed_seconds"]}
-    assert out.getvalue() == json.dumps(_jsonable_reference(report), sort_keys=True) + "\n"
+    report = _jsonable_reference({"command": "analyze", "inputs": {"payload": payload},
+                                  "result": {"value": payload},
+                                  "tool_version": qgadget.__version__, "elapsed_seconds": 0.0})
+    want = (json.dumps(report, sort_keys=True) if json_mode
+            else "\n".join(_render_text_reference(report)))
+    assert normal_report(out.getvalue()) == normal_report(want + "\n")
 
 
 def _help_text(capsys, parse, argv):
@@ -871,11 +891,6 @@ def test_cached_parser_prints_what_a_fresh_parser_prints(capsys):
         assert (cached[1] if cached[0] == 0 else cached[2]).startswith("usage: qgadget")
 
 
-def _normal(text):
-    """The report with elapsed_seconds written as 0, in JSON or text mode."""
-    return re.sub(r'("?elapsed_seconds"?: )[-+0-9.eE]+', r"\g<1>0", text)
-
-
 def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
     # an appended --pin list must not leak from one call into the next
     pinned = ["homs", "C:6", "K:3", "--pin", "0=1", "--json"]
@@ -884,8 +899,8 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
     for argv in (pinned, pinned, plain):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
-        seen.append(_normal(out))
-    fresh = [_normal(run_fresh(*argv).stdout) for argv in (pinned, plain)]
+        seen.append(normal_report(out))
+    fresh = [normal_report(run_fresh(*argv).stdout) for argv in (pinned, plain)]
     assert seen == [fresh[0], fresh[0], fresh[1]]
     assert json.loads(seen[0])["result"]["count"] < json.loads(seen[2])["result"]["count"]
 
@@ -899,11 +914,8 @@ def test_handler_rebound_after_the_first_call_is_the_one_run(monkeypatch, capsys
 
 
 def _inf_rep_doc(tmp_path):
-    doc = json.dumps(pair_swap_rep(4).to_json())
     path = tmp_path / "inf.json"
-    # 1e400 overflows to an infinite float when the document is read
-    path.write_text(doc.replace('"0,0": [[[1.0,', '"0,0": [[[1e400,', 1))
-    assert "1e400" in path.read_text()
+    path.write_text(inf_rep_json())
     return path
 
 
@@ -927,55 +939,33 @@ ANALYZE_P4 = (
     'commutativity gadgets"]}}, "tool_version": "0.1.0"}\n')
 
 
-# sha256 of each `qcore <spec> --json` report, with elapsed_seconds written as 0
-QCORE_REPORT_SHA256 = {
-    "C:5": "72c22a6b8a719bcd58353561192409189d6e3835a00117475a057cbb6b1e0411",
-    "C:51": "62c7e70fa0ea699f5b446a6c76f8b9744202a745a4c7e5108f2789e1207703b5",
-    "O:3": "6667bda92b4c13252adce0ff196517c30a19700f12f2776f6ea8cff142e646db",
-    "O:5": "18b6bdaccd2d9ec1a3cd274a387e4d6ec6375828ee7f8a5efae6279f7ff3f494",
-    "KG:8,3": "01ce45dbfc8503422403a37c4389a450ce5aa0f75b3e0d3a1ace6758013ff16d",
-    "box(C:9,P:10)": "dbd206137b539b5b6cdaccdfc5e555ea3aa2641eae777e764330e7a9db6c1990",
-}
+# reports of the golden corpus (tests/test_golden.py) whose digests were
+# pinned here first
+QCORE_SPECS = ["C:5", "C:51", "O:3", "O:5", "KG:8,3", "box(C:9,P:10)"]
 
 
-@pytest.mark.parametrize("spec", sorted(QCORE_REPORT_SHA256))
-def test_qcore_reports_keep_their_bytes(capsys, spec):
-    code, out, err = run_cli(capsys, "qcore", spec, "--json")
-    assert code == 0, err
-    assert hashlib.sha256(_normal(out).encode()).hexdigest() == QCORE_REPORT_SHA256[spec]
+@pytest.mark.parametrize("spec", sorted(QCORE_SPECS))
+def test_qcore_reports_keep_their_bytes(spec):
+    argv = ["qcore", spec, "--json"]
+    assert report_sha256(argv) == golden_digests()[" ".join(argv)]
 
 
-# sha256 of map listings in JSON and text mode, with elapsed_seconds written
-# as 0; the array writer must keep the bytes json.dumps wrote
-LISTING_REPORT_SHA256 = {
-    ("endos", "P:11", "--json"):
-        "8473124fc198d553a73779ee1a3ec7df052c605ef6741df20de630dcf3c14ec5",
-    ("endos", "P:11"): "d141aa8b333b7214e898cb28c10b4a5fdb1294ccb3c6ab13ebc5750f1ff2c43b",
-    ("endos", "C:12", "--json"):
-        "3678125a70a59dee4775659af9a614730c68269c3c10064554c8b3e92fe57f1c",
-    ("endos", "C:12"): "6bf69e89e709b40dd25c9d6b0fb4dcac5ad12c3d6fafca4598f33aecd1eb3d6e",
-    ("endos", "cmpl(C:10)", "--json"):
-        "37a3c91930a5676f21613f2759e0ea6473aa7f0e2e6018606a08006c5f5eeb34",
-    ("endos", "cmpl(C:10)"): "fc8c91370c7885efaa66155fbb7fc32fc653fc57ca368a00d0d21417086501bc",
-    ("endos", "K:6", "--limit", "5", "--json"):
-        "1b2e12301d3bf27a274d11fadc6f49f3f5aa204d72362152ccac25d410dda806",
-    ("endos", "K:6", "--limit", "5"):
-        "cf74e34e070b2920e710b2d4a2fdb86c7b47608fccb67b97525c7eb7448ddc77",
-    ("homs", "cmpl(C:8)", "K:4", "--json"):
-        "baa916d532799479415e11fac8d1e76eb9a8436ef3511c235910439b4209c94a",
-    ("homs", "cmpl(C:8)", "K:4"): "b34d24db8a931ad4cd461b147754f88bb3366cfdd8fd55b5ecf639182ab8e6ce",
-    ("homs", "C:9", "K:3", "--pin", "0=1", "--limit", "3", "--json"):
-        "e5fb3c66482243ac60dcf42a721ec9706a52c9f8959cc0a72b522fbce34be2b8",
-    ("homs", "C:9", "K:3", "--pin", "0=1", "--limit", "3"):
-        "b89d55dd24a0e674d1f68e70e5ffa92fb2f665a0eda4b222f16acd927388fb5d",
-}
+# map listings in JSON and text mode; the array writer must keep the bytes
+# json.dumps wrote
+LISTING_ARGVS = [
+    ["endos", "C:12"], ["endos", "C:12", "--json"],
+    ["endos", "K:6", "--limit", "5"], ["endos", "K:6", "--limit", "5", "--json"],
+    ["endos", "P:11"], ["endos", "P:11", "--json"],
+    ["endos", "cmpl(C:10)"], ["endos", "cmpl(C:10)", "--json"],
+    ["homs", "C:9", "K:3", "--pin", "0=1", "--limit", "3"],
+    ["homs", "C:9", "K:3", "--pin", "0=1", "--limit", "3", "--json"],
+    ["homs", "cmpl(C:8)", "K:4"], ["homs", "cmpl(C:8)", "K:4", "--json"],
+]
 
 
-@pytest.mark.parametrize("argv", sorted(LISTING_REPORT_SHA256))
-def test_listing_reports_keep_their_bytes(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(_normal(out).encode()).hexdigest() == LISTING_REPORT_SHA256[argv]
+@pytest.mark.parametrize("argv", LISTING_ARGVS)
+def test_listing_reports_keep_their_bytes(argv):
+    assert report_sha256(argv) == golden_digests()[" ".join(argv)]
 
 
 @pytest.mark.parametrize("argv", [["endos", "P:11", "--json"], ["endos", "P:11"],
@@ -1000,9 +990,9 @@ def test_non_finite_reports_keep_their_bytes(tmp_path, capsys):
             '"inputs": {"oracular": false, "path": '
             + json.dumps(str(path)) + '}, ' + INF_REP_RESULT + ', "tool_version": "0.1.0"}\n')
     code, out, err = run_cli(capsys, "rep-verify", str(path), "--json")
-    assert code == 0 and _normal(out) == want
+    assert code == 0 and normal_report(out) == want
     code, out, err = run_cli(capsys, "analyze", "P:4", "--json")
-    assert code == 0 and _normal(out) == ANALYZE_P4
+    assert code == 0 and normal_report(out) == ANALYZE_P4
 
 
 def test_infinite_entry_warns_nothing_in_a_fresh_process(tmp_path):

@@ -193,14 +193,18 @@ def test_bipartite_decision_agrees_with_search():
 # C:5's pentagram: a closed walk of the odd girth's length whose steps are
 # all non-edges of C:5
 _PENTAGRAM = [0, 2, 4, 1, 3, 0]
+_SHORTEST_ODD_CLOSED_WALK = qgadget.walks._shortest_odd_closed_walk
 
 
-@pytest.mark.parametrize("extract, message", [
-    (lambda g, walk: _PENTAGRAM, "non-edge"),
-    (lambda g, walk: walk[:4] + walk[:1], "odd cycle of length 4"),
-], ids=["non-edge", "too-short"])
-def test_girths_refuses_a_broken_odd_cycle(monkeypatch, extract, message):
-    monkeypatch.setattr(qgadget.walks, "_extract_odd_cycle", extract)
+@pytest.mark.parametrize("walk, message", [
+    (lambda g, s: _PENTAGRAM, "non-edge"),
+    (lambda g, s: _SHORTEST_ODD_CLOSED_WALK(g, s)[:4] + [s], "odd cycle of length 4"),
+    (lambda g, s: [0, 1, 2, 1, 2, 0], "not a simple cycle"),
+    # every step an edge, no vertex twice, but it ends where it did not start
+    (lambda g, s: [0, 1, 2, 3, 4, 3], "not a simple cycle"),
+], ids=["non-edge", "too-short", "not-simple", "not-closed"])
+def test_girths_refuses_a_broken_odd_cycle(monkeypatch, walk, message):
+    monkeypatch.setattr(qgadget.walks, "_shortest_odd_closed_walk", walk)
     with pytest.raises(VerificationFailure, match=message):
         girths(build_family("C:5"))
 
@@ -210,7 +214,7 @@ def test_girths_refuses_a_broken_odd_cycle_under_python_O():
     script = textwrap.dedent(f"""
         import qgadget.walks
         from qgadget import VerificationFailure, build_family
-        qgadget.walks._extract_odd_cycle = lambda g, walk: {_PENTAGRAM}
+        qgadget.walks._shortest_odd_closed_walk = lambda g, s: {_PENTAGRAM}
         try:
             qgadget.walks.girths(build_family("C:5"))
         except VerificationFailure as exc:
