@@ -19,11 +19,22 @@ into one array.  A full enumeration expands partial maps level by level, one
 vertex at a time, in blocks of at most ``_BLOCK`` rows taken depth first,
 and yields each block of complete maps as soon as it is finished; besides
 the maps it returns, its live memory is about h.n * g.n blocks of ``_BLOCK``
-rows, whatever the size of the frontier.  A query for the first hits keeps
-a domain per vertex as a Python-int bitmask over ``Graph.nbr_masks`` (a pin
-is a one-bit domain), restores arc consistency after each assignment, and
-backtracks over the vertices in order, so its hits are still the
-lexicographically first maps.
+rows, whatever the size of the frontier.  It takes the vertices 0..n-1 in
+order, which streams the maps in lexicographic order but leaves dense graphs
+with large dead frontiers.  So once it has expanded more than
+``_SWITCH_BUDGET`` = 2^13 partial rows, it tries once the search in a
+connected vertex order (maximum cardinality, Tarjan and Yannakakis 1984),
+unless that order is the identity: its rows, mapped back and sorted, replace
+the rest of the stream.  That search is dropped, and the stream resumes,
+before it would build more than ``_ORDER_CAP`` = 2^16 rows, partial or
+complete.  The rows are the same either way.  A switch holds at most
+``_ORDER_CAP`` ordered rows on top of the blocks of both searches; without
+one, memory stays at h.n * g.n blocks.  Both bounds are counts, so the
+choice is deterministic.  A query for the first hits keeps a domain per
+vertex as a Python-int bitmask over ``Graph.nbr_masks`` (a pin is a one-bit
+domain), restores arc consistency after each assignment, and backtracks
+over the vertices in order, so its hits are still the lexicographically
+first maps.
 
 It also skips values by symmetry.  If the swap (a b) of two target vertices
 is an automorphism (``Graph.twin_masks``), and neither a nor b lies in an
@@ -142,10 +153,12 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
     row of a ``(count, h.n)`` integer array, rows in lexicographic order.
 
     Without a limit the level search of :func:`_homomorphism_blocks` builds
-    every map in blocks; with `max_maps` set it stops once more than that many
-    have arrived and raises :class:`ListingBoundExceeded`.  With a limit the
-    arc-consistent search of :func:`_first_homomorphisms` stops at the first
-    `limit` maps.  Either way every row is re-checked by :func:`_check_maps`.
+    every map in blocks, switching to a connected vertex order past its
+    budget (see the module docstring); with `max_maps` set it stops once
+    more than that many have arrived and raises
+    :class:`ListingBoundExceeded`.  With a limit the arc-consistent search of
+    :func:`_first_homomorphisms` stops at the first `limit` maps.  Either way
+    every row is re-checked by :func:`_check_maps`.
     """
     pins = pins or {}
     for u, a in pins.items():
@@ -294,6 +307,15 @@ def _first_homomorphisms(h: Graph, g: Graph, domains: list[int]) -> Iterator[tup
 # Rows per block of the level search: the largest partial-map array it
 # expands at once, which bounds its memory (see the module docstring).
 _BLOCK = 2 ** 10
+# Partial rows the natural-order search expands before it tries the connected
+# vertex order once.  Streams that stop at an early Schmidt pair expand fewer
+# (box(C:3,P:3) 5,832, P:11 5,275), full scans of dense graphs more
+# (tensor(K:3,K:3) 9,820, Petersen 38,951, cmpl(C:10) 65,701).
+_SWITCH_BUDGET = 2 ** 13
+# The ordered search gives up, and the natural stream resumes, before it
+# would build more rows than this, partial or complete: the bound on its
+# expansions and on the maps a switch holds.
+_ORDER_CAP = 2 ** 16
 
 
 def _homomorphism_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[np.ndarray]:
@@ -301,20 +323,62 @@ def _homomorphism_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[n
     map per row of ``(count, h.n)`` integer blocks, yielded as each block is
     finished; the blocks and their rows come in lexicographic order.
 
-    Partial maps of vertices 0..u-1 are extended by vertex u for a whole
-    block at once: the candidate images are u's allowed row ANDed with the
-    rows of ``g.adj`` at ``part[:, v]`` for every neighbour v < u, and the
-    nonzero positions of that block, taken row-major, are the children in
-    lexicographic order.  Blocks of at most ``_BLOCK`` rows are expanded
-    depth first, which keeps that order and bounds memory.
+    The level search of :func:`_level_blocks` takes the vertices in their
+    natural order 0..n-1, which streams the maps in lexicographic order.
+    Once it has expanded more than ``_SWITCH_BUDGET`` partial rows, the
+    connected order of :func:`_connected_order` is tried once, unless it is
+    the identity: :func:`_ordered_rows` searches in that order, maps the
+    columns back and sorts the rows, and the rows past those already yielded
+    replace the rest of the natural stream.  An ordered search that would
+    build more than ``_ORDER_CAP`` rows is dropped and the natural stream
+    resumes.  Either way the maps are the same rows in the same order.
     """
     n = h.n
-    dtype = _row_dtype(g)
     allowed = np.ones((n, g.n), dtype=bool)
     for u, a in pins.items():
         allowed[u] = False
         allowed[u, a] = True
-    back_nbrs = [[int(v) for v in h.neighbors(u) if v < u] for u in range(n)]
+    natural = _level_blocks(g, allowed, _back_neighbours(h, list(range(n))),
+                            expand_budget=_SWITCH_BUDGET)
+    yielded = 0
+    for block in natural:
+        if block is not None:
+            yielded += len(block)
+            yield block
+            continue
+        order = _connected_order(h)
+        if order == list(range(n)):
+            continue
+        rows = _ordered_rows(h, g, allowed, order)
+        if rows is None:
+            continue
+        natural.close()
+        for i in range(yielded, len(rows), _BLOCK):
+            yield rows[i:i + _BLOCK]
+        return
+
+
+def _level_blocks(g: Graph, allowed: np.ndarray, back: list[list[int]],
+                  expand_budget: float = float("inf"),
+                  build_budget: float = float("inf")) -> Iterator[Optional[np.ndarray]]:
+    """The maps of a level search into g over positions 0..n-1, one per row
+    of blocks yielded as each is finished, blocks and rows in lexicographic
+    order of positions.  Position u takes a value of ``allowed[u]`` adjacent
+    to the values of the positions in ``back[u]``, all of them before u.
+    Once more than `expand_budget` partial rows have been expanded, and again
+    before more than `build_budget` rows (partial or complete) would have
+    been built, a None is yielded; the search goes on if it is resumed.
+
+    Partial maps of positions 0..u-1 are extended by position u for a whole
+    block at once: the candidate images are u's allowed row ANDed with the
+    rows of ``g.adj`` at ``part[:, v]`` for every v in ``back[u]``, and the
+    nonzero positions of that block, taken row-major, are the children in
+    lexicographic order.  Blocks of at most ``_BLOCK`` rows are expanded
+    depth first, which keeps that order and bounds memory.
+    """
+    n = len(back)
+    dtype = _row_dtype(g)
+    expanded = built = 0
     # (depth, block) pairs; the top of the stack holds the lexicographically
     # smallest unexpanded block
     stack = [(0, np.zeros((1, 0), dtype=dtype))]
@@ -323,18 +387,79 @@ def _homomorphism_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[n
         if u == n:
             yield part
             continue
+        expanded += len(part)
+        if expanded > expand_budget:
+            expand_budget = float("inf")
+            yield None
         cand = np.broadcast_to(allowed[u], (len(part), g.n))
-        for v in back_nbrs[u]:
+        for v in back[u]:
             cand = cand & g.adj.take(part[:, v], axis=0)
         # row-major positions of the candidates: children in lexicographic order
         rows, images = np.divmod(np.flatnonzero(cand), g.n)
         if not len(rows):
             continue
+        built += len(rows)
+        if built > build_budget:
+            build_budget = float("inf")
+            yield None
         children = np.empty((len(rows), u + 1), dtype=dtype)
         children[:, :u] = part.take(rows, axis=0)
         children[:, u] = images
         stack.extend((u + 1, children[i:i + _BLOCK])
                      for i in reversed(range(0, len(children), _BLOCK)))
+
+
+def _back_neighbours(h: Graph, order: list[int]) -> list[list[int]]:
+    """Per position i of a vertex order of h, the earlier positions whose
+    vertices are adjacent to ``order[i]``."""
+    pos = np.empty(h.n, dtype=np.intp)
+    pos[order] = np.arange(h.n)
+    return [[p for p in pos[h.neighbors(u)].tolist() if p < i]
+            for i, u in enumerate(order)]
+
+
+def _connected_order(h: Graph) -> list[int]:
+    """A maximum cardinality search order of h (Tarjan and Yannakakis 1984):
+    vertex 0 first, then always the vertex with the most placed neighbours,
+    ties to higher degree and then to lower index.  Cycles, paths and
+    complete graphs get the identity."""
+    n = h.n
+    masks = h.nbr_masks
+    # placed neighbours * n + degree (< n) for the unplaced vertices, -1 for
+    # the placed ones; index() takes the lowest index of the maximum
+    key = [m.bit_count() for m in masks]
+    order = []
+    u = 0
+    while len(order) < n:
+        order.append(u)
+        key[u] = -1
+        for v in _bits(masks[u]):
+            if key[v] >= 0:
+                key[v] += n
+        u = key.index(max(key))
+    return order
+
+
+def _ordered_rows(h: Graph, g: Graph, allowed: np.ndarray,
+                  order: list[int]) -> Optional[np.ndarray]:
+    """Every homomorphism h -> g within `allowed`, found by the level search
+    in the vertex order `order`, mapped back to h's vertices and sorted into
+    lexicographic order; None, before building them, once the search would
+    have built more than ``_ORDER_CAP`` rows.  Every partial row built is
+    expanded once and every map is a row built, so the cap bounds both."""
+    search = _level_blocks(g, allowed[order], _back_neighbours(h, order),
+                           build_budget=_ORDER_CAP)
+    blocks = []
+    for block in search:
+        if block is None:
+            search.close()
+            return None
+        blocks.append(block)
+    placed = np.concatenate(blocks) if blocks else np.empty((0, h.n), dtype=_row_dtype(g))
+    rows = np.empty_like(placed)
+    rows[:, order] = placed
+    # lexsort's last key is the primary one
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _check_bound(g: Graph, max_vertices: int) -> None:

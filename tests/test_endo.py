@@ -127,6 +127,137 @@ def test_level_search_memory_stays_bounded():
     assert peak < 4 * 2 ** 20, peak
 
 
+def test_connected_order():
+    order = qgadget.endo._connected_order
+    for spec in ("C:9", "P:7", "K:5", "C:12"):
+        g = build_family(spec)
+        assert order(g) == list(range(g.n)), spec
+    # most placed neighbours first, then higher degree, then lower index
+    assert order(graph_from_edges(12, [(0, 11)])) == [0, 11] + list(range(1, 11))
+    assert order(graph_from_edges(6, [(0, 2), (3, 4), (4, 5)])) == [0, 2, 4, 3, 5, 1]
+    assert order(graph_from_edges(0, [])) == []
+
+
+@st.composite
+def _switch_instances(draw):
+    """A random instance graph on <= 9 vertices (isolated vertices and
+    several components included), a target on <= 5 vertices or the instance
+    itself, random pins, and a budget and a cap small enough to switch after
+    some rows are yielded and to force the fallback."""
+    def graph(max_n):
+        n = draw(st.integers(0, max_n))
+        pairs = list(combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+    h = graph(9)
+    g = h if draw(st.booleans()) else graph(5)
+    pins = {}
+    if h.n and g.n:
+        pins = draw(st.dictionaries(st.integers(0, h.n - 1), st.integers(0, g.n - 1),
+                                    max_size=2))
+    return h, g, pins, draw(st.integers(0, 64)), draw(st.integers(0, 64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_switch_instances())
+def test_switched_enumeration_matches_the_natural_order(inst):
+    # the natural-order stream, never switched, is the reference; blocks of
+    # 2 rows make the small budgets switch mid-stream
+    h, g, pins, budget, cap = inst
+    most = 2000
+
+    def run(budget, cap=qgadget.endo._ORDER_CAP, block=qgadget.endo._BLOCK, max_maps=most):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qgadget.endo, "_SWITCH_BUDGET", budget)
+            mp.setattr(qgadget.endo, "_ORDER_CAP", cap)
+            mp.setattr(qgadget.endo, "_BLOCK", block)
+            try:
+                rows = enumerate_homomorphisms(h, g, pins=pins, max_maps=max_maps)
+            except ListingBoundExceeded as exc:
+                return str(exc), None
+            certs = None
+            if h is g:
+                found = qgadget.endo._schmidt_certificates(
+                    g, qgadget.endo._checked_blocks(g, g, {}), (True, False))
+                certs = [c.to_json() for c in found]
+            return tuples(rows), certs
+
+    expected = run(2 ** 62)
+    for args in ((0,), (budget, qgadget.endo._ORDER_CAP, 2), (0, cap, 2), (budget, cap, 2)):
+        assert run(*args) == expected, args
+    if isinstance(expected[0], list):
+        # the bound trips at the same count through the switch
+        count = len(expected[0])
+        assert run(0, max_maps=count)[0] == expected[0]
+        if count:
+            assert run(0, max_maps=count - 1)[0] == f"more than {count - 1} homomorphisms"
+
+
+def _spy_ordered_rows(monkeypatch) -> list:
+    """Record what each call of the ordered search returned."""
+    results = []
+    search = qgadget.endo._ordered_rows
+
+    def spied(*args):
+        results.append(search(*args))
+        return results[-1]
+
+    monkeypatch.setattr(qgadget.endo, "_ordered_rows", spied)
+    return results
+
+
+def test_switch_after_rows_were_yielded(monkeypatch):
+    # blocks of 4 rows and a budget of 1000 partial rows: Petersen's natural
+    # stream has given 4 maps when the ordered rows replace it
+    g = build_family("petersen")
+    expected = tuples(endomorphism_rows(g))
+    got, calls = [], []
+    search = qgadget.endo._ordered_rows
+
+    def spied(*args):
+        calls.append(len(got))
+        return search(*args)
+
+    monkeypatch.setattr(qgadget.endo, "_ordered_rows", spied)
+    monkeypatch.setattr(qgadget.endo, "_BLOCK", 4)
+    monkeypatch.setattr(qgadget.endo, "_SWITCH_BUDGET", 1000)
+    for block in qgadget.endo._homomorphism_blocks(g, g, {}):
+        got += tuples(block)
+    assert calls == [4] and got == expected
+
+
+def test_dense_scans_switch_and_sparse_streams_do_not(monkeypatch):
+    # at the module's own budget and cap
+    results = _spy_ordered_rows(monkeypatch)
+    assert len(endomorphism_rows(build_family("cmpl(C:10)"))) == 500
+    assert len(results) == 1 and len(results[0]) == 500
+    # C:12 passes the budget, but its order is the identity
+    assert len(endomorphism_rows(build_family("C:12"))) == 11112
+    # the stream stops at box(C:3,P:3)'s first pair inside the budget
+    assert nogo_verdict(build_family("box(C:3,P:3)")).kind == "no_gadget_at_all"
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("n, budget", [(12, qgadget.endo._SWITCH_BUDGET), (8, 0)])
+def test_switch_memory_stays_bounded(monkeypatch, n, budget):
+    # one edge (0, n-1) and n-2 isolated vertices: the connected order is not
+    # the identity, and the graph has 2 * n^(n-2) endomorphisms (2 * 12^10
+    # for n = 12, 2 * 8^6 rows of 4 MB for n = 8); the ordered search passes
+    # its cap and is dropped, and the natural stream stops at the first pair
+    g = graph_from_edges(n, [(0, n - 1)])
+    results = _spy_ordered_rows(monkeypatch)
+    monkeypatch.setattr(qgadget.endo, "_SWITCH_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        verdict = nogo_verdict(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
+    assert verdict.kind == "no_gadget_at_all"
+    assert [rows is None for rows in results] == [True]
+
+
 def test_endomorphism_rows_match_the_backtracking_search(endo_battery):
     # a limit no graph here reaches sends the search down the bitmask path
     for g in endo_battery:
