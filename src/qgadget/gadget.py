@@ -27,7 +27,6 @@ representation with a noncommuting witness at the distinguished pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -318,8 +317,16 @@ def analyze_candidate_pair(n: int, k: int, pair, lifts: dict) -> Refutation:
     """Refute one distinguished pair of the box product as a gadget for the
     (2n+1)-cycle: by the distance bound when the pair sits closer than 2n,
     and otherwise by a verified lifted representation whose entries at the
-    pair do not commute.  ``lifts`` memoises the verified lifts by (s0, t0)
-    across the pairs of one (n, k)."""
+    pair do not commute.
+
+    Any split x with s0 <= x <= t0 - 2 serves: the lift of
+    ``path_to_cycle_rep(k, x, x + 2, n)`` holds at the pair's witness entries
+    the same matrices, bit for bit, as the lift of (s0, t0), so the same
+    ``commutator_norm``.  ``lifts`` memoises the last verified lift by its
+    split.  The pair reuses it when its split serves; otherwise the memo is
+    emptied and the split t0 - 2 is built and verified before use.  The
+    report still names the pair's own (s0, t0): the lift of that pair
+    refutes it too, and it is what a reader rebuilds."""
     m = 2 * n + 1
     (a0, s0), (b0, t0) = pair
     if s0 > t0:
@@ -328,14 +335,17 @@ def analyze_candidate_pair(n: int, k: int, pair, lifts: dict) -> Refutation:
     if d < 2 * n:
         return Refutation("distance", {"distance": d, "required": 2 * n})
     # d >= 2n and the cycle contributes at most n, so t0 - s0 >= n >= 2
-    lifted = lifts.get((s0, t0))
-    if lifted is None:
-        lifted = lift_box_rep(path_to_cycle_rep(k, s0, t0, n), m)
+    x = next((x for x in lifts if s0 <= x <= t0 - 2), None)
+    if x is None:
+        lifts.clear()
+        x = t0 - 2
+        lifted = lift_box_rep(path_to_cycle_rep(k, x, x + 2, n), m)
         report = verify_rep(lifted)
         if not report.passed:
-            raise VerificationFailure(f"lifted representation for (s0,t0)=({s0},{t0}) failed "
-                                      f"verification, max residual {report.max_residual}")
-        lifts[(s0, t0)] = lifted
+            raise VerificationFailure(f"lifted representation for split (x,x+2)=({x},{x + 2}) "
+                                      f"failed verification, max residual {report.max_residual}")
+        lifts[x] = lifted
+    lifted = lifts[x]
     u = (a0 * (k + 1) + s0, (s0 - a0) % m)
     v = (b0 * (k + 1) + t0, (t0 - b0) % m)
     norm = commutator_norm(lifted, u, v)
@@ -350,7 +360,12 @@ def disprove_box_path_gadget(n: int, k: int) -> DisproofReport:
     """Refute every candidate distinguished pair of (2n+1-cycle) box (path of
     length k) as a commutativity gadget for the (2n+1)-cycle; needs n >= 2
     (for n = 1 the construction actually is a gadget, so there is nothing to
-    disprove)."""
+    disprove).
+
+    The pairs are analysed in order of their larger path coordinate t0.  A
+    pair reuses the last split when it lies in [s0, t0 - 2] and otherwise
+    builds the split t0 - 2 (``analyze_candidate_pair``).  This is greedy
+    interval stabbing: the fewest verified lifts, one alive at a time."""
     if n < 2:
         raise ValueError("need n >= 2: with n = 1 the triangular prism really is a gadget "
                          "for the 3-cycle and no disproof exists")
@@ -359,17 +374,9 @@ def disprove_box_path_gadget(n: int, k: int) -> DisproofReport:
     m = 2 * n + 1
     box = box_product(cycle_graph(m), path_graph(k))
     classes = enumerate_candidate_classes(n, k)
-
-    def path_pair(pair):  # the (s0, t0) of its lift, for pairs that need one
-        return sorted((pair[0][1], pair[1][1]))
-
-    # pairs sharing a path pair share one verified lift; analysing them
-    # together keeps a single lift alive at a time
-    refutations = {}
-    for _, group in groupby(sorted(classes, key=path_pair), key=path_pair):
-        lifts: dict = {}
-        for pair in group:
-            refutations[pair] = analyze_candidate_pair(n, k, pair, lifts)
+    lifts: dict = {}
+    refutations = {pair: analyze_candidate_pair(n, k, pair, lifts)
+                   for pair in sorted(classes, key=lambda pair: max(pair[0][1], pair[1][1]))}
     results = [CandidateClass(pair, count, refutations[pair]) for pair, count in classes.items()]
     total = sum(c.members for c in results)
     return DisproofReport(n, k, box.label, total, tuple(results), all_refuted=True)

@@ -414,8 +414,13 @@ def path_to_cycle_rep(k: int, s0: int, t0: int, n: int) -> QuantumRep:
     odd cycle C_{2n+1}: the Schmidt representation of the two path shifts,
     composed with the classical wrap s -> s mod (2n+1).
 
-    The entries at (s0, s0 mod 2n+1) and (t0, t0 mod 2n+1) are the
-    computational- and Hadamard-basis projections, which do not commute.
+    f moves every s <= s0 and g fixes it, so the entry at (s, s mod 2n+1) is
+    (p0+q0-I) + q1; g moves every t >= t0 and f fixes it, so the entry at
+    (t, t mod 2n+1) is (p0+q0-I) + p1.  In exact arithmetic these are the
+    computational- and Hadamard-basis projections p0 and q0, which do not
+    commute.  The entries are the same float sums for every (s0, t0) that
+    keeps s on f's side and t on g's, so one split (x, x+2) stands for
+    every s <= x and t >= x + 2.
     """
     if n < 1:
         raise ValueError("need n >= 1")

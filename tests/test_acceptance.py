@@ -102,7 +102,8 @@ def test_criterion_3_representation_suite():
             assert report.passed and report.max_residual < residual_tol, name
             assert abs(commutator_norm(rep, *witness) - 0.5) < norm_tol, name
 
-        # every representation the disproof pipeline builds, rebuilt and checked
+        # the lift of every witness pair's own (s0, t0), rebuilt and checked: the
+        # pipeline refutes the pair with a shared split lift, and this one does too
         from qgadget import disprove_box_path_gadget
         for k in (3, 4):
             report = disprove_box_path_gadget(2, k)

@@ -2,15 +2,17 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgadget.gadget
-from qgadget import (GadgetCandidate, VerificationFailure, adjacency_equal, build_family,
-                     check_property_i_classical, complement_cycle_gadget, cycle_graph,
-                     disprove_box_path_gadget, distance, enumerate_candidate_classes,
-                     graph_from_edges, product_transfer, splice_gadget, walk_obstruction,
-                     walk_table)
+from qgadget import (GadgetCandidate, VerificationFailure, VerificationReport, adjacency_equal,
+                     build_family, check_property_i_classical, commutator_norm,
+                     complement_cycle_gadget, cycle_graph, disprove_box_path_gadget, distance,
+                     enumerate_candidate_classes, graph_from_edges, lift_box_rep,
+                     path_to_cycle_rep, product_transfer, splice_gadget, verify_rep,
+                     walk_obstruction, walk_table)
 from qgadget.gadget import analyze_candidate_pair
 from conftest import find_isomorphism
 
@@ -284,6 +286,66 @@ def test_disprove_k3_and_k4():
 def test_disprove_rejects_n1():
     with pytest.raises(ValueError, match="prism"):
         disprove_box_path_gadget(1, 2)
+
+
+# the rep-pipeline benchmark's prism shapes, and two beyond them
+DISPROOF_SHAPES = [(2, 4), (2, 8), (3, 8), (3, 12), (4, 12), (5, 16), (6, 20), (7, 14)]
+
+
+@pytest.mark.parametrize("n,k", DISPROOF_SHAPES)
+def test_every_split_holds_the_pair_lifts_witness_entries(n, k):
+    # a witness pair (s0, t0) may be refuted by the lift of any split x in
+    # [s0, t0 - 2]: its two witness entries and its commutator norm are
+    # those of the pair's own lift, bit for bit
+    m = 2 * n + 1
+    report = disprove_box_path_gadget(n, k)
+    splits, pairs = {}, {}
+
+    def lift(memo, s0, t0):
+        if (s0, t0) not in memo:
+            memo[(s0, t0)] = lift_box_rep(path_to_cycle_rep(k, s0, t0, n), m)
+        return memo[(s0, t0)]
+
+    witnesses = [c.refutation.detail for c in report.classes
+                 if c.refutation.kind == "noncommuting_witness"]
+    assert witnesses
+    for detail in witnesses:
+        s0, t0 = detail["s0"], detail["t0"]
+        u, v = (tuple(p) for p in detail["witness"])
+        own = lift(pairs, s0, t0)
+        norm = commutator_norm(own, u, v)
+        assert detail["commutator_norm"] == norm
+        for x in range(s0, t0 - 1):
+            split = lift(splits, x, x + 2)
+            for w in (u, v):
+                assert np.array_equal(split.mats[w], own.mats[w]), (s0, t0, x, w)
+            assert commutator_norm(split, u, v) == norm, (s0, t0, x)
+
+
+@pytest.mark.parametrize("n,k,lifts", [(2, 4, 2), (2, 8, 4), (3, 8, 2), (3, 12, 3),
+                                       (4, 12, 2), (5, 16, 2), (6, 20, 2)])
+def test_disproof_verifies_one_lift_per_split(monkeypatch, n, k, lifts):
+    # greedy interval stabbing over the witness pairs' splits; one lift per
+    # distinct path pair would be 4/16/12/30/25/42 on the first six shapes
+    checked = []
+
+    def counted(rep):
+        checked.append(rep.domain.n)
+        return verify_rep(rep)
+
+    monkeypatch.setattr(qgadget.gadget, "verify_rep", counted)
+    assert disprove_box_path_gadget(n, k).all_refuted
+    assert checked == [(2 * n + 1) * (k + 1)] * lifts
+
+
+def test_failed_split_verification_names_the_split(monkeypatch):
+    def failing(rep):
+        return VerificationReport(passed=False, oracular=False, max_residual=1.0, violations=())
+
+    monkeypatch.setattr(qgadget.gadget, "verify_rep", failing)
+    # in t0 order the first witness pair of C:5 box P:4 is s0 = 0, t0 = 2
+    with pytest.raises(VerificationFailure, match=r"split \(x,x\+2\)=\(0,2\)"):
+        disprove_box_path_gadget(2, 4)
 
 
 def test_quotient_generators_are_automorphisms():

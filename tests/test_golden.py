@@ -51,9 +51,11 @@ BATTERY = [
     ["product-transfer", "cmpl(C:8)", "0", "1", "K:4", "K:4"],
     ["product-transfer", "cmpl(C:6)", "0", "1", "K:3", "K:3",
      "--status1", "proven_oracular", "--status2", "proven_oracular"],
-    # refuted prisms
+    # refuted prisms: every pair by distance, and with noncommuting witnesses
     ["disprove-prism", "2", "1"],
     ["disprove-prism", "3", "2"],
+    ["disprove-prism", "2", "4"],
+    ["disprove-prism", "5", "16"],
     # quantum cores: certified, certified without a classical-core check,
     # inconclusive with and without a Schmidt pair, the assumption both ways
     ["qcore", "C:5"],
