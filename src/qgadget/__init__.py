@@ -30,8 +30,8 @@ from .endo import (Endomorphism, SchmidtCertificate, Verdict, endomorphism_rows,
                    nogo_verdict, support, supports_disconnected, supports_disjoint,
                    verify_schmidt_certificate)
 from .qrep import (QuantumRep, VerificationFailure, VerificationReport, classical_rep,
-                   commutator_norm, compose_reps, four_cycle_rep, lift_box_rep,
-                   pair_swap_rep, path_shift_pair, path_to_cycle_rep, projector,
+                   commutator_norm, commutator_norms, compose_reps, four_cycle_rep,
+                   lift_box_rep, pair_swap_rep, path_shift_pair, path_to_cycle_rep, projector,
                    rep_from_json, schmidt_rep, schmidt_witness, verify_rep)
 from .defect import (Strategy, assignment_defect, cc_defect, classical_strategy,
                      commutator_defect, cv_defect, pair_dist_from_json, strategy_from_json,

@@ -37,6 +37,7 @@ strategies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -263,13 +264,14 @@ def validate_strategy(s: Strategy, need_edge_pvms: bool = False):
                          f"expected {shape}")
     _check_pvms(s.vertex_pvms, np.arange(s.instance.n), s.tol, lambda u: f"vertex {u} PVM")
     row = _index(s.instance)
-    total = Fraction(0)
     for (x, y), w in s.dist.items():
         if (x, y) not in row:
             raise ValueError(f"dist key ({x},{y}) is not a directed edge of the instance")
-        if w < 0:
+        if w.numerator < 0:
             raise ValueError("dist weights must be nonnegative")
-        total += w
+    # numerators over the least common denominator: one Fraction, not one per weight
+    scale = math.lcm(*{w.denominator for w in s.dist.values()})
+    total = Fraction(sum(w.numerator * (scale // w.denominator) for w in s.dist.values()), scale)
     if total != 1:
         raise ValueError(f"dist weights sum to {total}, expected 1")
     if need_edge_pvms:

@@ -151,11 +151,19 @@ def graph_from_edges(n: int, edges, label: str = "") -> Graph:
     return Graph(n, adj, label)
 
 
+def _json_int(x) -> int:
+    """An integer of a JSON document.  JSON's true and false load as bools,
+    which ``operator.index`` reads as 1 and 0, so they raise TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"{str(x).lower()} is not an integer")
+    return operator.index(x)
+
+
 def graph_from_json(obj) -> Graph:
     """Inverse of :meth:`Graph.to_json`; raises ValueError on a malformed document."""
     try:
-        n = operator.index(obj["n"])
-        edges = [tuple(operator.index(t) for t in e) for e in obj["edges"]]
+        n = _json_int(obj["n"])
+        edges = [tuple(_json_int(t) for t in e) for e in obj["edges"]]
     except KeyError as exc:
         raise ValueError(f"graph document lacks field {exc}") from None
     except TypeError:

@@ -24,14 +24,13 @@ _matrix_json and _read_keys, with keys read by graphs._parse_pair.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .graphs import (Graph, _parse_pair, adjacency_equal, box_product, complete_graph,
-                     cycle_graph, graph_from_json, path_graph)
+from .graphs import (Graph, _json_int, _parse_pair, adjacency_equal, box_product,
+                     complete_graph, cycle_graph, graph_from_json, path_graph)
 from .endo import Endomorphism, VerificationFailure, is_wac, support, supports_disjoint
 
 DEFAULT_TOL = 1e-9
@@ -150,14 +149,16 @@ def _read_keys(keys, what: str, read=None) -> list:
 
 def _frame(obj, first: str, second: str) -> tuple[Graph, Graph, int, float]:
     """The graphs under ``first`` and ``second``, an integer ``dim`` >= 1 and
-    a finite ``tol`` >= 0 of a document, its stack size checked."""
-    dim = operator.index(obj["dim"])
+    a finite ``tol`` >= 0 of a document, its stack size checked.  Neither
+    may be a JSON true or false, which Python would count as 1 or 0."""
+    dim = _json_int(obj["dim"])
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     g1, g2 = graph_from_json(obj[first]), graph_from_json(obj[second])
     _check_stack(g1.n, g2.n, dim)
     tol = obj.get("tol", DEFAULT_TOL)
-    if not isinstance(tol, (int, float)) or not 0 <= float(tol) < math.inf:
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float))
+            or not 0 <= float(tol) < math.inf):
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     return g1, g2, dim, float(tol)
 
@@ -271,12 +272,18 @@ def verify_rep(rep: QuantumRep, oracular: bool = False) -> VerificationReport:
     return VerificationReport(not violations, oracular, worst, tuple(violations))
 
 
+def commutator_norms(rep: QuantumRep, firsts, seconds) -> np.ndarray:
+    """Operator 2-norms (largest singular values) of the commutators of the
+    entries ``firsts[i]`` and ``seconds[i]``, each a (u, v) pair, computed by
+    numpy's SVD-based matrix norm over the stack of commutators."""
+    (u1, v1), (u2, v2) = np.asarray(firsts).T, np.asarray(seconds).T
+    a, b = rep.mats[u1, v1], rep.mats[u2, v2]
+    return np.linalg.norm(a @ b - b @ a, 2, axis=(1, 2))
+
+
 def commutator_norm(rep: QuantumRep, first: tuple[int, int], second: tuple[int, int]) -> float:
-    """Operator 2-norm (largest singular value) of the commutator of two
-    entries, computed by numpy's SVD-based matrix norm."""
-    a = rep.entry(*first)
-    b = rep.entry(*second)
-    return float(np.linalg.norm(a @ b - b @ a, 2))
+    """The commutator norm of one pair of entries, as :func:`commutator_norms`."""
+    return float(commutator_norms(rep, [first], [second])[0])
 
 
 # ---------------------------------------------------------------------------

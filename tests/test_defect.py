@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgadget import (assignment_defect, build_family, cc_defect, classical_strategy,
                      commutator_defect, cv_defect, enumerate_homomorphisms, projector,
@@ -417,3 +418,44 @@ def test_sparse_edge_pvms_on_a_large_target_stay_small():
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def _reference_weight_check(s):
+    """The weight checks of validate_strategy, one Fraction added at a time:
+    the reference for its numerator sum over the least common denominator."""
+    edges = set(s.instance.directed_edges())
+    total = Fraction(0)
+    for (x, y), w in s.dist.items():
+        if (x, y) not in edges:
+            raise ValueError(f"dist key ({x},{y}) is not a directed edge of the instance")
+        if w < 0:
+            raise ValueError("dist weights must be nonnegative")
+        total += w
+    if total != 1:
+        raise ValueError(f"dist weights sum to {total}, expected 1")
+
+
+def _outcome(check, s):
+    try:
+        check(s)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_WEIGHTS = st.builds(Fraction, st.integers(-3, 40), st.integers(1, 48))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_weight_check_matches_the_fraction_loop(data):
+    h = build_family(data.draw(st.sampled_from(["K:2", "P:3", "C:5", "K:4"])))
+    edges = h.directed_edges()
+    keys = data.draw(st.lists(st.sampled_from([*edges, (0, 0)]), unique=True))
+    if data.draw(st.booleans()):  # weights that may sum to 1
+        parts = data.draw(st.lists(st.integers(0, 6), min_size=len(keys), max_size=len(keys)))
+        weights = [Fraction(p, sum(parts)) for p in parts] if sum(parts) else parts
+    else:
+        weights = data.draw(st.lists(_WEIGHTS, min_size=len(keys), max_size=len(keys)))
+    s = classical_strategy(h, build_family("K:2"), [0] * h.n, dict(zip(keys, weights)))
+    assert _outcome(validate_strategy, s) == _outcome(_reference_weight_check, s)

@@ -245,3 +245,56 @@ def test_two_keys_for_one_entry_are_refused(load, edit, message):
     with pytest.raises(ValueError) as info:
         load(doc)
     assert str(info.value) == message
+
+
+def _one_vertex_rep():
+    one = {"n": 1, "edges": []}
+    return {"domain": dict(one), "codomain": dict(one), "dim": 1, "tol": 1e-9,
+            "mats": {"0,0": [[[1.0, 0.0]]]}}
+
+
+# JSON's true and false load as bools, which Python counts as 1 and 0: each
+# edit writes one where the document holds the number it would read as, so
+# the edited document used to load as the original
+@pytest.mark.parametrize("load, doc, path, value", [
+    (rep_from_json, _one_vertex_rep, ("dim",), True),
+    (rep_from_json, _one_vertex_rep, ("tol",), False),
+    (rep_from_json, _one_vertex_rep, ("domain", "n"), True),
+    (rep_from_json, _one_vertex_rep, ("codomain", "n"), True),
+    (rep_from_json, _rep_doc, ("domain", "edges", 0), [False, True]),
+    (strategy_from_json, lambda: _edge_strategy().to_json(), ("dim",), True),
+    (strategy_from_json, lambda: _edge_strategy().to_json(), ("tol",), True),
+    (strategy_from_json, lambda: _edge_strategy().to_json(), ("instance", "edges", 0, 1), True),
+    (strategy_from_json, lambda: _edge_strategy().to_json(), ("target", "edges", 0),
+     [False, True]),
+], ids=["rep-dim", "rep-tol", "rep-domain-n", "rep-codomain-n", "rep-edge", "strategy-dim",
+        "strategy-tol", "strategy-edge-end", "strategy-edge"])
+def test_json_booleans_are_not_numbers(load, doc, path, value):
+    doc = doc()
+    load(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with pytest.raises(ValueError, match="not an integer|needs an integer|finite number"):
+        load(doc)
+
+
+def test_json_booleans_are_refused_in_a_fresh_process(tmp_path):
+    # at tol true, a residual of 0.75 used to pass with exit 0
+    doc = _one_vertex_rep()
+    doc["tol"], doc["mats"]["0,0"] = True, [[[1.5, 0.0]]]
+    (tmp_path / "tol.json").write_text(json.dumps(doc))
+    doc = _rep_doc()
+    doc["domain"]["edges"] = [[False, True]]
+    (tmp_path / "edge.json").write_text(json.dumps(doc))
+    doc = _edge_strategy().to_json()
+    doc["dim"] = True
+    (tmp_path / "dim.json").write_text(json.dumps(doc))
+    for argv in (["rep-verify", "tol.json"], ["rep-verify", "edge.json"],
+                 ["defect", "dim.json", "--model", "a"]):
+        argv[1] = str(tmp_path / argv[1])
+        proc = run_fresh(*argv, "--json")
+        assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr

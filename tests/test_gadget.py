@@ -1,5 +1,7 @@
 """Gadget candidates: pin tables, walk obstructions, transfer, splicing, disproof."""
 
+import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,7 +15,7 @@ from qgadget import (GadgetCandidate, VerificationFailure, VerificationReport, a
                      enumerate_candidate_classes, graph_from_edges, lift_box_rep,
                      path_to_cycle_rep, product_transfer, splice_gadget, verify_rep,
                      walk_obstruction, walk_table)
-from qgadget.gadget import analyze_candidate_pair
+from qgadget.gadget import refute_candidate_pairs
 from conftest import find_isomorphism
 
 
@@ -338,6 +340,41 @@ def test_disproof_verifies_one_lift_per_split(monkeypatch, n, k, lifts):
     assert checked == [(2 * n + 1) * (k + 1)] * lifts
 
 
+def test_vanished_witness_norm_names_the_pair(monkeypatch):
+    # the norms of a split come in one batch, and each is still checked on
+    # its own: a norm within the lift's tolerance refuses the disproof and
+    # names its pair
+    classes = list(enumerate_candidate_classes(2, 4))
+    witnessed = [(pair, r.detail["witness"]) for pair, r
+                 in zip(classes, refute_candidate_pairs(2, 4, classes))
+                 if r.kind == "noncommuting_witness"]
+    pair, (u, v) = witnessed[len(witnessed) // 2]
+    batched = qgadget.gadget.commutator_norms
+
+    def vanishing(rep, firsts, seconds):
+        norms = batched(rep, firsts, seconds)
+        norms[(firsts == u).all(axis=1) & (seconds == v).all(axis=1)] = 0.0
+        return norms
+
+    monkeypatch.setattr(qgadget.gadget, "commutator_norms", vanishing)
+    message = f"witness commutator unexpectedly vanished for pair {pair}"
+    with pytest.raises(VerificationFailure, match=re.escape(message)):
+        disprove_box_path_gadget(2, 4)
+
+
+def test_disproof_memory_peak():
+    # the classes come from (k+1)^2 (2n+1) triples, not from the pairs, and
+    # one verified lift is alive at a time
+    disprove_box_path_gadget(5, 16)
+    tracemalloc.start()
+    try:
+        disprove_box_path_gadget(5, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600_000, peak
+
+
 def test_failed_split_verification_names_the_split(monkeypatch):
     def failing(rep):
         return VerificationReport(passed=False, oracular=False, max_residual=1.0, violations=())
@@ -384,9 +421,7 @@ def canonical_pair(pair, m, k):
     return min(images)
 
 
-@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 4), (2, 8), (3, 8), (3, 12), (4, 12),
-                                 (5, 16)])
-def test_candidate_classes_match_per_pair_canonical_map(n, k):
+def _classes_pair_by_pair(n, k):
     m = 2 * n + 1
     vertices = [(a, s) for a in range(m) for s in range(k + 1)]
     expected = {}
@@ -394,8 +429,19 @@ def test_candidate_classes_match_per_pair_canonical_map(n, k):
         for j in range(i + 1, len(vertices)):
             rep = canonical_pair((vertices[i], vertices[j]), m, k)
             expected[rep] = expected.get(rep, 0) + 1
-    classes = enumerate_candidate_classes(n, k)
-    assert list(classes.items()) == sorted(expected.items())
+    return sorted(expected.items())
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 4), (2, 8), (3, 8), (3, 12), (4, 12),
+                                 (5, 16), (6, 20), (7, 14)])
+def test_candidate_classes_match_per_pair_canonical_map(n, k):
+    assert list(enumerate_candidate_classes(n, k).items()) == _classes_pair_by_pair(n, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 12))
+def test_candidate_classes_match_canonical_pairs(n, k):
+    assert list(enumerate_candidate_classes(n, k).items()) == _classes_pair_by_pair(n, k)
 
 
 def test_symmetry_reduction_matches_unreduced():
@@ -403,14 +449,14 @@ def test_symmetry_reduction_matches_unreduced():
     for k in (1, 2, 3):
         n, m = 2, 5
         classes = enumerate_candidate_classes(n, k)
-        outcomes = {rep: analyze_candidate_pair(n, k, rep, {}).kind for rep in classes}
+        outcomes = {rep: refute_candidate_pairs(n, k, [rep])[0].kind for rep in classes}
         vertices = [(a, s) for a in range(m) for s in range(k + 1)]
         total = 0
         for i in range(len(vertices)):
             for j in range(i + 1, len(vertices)):
                 pair = (vertices[i], vertices[j])
                 rep = canonical_pair(pair, m, k)
-                direct = analyze_candidate_pair(n, k, pair, {})
+                direct = refute_candidate_pairs(n, k, [pair])[0]
                 assert direct.kind == outcomes[rep], (pair, rep)
                 total += 1
         assert total == sum(classes.values())
