@@ -1,8 +1,10 @@
 """Command-line front end: one subcommand per analysis, text or JSON output.
 
-Every subcommand assembles the same report object (command echo, inputs,
-result payload, tool version, elapsed time), lowers it once (``_lower``) and
-writes the lowered tree as JSON with sorted keys or, in text mode, as
+Every subcommand handler returns its result payload, and ``main`` writes the
+one report object (command echo, inputs, result payload, tool version,
+elapsed time): the inputs are the parsed arguments, as the handler left
+them, without the output flag.  The report is lowered once (``_lower``), and
+the lowered tree is written as JSON with sorted keys or, in text mode, as
 indented lines in the report's key order, so identical inputs produce
 byte-identical reports apart from the elapsed-time field.  Integer arrays
 (map listings, quantum-core certificate lengths) sit only as dict values,
@@ -242,10 +244,12 @@ class _StdoutClosed(Exception):
     """The reader of stdout went away before the report was written."""
 
 
-def emit_report(args, inputs: dict, result: dict) -> None:
+def emit_report(args, inputs: dict, result: dict, t0: float) -> None:
+    """Write the report of ``args.command`` to stdout, as JSON under
+    ``args.json``, timed from the ``time.monotonic()`` reading ``t0``."""
     report = {"command": args.command, "inputs": inputs, "result": result,
               "tool_version": __version__,
-              "elapsed_seconds": round(time.monotonic() - args._t0, 6)}
+              "elapsed_seconds": round(time.monotonic() - t0, 6)}
     pieces = (_json_pieces(report) if args.json
               else ["\n".join(_render_text(_lower(report)))])
     pieces.append("\n")
@@ -287,20 +291,16 @@ def cmd_analyze(args):
     verdict = nogo_verdict(g, _bound(args))
     gr = girths(g)
     orac, cyc = is_oracularisable(g)
-    result = {"graph": g, "verdict": verdict,
-              "girths": {"girth": gr.girth, "odd_girth": gr.odd_girth,
-                         "odd_walk_girth": gr.odd_walk_girth, "diameter": gr.diameter},
-              "oracularisable": orac, "four_cycle": list(cyc) if cyc else None}
-    emit_report(args, {"graph": args.graph, "max_vertices": args.max_vertices,
-                       "i_know": args.i_know}, result)
+    return {"graph": g, "verdict": verdict,
+            "girths": {"girth": gr.girth, "odd_girth": gr.odd_girth,
+                       "odd_walk_girth": gr.odd_walk_girth, "diameter": gr.diameter},
+            "oracularisable": orac, "four_cycle": list(cyc) if cyc else None}
 
 
 def cmd_schmidt(args):
     g = load_graph_arg(args.graph)
     cert = find_schmidt_pair(g, oracular=args.oracular, max_vertices=_bound(args))
-    emit_report(args, {"graph": args.graph, "oracular": args.oracular,
-                       "max_vertices": args.max_vertices, "i_know": args.i_know},
-                {"graph": g, "found": cert is not None, "certificate": cert})
+    return {"graph": g, "found": cert is not None, "certificate": cert}
 
 
 def cmd_endos(args):
@@ -313,10 +313,9 @@ def cmd_endos(args):
     maps = np.concatenate([ident[None], rows[(rows != ident).any(axis=1)]])
     if args.limit is not None:
         maps = maps[:args.limit]
-    emit_report(args, {"graph": args.graph, "limit": args.limit,
-                       "max_vertices": args.max_vertices, "i_know": args.i_know},
-                {"graph": g, "count": len(rows), "is_core": _all_bijective(rows)
-                 if args.limit is None else None, "endomorphisms": maps})
+    return {"graph": g, "count": len(rows),
+            "is_core": _all_bijective(rows) if args.limit is None else None,
+            "endomorphisms": maps}
 
 
 def cmd_homs(args):
@@ -325,7 +324,7 @@ def cmd_homs(args):
     h = load_graph_arg(args.source)
     g = load_graph_arg(args.target)
     pins = {}
-    for item in args.pin or []:
+    for item in args.pins or []:
         u, a = _parse_pair(item, "=", "--pin item")
         if pins.setdefault(u, a) != a:
             raise ValueError(f"vertex {u} is pinned to both {pins[u]} and {a}")
@@ -335,12 +334,11 @@ def cmd_homs(args):
     except ListingBoundExceeded as exc:
         raise ValueError(f"{exc} (the bound of a full listing); pass --limit N for the "
                          f"first N maps, or --i-know to list them all") from None
-    inputs = {"source": args.source, "target": args.target,
-              "pins": {str(k): v for k, v in pins.items()}, "limit": args.limit}
-    if args.i_know:
+    args.pins = {str(k): v for k, v in pins.items()}
+    if not args.i_know:
         # echoed only when given, so reports within the bound keep their bytes
-        inputs["i_know"] = True
-    emit_report(args, inputs, {"count": len(rows), "homomorphisms": rows})
+        del args.i_know
+    return {"count": len(rows), "homomorphisms": rows}
 
 
 def cmd_gadget_check(args):
@@ -355,40 +353,34 @@ def cmd_gadget_check(args):
                   "not decided by this check")
     else:
         status = ("no classical witness for some pins; inconclusive for quantum witnesses")
-    emit_report(args, {"gadget": args.gadget, "x": args.x, "y": args.y,
-                       "target": args.target, "lmax": args.lmax},
-                {"candidate": cand, "property_i": table, "walk_obstruction": obstruction,
-                 "status": status})
+    return {"candidate": cand, "property_i": table, "walk_obstruction": obstruction,
+            "status": status}
 
 
 def cmd_gadget_build(args):
     cand, table = complement_cycle_gadget(args.k)
-    emit_report(args, {"family": args.family, "k": args.k},
-                {"candidate": cand, "property_i": table})
+    return {"candidate": cand, "property_i": table}
 
 
 def cmd_splice(args):
     h = load_graph_arg(args.instance)
     cand = GadgetCandidate(load_graph_arg(args.gadget), args.x, args.y,
                            load_graph_arg(args.target))
-    pairs = ([_parse_pair(t, ",", "--pairs item") for t in args.pairs.split(";")]
-             if args.pairs else [])
-    spliced = splice_gadget(h, pairs, cand)
-    emit_report(args, {"instance": args.instance, "gadget": args.gadget,
-                       "x": args.x, "y": args.y, "target": args.target,
-                       "pairs": [list(p) for p in pairs]},
-                {"graph": spliced, "edge_list": serialize_graph(spliced)})
+    args.pairs = ([_parse_pair(t, ",", "--pairs item") for t in args.pairs.split(";")]
+                  if args.pairs else [])
+    spliced = splice_gadget(h, args.pairs, cand)
+    return {"graph": spliced, "edge_list": serialize_graph(spliced)}
 
 
 def cmd_disprove_prism(args):
-    report = disprove_box_path_gadget(args.n, args.k)
-    emit_report(args, {"n": args.n, "k": args.k}, {"report": report})
+    return {"report": disprove_box_path_gadget(args.n, args.k)}
 
 
 def cmd_qcore(args):
     g = load_graph_arg(args.graph)
-    lmax = args.lmax if args.lmax is not None else 2 * g.n + 2
-    rep = classical_only_report(g, args.assume_no_quantum_symmetry, lmax=lmax,
+    if args.lmax is None:
+        args.lmax = 2 * g.n + 2
+    rep = classical_only_report(g, args.assume_no_quantum_symmetry, lmax=args.lmax,
                                 max_vertices=_bound(args))
     cert = rep.certificate
     if cert is not None:
@@ -396,18 +388,14 @@ def cmd_qcore(args):
             verify_quantum_core_certificate(g, cert)
         except ValueError as exc:
             raise VerificationFailure(f"freshly built certificate failed re-verification: {exc}")
-    emit_report(args, {"graph": args.graph, "lmax": lmax,
-                       "assume_no_quantum_symmetry": args.assume_no_quantum_symmetry,
-                       "max_vertices": args.max_vertices, "i_know": args.i_know},
-                {"graph": g, "certified": cert is not None, "certificate": cert,
-                 "re_verified": cert is not None, "classical_only": rep})
+    return {"graph": g, "certified": cert is not None, "certificate": cert,
+            "re_verified": cert is not None, "classical_only": rep}
 
 
 def cmd_rep_verify(args):
     rep = _load_json(args.path, rep_from_json)
     report = verify_rep(rep, oracular=args.oracular)
-    emit_report(args, {"path": args.path, "oracular": args.oracular},
-                {"dim": rep.dim, "entries": int(rep.present.sum()), "report": report})
+    return {"dim": rep.dim, "entries": int(rep.present.sum()), "report": report}
 
 
 def cmd_rep_compose(args):
@@ -427,9 +415,8 @@ def cmd_rep_compose(args):
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True)
-    emit_report(args, {"first": args.first, "second": args.second, "output": args.output},
-                {"dim": out.dim, "entries": int(out.present.sum()), "report": report,
-                 "representation": None if args.output else payload})
+    return {"dim": out.dim, "entries": int(out.present.sum()), "report": report,
+            "representation": None if args.output else payload}
 
 
 def cmd_defect(args):
@@ -448,19 +435,15 @@ def cmd_defect(args):
         value = commutator_defect(strat, args.x, args.y)
     else:
         raise ValueError(f"unknown model {args.model!r}")
-    emit_report(args, {"path": args.path, "model": args.model, "x": args.x, "y": args.y,
-                       "pair_dist": args.pair_dist},
-                {"model": args.model, "defect": value})
+    return {"model": args.model, "defect": value}
 
 
 def cmd_bipartite_decide(args):
     h = load_graph_arg(args.instance)
     g = load_graph_arg(args.target)
     answer = decide_bipartite_target(h, g)
-    emit_report(args, {"instance": args.instance, "target": args.target},
-                {"morphisms_exist": answer,
-                 "instance_bipartite": is_bipartite(h)[0],
-                 "target_edgeless": g.num_edges == 0})
+    return {"morphisms_exist": answer, "instance_bipartite": is_bipartite(h)[0],
+            "target_edgeless": g.num_edges == 0}
 
 
 def cmd_product_transfer(args):
@@ -470,10 +453,7 @@ def cmd_product_transfer(args):
     c2 = GadgetCandidate(gadget, args.x, args.y, load_graph_arg(args.target2),
                          status=args.status2)
     out, table = product_transfer(c1, c2)
-    emit_report(args, {"gadget": args.gadget, "x": args.x, "y": args.y,
-                       "target1": args.target1, "target2": args.target2,
-                       "status1": args.status1, "status2": args.status2},
-                {"candidate": out, "property_i": table})
+    return {"candidate": out, "property_i": table}
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homs", help="enumerate homomorphisms, optionally pinned")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--pin", action="append", metavar="U=A",
+    p.add_argument("--pin", action="append", dest="pins", metavar="U=A",
                    help="pin source vertex U to target vertex A (repeatable)")
     p.add_argument("--limit", type=_int, default=0,
                    help=f"0 means all, at most {HOMS_MAX_MAPS} of them without --i-know")
@@ -553,9 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defect", help="weighted-algebra defect of a strategy JSON")
     p.add_argument("path")
     p.add_argument("--model", choices=["a", "c-v", "c-c", "commutator"], default="a")
-    p.add_argument("--pair-dist", default=None)
+    # declared in the order a report echoes them
     p.add_argument("--x", type=_int, default=None)
     p.add_argument("--y", type=_int, default=None)
+    p.add_argument("--pair-dist", default=None)
 
     p = sub.add_parser("bipartite-decide", help="morphism existence into a bipartite target")
     p.add_argument("instance")
@@ -585,11 +566,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    args._t0 = time.monotonic()
+    t0 = time.monotonic()
     # looked up at call time, so a handler rebound on the module is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        handler(args)
+        result = handler(args)
+        # the parsed arguments, as the handler left them, less the output flag
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "json")}
+        emit_report(args, inputs, result, t0)
     except VerificationFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -135,6 +135,25 @@ def _edge_stack(h: Graph, g: Graph, dim: int, fams) -> tuple[np.ndarray, np.ndar
     return stack, present
 
 
+def _read_weights(values) -> list[Fraction]:
+    """The Fraction of each weight of a document, a number or a "p/q"
+    string; each distinct value is parsed once.  JSON's true and false load
+    as bools, which Fraction reads as 1 and 0, so they raise TypeError."""
+    parsed: dict = {}
+    out = []
+    for val in values:
+        # before the lookup: true and 1 are equal dict keys
+        if isinstance(val, bool):
+            raise TypeError(f"weight {str(val).lower()} is not a number")
+        try:
+            w = parsed[val]
+        except (KeyError, TypeError):
+            # an unhashable value raises Fraction's own error here
+            w = parsed[val] = Fraction(val)
+        out.append(w)
+    return out
+
+
 def strategy_from_json(obj: dict) -> Strategy:
     """Inverse of :meth:`Strategy.to_json`; raises ValueError on a malformed
     document, or on one whose vertex or edge stack would exceed
@@ -144,15 +163,7 @@ def strategy_from_json(obj: dict) -> Strategy:
         fams = obj["vertex_pvms"]
         vertex_pvms = _vertex_stack(inst, targ, dim, zip(
             _read_keys(fams, "vertex_pvms key", _parse_int), fams.values()))
-        dist = {}
-        weights: dict = {}  # each distinct weight value is parsed once
-        for edge, val in zip(_read_keys(obj["dist"], "dist key"), obj["dist"].values()):
-            try:
-                w = weights[val]
-            except (KeyError, TypeError):
-                # an unhashable value raises Fraction's own error here
-                w = weights[val] = Fraction(val)
-            dist[edge] = w
+        dist = dict(zip(_read_keys(obj["dist"], "dist key"), _read_weights(obj["dist"].values())))
         edge_pvms = edge_present = None
         if (fams := obj.get("edge_pvms")) is not None:
             edge_pvms, edge_present = _edge_stack(inst, targ, dim, zip(
@@ -177,8 +188,8 @@ def pair_dist_from_json(obj) -> dict[tuple[DirectedEdge, DirectedEdge], Fraction
     """The pair distribution of :func:`cc_defect` from a ``{"x,y|x2,y2": "p/q"}``
     document; raises ValueError on a malformed document."""
     try:
-        pair_dist = {pair: Fraction(val)
-                     for pair, val in zip(_read_keys(obj, "pair key", _edge_pair), obj.values())}
+        pair_dist = dict(zip(_read_keys(obj, "pair key", _edge_pair),
+                             _read_weights(obj.values())))
     except (TypeError, AttributeError, ArithmeticError) as exc:
         raise ValueError(f"malformed pair distribution document: {exc}") from None
     return pair_dist
@@ -257,6 +268,22 @@ def _check_pvms(stack: np.ndarray, rows: np.ndarray, tol: float, label: Callable
         raise ValueError(f"{what}: family does not sum to the identity")
 
 
+def _check_weights(weights: dict, what: str, check_item: Callable[[tuple, Fraction], None]):
+    """Raise ValueError unless the Fraction values of ``weights`` are
+    nonnegative and sum to 1.  Items are checked in order, each first by
+    ``check_item(key, w)``, which raises for an item its caller refuses,
+    then by its sign; ``what`` names the weights in the message."""
+    for key, w in weights.items():
+        check_item(key, w)
+        if w.numerator < 0:
+            raise ValueError(f"{what} weights must be nonnegative")
+    # numerators over the least common denominator: one Fraction, not one per weight
+    scale = math.lcm(*{w.denominator for w in weights.values()})
+    total = Fraction(sum(w.numerator * (scale // w.denominator) for w in weights.values()), scale)
+    if total != 1:
+        raise ValueError(f"{what} weights sum to {total}, expected 1")
+
+
 def validate_strategy(s: Strategy, need_edge_pvms: bool = False):
     shape = (s.instance.n, s.target.n, s.dim, s.dim)
     if np.shape(s.vertex_pvms) != shape:
@@ -264,16 +291,12 @@ def validate_strategy(s: Strategy, need_edge_pvms: bool = False):
                          f"expected {shape}")
     _check_pvms(s.vertex_pvms, np.arange(s.instance.n), s.tol, lambda u: f"vertex {u} PVM")
     row = _index(s.instance)
-    for (x, y), w in s.dist.items():
-        if (x, y) not in row:
-            raise ValueError(f"dist key ({x},{y}) is not a directed edge of the instance")
-        if w.numerator < 0:
-            raise ValueError("dist weights must be nonnegative")
-    # numerators over the least common denominator: one Fraction, not one per weight
-    scale = math.lcm(*{w.denominator for w in s.dist.values()})
-    total = Fraction(sum(w.numerator * (scale // w.denominator) for w in s.dist.values()), scale)
-    if total != 1:
-        raise ValueError(f"dist weights sum to {total}, expected 1")
+
+    def check_edge(e: DirectedEdge, w: Fraction):
+        if e not in row:
+            raise ValueError("dist key ({},{}) is not a directed edge of the instance".format(*e))
+
+    _check_weights(s.dist, "dist", check_edge)
     if need_edge_pvms:
         if s.edge_pvms is None:
             raise ValueError("strategy has no edge PVMs")
@@ -352,18 +375,16 @@ def cc_defect(s: Strategy, pair_dist: dict[tuple[DirectedEdge, DirectedEdge], Fr
     disagree at a shared instance vertex, weighted by pair_dist."""
     validate_strategy(s, need_edge_pvms=True)
     row, listed = _index(s.instance), s.edge_present.any(axis=1)
-    total = Fraction(0)
-    for (e1, e2), w in pair_dist.items():
+
+    def check_pair(pair: tuple[DirectedEdge, DirectedEdge], w: Fraction):
+        e1, e2 = pair
         if e1 not in row or e2 not in row:
             raise ValueError(f"pair_dist key ({e1},{e2}) is not a pair of directed edges")
-        if w < 0:
-            raise ValueError("pair_dist weights must be nonnegative")
-        for x, y in (e1, e2):
+        for x, y in pair:
             if w != 0 and not listed[row[x, y]]:
                 raise ValueError(f"pair_dist edge ({x},{y}) has weight but no PVM")
-        total += w
-    if total != 1:
-        raise ValueError(f"pair_dist weights sum to {total}, expected 1")
+
+    _check_weights(pair_dist, "pair_dist", check_pair)
     outcomes = np.array(s.target.directed_edges(), dtype=np.intp).reshape(-1, 2)
     out = 0.0
     for (e1, e2), w in sorted(pair_dist.items()):

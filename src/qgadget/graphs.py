@@ -160,18 +160,31 @@ def _json_int(x) -> int:
 
 
 def graph_from_json(obj) -> Graph:
-    """Inverse of :meth:`Graph.to_json`; raises ValueError on a malformed document."""
+    """Inverse of :meth:`Graph.to_json`; raises ValueError on a malformed
+    document, one that lists an edge twice (in either orientation) or one
+    whose optional ``m`` is not its edge count."""
     try:
         n = _json_int(obj["n"])
         edges = [tuple(_json_int(t) for t in e) for e in obj["edges"]]
+        m = _json_int(obj.get("m", len(edges)))
     except KeyError as exc:
         raise ValueError(f"graph document lacks field {exc}") from None
     except TypeError:
-        raise ValueError("graph document needs an integer 'n' and a list of "
-                         "integer-pair 'edges'") from None
+        raise ValueError("graph document needs an integer 'n', a list of integer-pair "
+                         "'edges' and, if given, an integer 'm'") from None
     if not isinstance(obj["edges"], list) or any(len(e) != 2 for e in edges):
         raise ValueError("graph document needs 'edges' as a list of vertex pairs")
-    return graph_from_edges(n, edges, obj.get("label", ""))
+    if m != len(edges):
+        raise ValueError(f"graph document announces {m} edges but lists {len(edges)}")
+    g = graph_from_edges(n, edges, obj.get("label", ""))
+    if g.num_edges != len(edges):
+        # graph_from_edges merges a repeat; a document lists each edge once
+        seen = set()
+        for u, v in edges:
+            if (u, v) in seen:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            seen |= {(u, v), (v, u)}
+    return g
 
 
 def adjacency_equal(g: Graph, h: Graph) -> bool:

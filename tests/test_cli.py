@@ -860,10 +860,10 @@ def test_jsonable_matches_the_recursive_reference(payload, json_mode):
     # the emitted bytes, JSON (fast path or the non-finite fallback) or
     # text, against the recursive encoder, which writes an integer array as
     # its tolist(); json.dumps tells true from 1 and 1.0 from 1
-    args = argparse.Namespace(command="analyze", json=json_mode, _t0=time.monotonic())
+    args = argparse.Namespace(command="analyze", json=json_mode)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        qgadget.cli.emit_report(args, {"payload": payload}, {"value": payload})
+        qgadget.cli.emit_report(args, {"payload": payload}, {"value": payload}, time.monotonic())
     report = _jsonable_reference({"command": "analyze", "inputs": {"payload": payload},
                                   "result": {"value": payload},
                                   "tool_version": qgadget.__version__, "elapsed_seconds": 0.0})
@@ -908,9 +908,15 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys):
 def test_handler_rebound_after_the_first_call_is_the_one_run(monkeypatch, capsys):
     run_json(capsys, "analyze", "diamond")
     calls = []
-    monkeypatch.setattr(qgadget.cli, "cmd_analyze", lambda args: calls.append(args.graph))
-    code, out, err = run_cli(capsys, "analyze", "C:5")
-    assert code == 0 and out == "" and calls == ["C:5"]
+
+    def stand_in(args):
+        calls.append(args.graph)
+        return {"stand_in": True}
+
+    monkeypatch.setattr(qgadget.cli, "cmd_analyze", stand_in)
+    code, out, err = run_cli(capsys, "analyze", "C:5", "--json")
+    assert code == 0 and calls == ["C:5"]
+    assert json.loads(out)["result"] == {"stand_in": True}
 
 
 def _inf_rep_doc(tmp_path):

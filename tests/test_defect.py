@@ -301,7 +301,8 @@ def test_strategy_elements_must_be_numbers(element):
 def test_repeated_and_mixed_dist_weights_parse_as_before():
     h, g = build_family("C:6"), build_family("K:3")
     doc = classical_strategy(h, g, enumerate_homomorphisms(h, g, limit=1)[0]).to_json()
-    weights = ["1/24", "1/24", 0.0625, "0.03125", 0, "1/24", 0.0625, "2/48", True, "1/24"]
+    # a JSON true is refused, not parsed as 1 (test_json_boolean_weights_are_refused)
+    weights = ["1/24", "1/24", 0.0625, "0.03125", 0, "1/24", 0.0625, "2/48", 1, "1/24"]
     doc["dist"] = {key: weights[i % len(weights)] for i, key in enumerate(doc["dist"])}
     assert strategy_from_json(doc).dist == \
         {tuple(int(t) for t in key.split(",")): Fraction(val) for key, val in doc["dist"].items()}

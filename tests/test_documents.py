@@ -298,3 +298,71 @@ def test_json_booleans_are_refused_in_a_fresh_process(tmp_path):
         proc = run_fresh(*argv, "--json")
         assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def _k2_strategy():
+    k2 = graph_from_edges(2, [(0, 1)])
+    return classical_strategy(k2, k2, [0, 1]).to_json()
+
+
+# a weight of true or false read as 1 or 0: K:2 with dist {"0,1": true,
+# "1,0": false} used to load and score an assignment defect of 0.0; a 1
+# parsed first must not let an equal true through the per-value cache
+@pytest.mark.parametrize("load, doc", [
+    (strategy_from_json, lambda: dict(_k2_strategy(), dist={"0,1": True, "1,0": False})),
+    (strategy_from_json, lambda: dict(_k2_strategy(), dist={"0,1": 1, "1,0": True})),
+    (pair_dist_from_json, lambda: {"0,1|1,0": True}),
+    (pair_dist_from_json, lambda: {"0,1|1,0": 1, "1,0|0,1": True}),
+], ids=["dist", "dist-after-1", "pair-dist", "pair-dist-after-1"])
+def test_json_boolean_weights_are_refused(load, doc):
+    with pytest.raises(ValueError, match="weight true is not a number"):
+        load(doc())
+
+
+def test_json_boolean_weights_are_refused_in_a_fresh_process(tmp_path):
+    (tmp_path / "dist.json").write_text(
+        json.dumps(dict(_k2_strategy(), dist={"0,1": True, "1,0": False})))
+    (tmp_path / "good.json").write_text(json.dumps(_edge_strategy().to_json()))
+    (tmp_path / "pairs.json").write_text(json.dumps({"0,1|1,2": True}))
+    for argv in (["defect", "dist.json", "--model", "a"],
+                 ["defect", "good.json", "--model", "c-c", "--pair-dist", "pairs.json"]):
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        proc = run_fresh(*argv, "--json")
+        assert proc.returncode == 1 and proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+# a graph document lists each edge once, in either orientation, and its m,
+# if given, counts them: K:2 as [[0, 1], [1, 0]] used to load as K:2
+@pytest.mark.parametrize("doc, key", [(_rep_doc, "domain"), (_k2_strategy, "instance")],
+                         ids=["rep", "strategy"])
+@pytest.mark.parametrize("edges, m, message", [
+    ([[0, 1], [1, 0]], 2, "duplicate edge (1,0)"),
+    ([[0, 1], [0, 1]], None, "duplicate edge (0,1)"),
+    ([[0, 1], [1, 0], [0, 1]], 7, "graph document announces 7 edges but lists 3"),
+    ([[0, 1]], 0, "graph document announces 0 edges but lists 1"),
+], ids=["reversed", "repeated-without-m", "wrong-m", "m-too-small"])
+def test_graph_documents_list_each_edge_once(doc, key, edges, m, message):
+    load = rep_from_json if key == "domain" else strategy_from_json
+    doc = doc()
+    load(doc)
+    doc[key]["edges"] = edges
+    if m is None:
+        del doc[key]["m"]
+    else:
+        doc[key]["m"] = m
+    with pytest.raises(ValueError) as info:
+        load(doc)
+    assert str(info.value) == message
+
+
+def test_repeated_graph_edges_are_refused_in_a_fresh_process(tmp_path):
+    rep, strategy = _rep_doc(), _k2_strategy()
+    rep["domain"].update(edges=[[0, 1], [1, 0]], m=2)
+    strategy["instance"].update(edges=[[0, 1], [1, 0]], m=2)
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    (tmp_path / "strategy.json").write_text(json.dumps(strategy))
+    for argv in (["rep-verify", "rep.json"], ["defect", "strategy.json", "--model", "a"]):
+        argv[1] = str(tmp_path / argv[1])
+        proc = run_fresh(*argv, "--json")
+        assert proc.returncode == 1 and proc.stderr == "error: duplicate edge (1,0)\n", proc.stderr

@@ -306,7 +306,11 @@ def test_graph_json_round_trip(small_family_graphs):
 @pytest.mark.parametrize("bad", [[], "C:4", {"n": 3}, {"edges": []}, {"n": "3", "edges": []},
                                  {"n": 3, "edges": {}}, {"n": 3, "edges": [[0]]},
                                  {"n": 3, "edges": [[0, 1.5]]}, {"n": 3, "edges": [[0, 5]]},
-                                 {"n": -1, "edges": []}, {"n": 10 ** 9, "edges": []}])
+                                 {"n": -1, "edges": []}, {"n": 10 ** 9, "edges": []},
+                                 {"n": 3, "edges": [[0, 1], [1, 0]]},
+                                 {"n": 3, "m": 2, "edges": [[0, 1]]},
+                                 {"n": 3, "m": True, "edges": [[0, 1]]},
+                                 {"n": 3, "m": 1.0, "edges": [[0, 1]]}])
 def test_graph_json_rejects_malformed(bad):
     with pytest.raises(ValueError):
         graph_from_json(bad)
