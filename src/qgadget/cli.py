@@ -23,6 +23,7 @@ edge-list file.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import math
@@ -69,9 +70,19 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+def _unique_keys(members: list) -> dict:
+    """A JSON object's members as a dict, in document order; a repeated key
+    is refused, where json.load would keep its last value."""
+    obj = dict(members)
+    if len(obj) < len(members):
+        repeated = next(k for k, c in collections.Counter(k for k, _ in members).items() if c > 1)
+        raise ValueError(f"repeated key {json.dumps(repeated)} in a JSON object")
+    return obj
+
+
 def _load_json(path: str, parse):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(json.load(fh))
+        return parse(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def load_graph_arg(text: str) -> Graph:

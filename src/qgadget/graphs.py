@@ -161,8 +161,9 @@ def _json_int(x) -> int:
 
 def graph_from_json(obj) -> Graph:
     """Inverse of :meth:`Graph.to_json`; raises ValueError on a malformed
-    document, one that lists an edge twice (in either orientation) or one
-    whose optional ``m`` is not its edge count."""
+    document, one that lists an edge twice (in either orientation), one
+    whose optional ``m`` is not its edge count or one whose optional
+    ``label`` is not a string."""
     try:
         n = _json_int(obj["n"])
         edges = [tuple(_json_int(t) for t in e) for e in obj["edges"]]
@@ -176,7 +177,10 @@ def graph_from_json(obj) -> Graph:
         raise ValueError("graph document needs 'edges' as a list of vertex pairs")
     if m != len(edges):
         raise ValueError(f"graph document announces {m} edges but lists {len(edges)}")
-    g = graph_from_edges(n, edges, obj.get("label", ""))
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"graph document needs 'label' as a string, got {type(label).__name__}")
+    g = graph_from_edges(n, edges, label)
     if g.num_edges != len(edges):
         # graph_from_edges merges a repeat; a document lists each edge once
         seen = set()

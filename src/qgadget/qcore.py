@@ -28,15 +28,17 @@ distances in O(n^2), whatever the search bound.
 The module stays entirely combinatorial: it never touches algebra elements.
 Verification does not trust the table that found the lengths, nor its
 packed-row kernel: it re-checks every recorded length with powers of the
-adjacency matrix by repeated squaring, held as bool matrices.  Each product
-is a float32 BLAS product of the 0/1 operands thresholded at ``> 0``.  Its
-entries count walks through a middle vertex, integers of at most
-n <= graphs.MAX_VERTICES = 4096 < 2^24, so float32 holds every partial sum
-exactly, whatever the summation order or thread split; the trusted
-computing base is that thresholded product.  The recorded lengths are
-grouped, so each distinct length costs one power and one batched check of
-all its pairs.  A missing length within the search bound makes the result
-inconclusive, not a disproof.
+adjacency matrix, held as bool matrices, one power per length from 0 up to
+the largest recorded one.  Parity distances are shorter than 2n, so for
+l >= 2n - 1 a walk of length l exists exactly where one of length l + 2
+does, and a recorded length l >= 2n is checked as 2n + l mod 2: at most 2n
+products, whatever the lengths.  Each product is a float32 BLAS product of
+the 0/1 operands thresholded at ``> 0``.  Its entries count walks through a
+middle vertex, integers of at most n <= graphs.MAX_VERTICES = 4096 < 2^24,
+so float32 holds every partial sum exactly, whatever the summation order or
+thread split; the trusted computing base is that thresholded product.  A
+missing length within the search bound makes the result inconclusive, not a
+disproof.
 """
 
 from __future__ import annotations
@@ -77,19 +79,18 @@ class QuantumCoreCertificate:
         return {"graph": self.graph.label,
                 "column_lengths": PairLengths(n, np.ones(n * (n - 1) // 2, dtype=bool),
                                               self.column_lengths),
-                "cross_lengths": PairLengths(n, ~self.graph.adj[_pair_keys(n)[0]],
+                "cross_lengths": PairLengths(n, ~self.graph.adj[np.triu_indices(n, 1)],
                                              self.cross_lengths)}
 
 
 @functools.lru_cache(maxsize=64)
-def _pair_keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For the pairs a < b of n vertices: the (n, n) mask that picks them
-    in ``np.triu_indices(n, 1)`` order, their indices in that order sorted
-    by their "a,b" keys, and, in key order, one uint8 row per pair holding
-    '"a,b": ' padded with NUL bytes.  The comma sorts below every digit, so
-    key order is the string order of a, then of b."""
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    a, b = np.nonzero(upper)
+def _pair_keys(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the pairs a < b of n vertices: their indices in
+    ``np.triu_indices(n, 1)`` order sorted by their "a,b" keys, and, in key
+    order, one uint8 row per pair holding '"a,b": ' padded with NUL bytes.
+    The comma sorts below every digit, so key order is the string order of
+    a, then of b."""
+    a, b = np.triu_indices(n, 1)
     text_rank = np.empty(n, dtype=np.intp)
     text_rank[sorted(range(n), key=str)] = np.arange(n)
     order = np.lexsort((text_rank[b], text_rank[a])).astype(np.int32)
@@ -98,9 +99,9 @@ def _pair_keys(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keys = np.concatenate([
         firsts[a[order]].view(np.uint8).reshape(len(order), firsts.itemsize),
         seconds[b[order]].view(np.uint8).reshape(len(order), seconds.itemsize)], axis=1)
-    for cached in (upper, order, keys):
+    for cached in (order, keys):
         cached.setflags(write=False)
-    return upper, order, keys
+    return order, keys
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +122,13 @@ class PairLengths:
     def key_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The selected pairs in key order: their key rows (see _pair_keys)
         and their lengths as a ``(k, 1)`` array."""
-        _, order, keys = _pair_keys(self.n)
+        order, keys = _pair_keys(self.n)
         chosen = self.selected[order]
         position = np.cumsum(self.selected) - 1
         return keys[chosen], self.lengths[position[order[chosen]]][:, None]
 
     def to_json(self) -> dict:
-        a, b = np.nonzero(_pair_keys(self.n)[0])
+        a, b = np.triu_indices(self.n, 1)
         return {f"{x},{y}": v for x, y, v in zip(a[self.selected].tolist(),
                                                   b[self.selected].tolist(),
                                                   self.lengths.tolist())}
@@ -177,20 +178,6 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y, dtype=np.float32) > 0
 
 
-def _power(squares: list[np.ndarray], ell: int) -> np.ndarray:
-    """adj^ell in bool dtype by repeated squaring; squares[i] is adj^(2^i)
-    and is extended in place as needed."""
-    out = None
-    bit = 0
-    while ell >> bit:
-        if bit == len(squares):
-            squares.append(_product(squares[-1], squares[-1]))
-        if (ell >> bit) & 1:
-            out = squares[bit] if out is None else _product(out, squares[bit])
-        bit += 1
-    return np.eye(len(squares[0]), dtype=bool) if out is None else out
-
-
 def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
     """Re-verify every recorded length with powers of the adjacency matrix,
     independent of the walk table; raises ValueError when an array does not
@@ -199,11 +186,7 @@ def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> N
 
     Each product is ``np.matmul(x, y, dtype=np.float32) > 0`` on bool
     operands: its entries are integers of at most n < 2^24, exact in
-    float32, so the threshold gives the boolean product.
-
-    The recorded lengths are grouped: the distinct ones are taken in
-    ascending order, each power is the one before times a cached power of
-    the difference, and each length checks all of its pairs at once."""
+    float32, so the threshold gives the boolean product."""
     a, b = np.triu_indices(g.n, 1)
     cross = np.flatnonzero(~g.adj[a, b])
     for kind, recorded, pairs in (("column", cert.column_lengths, len(a)),
@@ -214,26 +197,17 @@ def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> N
     # pair i's column check has key 2i, its cross check 2i+1
     keys = np.concatenate([2 * np.arange(len(a)), 2 * cross + 1])
     lengths = np.concatenate([cert.column_lengths, cert.cross_lengths])
+    # exact, as the module docstring says: past 2n - 1 only the parity counts
+    steps = np.where(lengths < 2 * g.n, lengths, 2 * g.n + lengths % 2)
     # per key: 0 the check passes, 1 no walk, 2 a forbidden walk exists
     status = np.zeros(2 * len(a), dtype=np.int8)
     status[keys[lengths < 0]] = 1
-    distinct, which = np.unique(lengths, return_inverse=True)
     eu, ev = np.nonzero(g.adj)
-    squares = [g.adj]
-    steps: dict[int, np.ndarray] = {}
-    power, at = None, 0
-    for k, ell in enumerate(distinct.tolist()):
-        if ell < 0:
-            continue
-        if power is None:
-            power = _power(squares, ell)
-        else:
-            diff = ell - at
-            if diff not in steps:
-                steps[diff] = _power(squares, diff)
-            power = _product(power, steps[diff])
-        at = ell
-        key = keys[which == k]
+    power = np.eye(g.n, dtype=bool)
+    for ell in range(int(steps.max(initial=0)) + 1):
+        if ell:
+            power = g.adj if ell == 1 else _product(power, g.adj)
+        key = keys[steps == ell]
         forbidden = np.where(key % 2, power[eu, ev].any(), power.diagonal().any())
         status[key] = np.where(power[a[key // 2], b[key // 2]], 2 * forbidden, 1)
     failed = np.flatnonzero(status)

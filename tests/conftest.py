@@ -3,13 +3,13 @@
 The oracles here deliberately take a different route from the library code
 they check: walks are enumerated by explicit DFS instead of matrix powers,
 quantum-core certificates are re-checked pair by pair with bool-dtype powers
-instead of grouped float32 BLAS products and written as dicts key by key
-instead of from arrays, homomorphism existence is decided
-by backtracking search when checking the parity shortcut, and by forward
-checking over vertex sets when checking a pinned table's misses, operator
-norms come from numpy's SVD instead of power iteration, game values are
-counted directly from the predicate, and graph isomorphism is decided by
-plain backtracking.
+by repeated squaring instead of one float32 BLAS product per length, and
+written as dicts key by key instead of from arrays, homomorphism existence
+is decided by backtracking search when checking the parity shortcut, and
+by forward checking over vertex sets when checking a pinned table's misses,
+operator norms come from numpy's SVD instead of power iteration, game
+values are counted directly from the predicate, and graph isomorphism is
+decided by plain backtracking.
 """
 
 from __future__ import annotations

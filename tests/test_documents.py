@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from qgadget import (QuantumRep, Strategy, assignment_defect, cc_defect, classical_strategy,
                      commutator_defect, cv_defect, graph_from_edges, pair_dist_from_json,
                      rep_from_json, strategy_from_json, verify_rep)
+from qgadget.cli import _load_json, main
 from conftest import run_fresh, set_edge_pvms
 
 _FLOATS = st.sampled_from([0.0, -0.0, 1.0, 0.5]) | st.floats(width=64)
@@ -366,3 +367,93 @@ def test_repeated_graph_edges_are_refused_in_a_fresh_process(tmp_path):
         argv[1] = str(tmp_path / argv[1])
         proc = run_fresh(*argv, "--json")
         assert proc.returncode == 1 and proc.stderr == "error: duplicate edge (1,0)\n", proc.stderr
+
+
+@pytest.mark.parametrize("doc, key", [(_rep_doc, "domain"), (_k2_strategy, "instance")],
+                         ids=["rep", "strategy"])
+@pytest.mark.parametrize("label, kind", [({"x": [1]}, "dict"), ([1], "list"), (7, "int"),
+                                         (None, "NoneType")], ids=["dict", "list", "int", "null"])
+def test_graph_labels_are_strings(doc, key, label, kind):
+    # a dict label used to load and be written back by to_json
+    load = rep_from_json if key == "domain" else strategy_from_json
+    doc = doc()
+    doc[key]["label"] = "K:2"
+    assert getattr(load(doc), key).label == "K:2"
+    doc[key]["label"] = label
+    with pytest.raises(ValueError) as info:
+        load(doc)
+    assert str(info.value) == f"graph document needs 'label' as a string, got {kind}"
+
+
+_ONE = '{"n": 1, "edges": []}'
+_K2 = '{"n": 2, "edges": [[0, 1]]}'
+_VERTEX_PVMS = '{"0": [[[[1.0, 0.0]]], [[[0.0, 0.0]]]], "1": [[[[0.0, 0.0]]], [[[1.0, 0.0]]]]}'
+
+# argv after the document's path, the document with one key given twice,
+# and that key; json.load keeps the last of the two values, so each used to
+# load as if the first were never written, and pass with exit 0
+REPEATED_KEYS = {
+    "rep-mats": (["rep-verify"],
+                 f'{{"domain": {_ONE}, "codomain": {_ONE}, "dim": 1, '
+                 '"mats": {"0,0": [[[42.0, 0.0]]], "0,0": [[[1.0, 0.0]]]}}', "0,0"),
+    "strategy-dist": (["defect", "--model", "a"],
+                      f'{{"instance": {_K2}, "target": {_K2}, "dim": 1, '
+                      f'"vertex_pvms": {_VERTEX_PVMS}, '
+                      '"dist": {"0,1": "1/1", "1,0": "1/1", "0,1": "0"}}', "0,1"),
+    "rep-dim": (["rep-verify"],
+                f'{{"dim": 2, "domain": {_ONE}, "codomain": {_ONE}, "dim": 1, '
+                '"mats": {"0,0": [[[1.0, 0.0]]]}}', "dim"),
+}
+
+
+def _argv(case, path):
+    command, *rest = REPEATED_KEYS[case][0]
+    return [command, str(path), *rest, "--json"]
+
+
+@pytest.mark.parametrize("case", list(REPEATED_KEYS))
+def test_repeated_json_keys_are_refused(tmp_path, capsys, case):
+    _, text, key = REPEATED_KEYS[case]
+    merged, repeated = tmp_path / "merged.json", tmp_path / "repeated.json"
+    # the document as json.load reads it passes
+    merged.write_text(json.dumps(json.loads(text)))
+    repeated.write_text(text)
+    assert main(_argv(case, merged)) == 0
+    capsys.readouterr()
+    assert main(_argv(case, repeated)) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f'error: repeated key "{key}" in a JSON object\n'
+
+
+def test_repeated_json_keys_are_refused_in_a_fresh_process(tmp_path):
+    for case, (_, text, key) in REPEATED_KEYS.items():
+        path = tmp_path / f"{case}.json"
+        path.write_text(text)
+        proc = run_fresh(*_argv(case, path))
+        assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+        assert proc.stderr == f'error: repeated key "{key}" in a JSON object\n'
+
+
+def test_json_objects_load_in_document_order_at_every_depth(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"b": {"y": [{"q": 1, "p": 2}], "x": 0}, "a": 1}')
+    doc = _load_json(str(path), lambda d: d)
+    assert list(doc) == ["b", "a"] and list(doc["b"]) == ["y", "x"]
+    assert list(doc["b"]["y"][0]) == ["q", "p"]
+    path.write_text('{"b": {"y": [{"q": 1, "q": 2}], "x": 0}, "a": 1}')
+    with pytest.raises(ValueError, match='^repeated key "q" in a JSON object$'):
+        _load_json(str(path), lambda d: d)
+
+
+def test_non_string_graph_labels_are_refused_in_a_fresh_process(tmp_path):
+    rep, strategy = _rep_doc(), _k2_strategy()
+    rep["domain"]["label"] = {"x": [1]}
+    strategy["target"]["label"] = ["K:2"]
+    (tmp_path / "rep.json").write_text(json.dumps(rep))
+    (tmp_path / "strategy.json").write_text(json.dumps(strategy))
+    for argv, kind in ((["rep-verify", "rep.json"], "dict"),
+                       (["defect", "strategy.json", "--model", "a"], "list")):
+        argv[1] = str(tmp_path / argv[1])
+        proc = run_fresh(*argv, "--json")
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"error: graph document needs 'label' as a string, got {kind}\n"

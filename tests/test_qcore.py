@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgadget.endo
+import qgadget.qcore
 from qgadget.cli import _json_pieces, _lower, _render_text
 from qgadget import (Graph, QuantumCoreCertificate, build_family, classical_only_report, girths,
                      graph_from_edges, quantum_core_certificate,
@@ -253,6 +254,37 @@ def test_huge_recorded_length_gets_the_reference_verdict(ell):
     cert = replace(cert, column_lengths=[ell] + cert.column_lengths.tolist()[1:])
     assert _outcome(g, cert) == verify_loop(g, cert) == \
         f"column pair (0,1): closed walk of length {ell} exists"
+
+
+def _counted_products(monkeypatch) -> list:
+    """A list that gains one entry per verifier product from now on."""
+    calls, product = [], qgadget.qcore._product
+    monkeypatch.setattr(qgadget.qcore, "_product", lambda x, y: calls.append(1) or product(x, y))
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["C:5", "C:9", "C:51", "C:201", "O:3", "O:4", "O:5", "O:6",
+                                  "KG:8,3", "KG:11,4", "K:258"])
+def test_certified_families_cost_one_product_per_length_past_one(spec, monkeypatch):
+    # the finder's lengths run through every value from 1 to the largest,
+    # and each power past adj is the one before times adj
+    g = build_family(spec)
+    cert = quantum_core_certificate(g, 2 * g.n + 2)
+    lengths = set(cert.column_lengths.tolist()) | set(cert.cross_lengths.tolist())
+    assert lengths == set(range(1, max(lengths) + 1))
+    calls = _counted_products(monkeypatch)
+    verify_quantum_core_certificate(g, cert)
+    assert len(calls) == max(lengths) - 1
+
+
+def test_a_huge_recorded_length_costs_at_most_2n_products(monkeypatch):
+    # past 2n - 1 only a length's parity matters, so 2^62 is checked as 18
+    g = build_family("C:9")
+    cert = quantum_core_certificate(g, 20)
+    cert = replace(cert, column_lengths=[2**62] + cert.column_lengths.tolist()[1:])
+    calls = _counted_products(monkeypatch)
+    assert _outcome(g, cert) == f"column pair (0,1): closed walk of length {2**62} exists"
+    assert len(calls) <= 2 * g.n
 
 
 REFUSED = "refused at construction"
