@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import (Graph, adjacency_equal, box_product, categorical_product, complement,
-                     complete_graph, cycle_graph, graph_from_edges, path_graph)
+from .graphs import (Graph, adjacency_equal, categorical_product, complement, complete_graph,
+                     cycle_graph, graph_from_edges)
 from .walks import walk_table
 from .endo import _check_maps, _first_homomorphisms
 from .qrep import (VerificationFailure, commutator_norms, lift_box_rep,
@@ -42,6 +42,8 @@ from .qrep import (VerificationFailure, commutator_norms, lift_box_rep,
 STATUS_CANDIDATE = "candidate"
 STATUS_PROVEN_ORACULAR = "proven_oracular"
 STATUS_REFUTED = "refuted"
+# largest property-(i) table (target.n^2 * gadget.n numbers) a check may build
+MAX_TABLE_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +90,10 @@ def check_property_i_classical(c: GadgetCandidate) -> PropertyITable:
     A complete table shows property (i) holds with classical witnesses; a
     miss only shows no *classical* witness exists for that pair, which is
     inconclusive for quantum witnesses.  The whole table is re-checked at
-    once by :func:`_checked_table`.
+    once by :func:`_checked_table`.  Raises ValueError, before any search,
+    on a table of more than MAX_TABLE_ENTRIES numbers.
     """
+    _check_table_size(c.gadget, c.target.n)
     full = (1 << c.target.n) - 1
     witnesses: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
     for a in range(c.target.n):
@@ -98,6 +102,15 @@ def check_property_i_classical(c: GadgetCandidate) -> PropertyITable:
             domains[c.x], domains[c.y] = 1 << a, 1 << b
             witnesses[(a, b)] = next(_first_homomorphisms(c.gadget, c.target, domains), None)
     return _checked_table(c, witnesses, "property (i) witness")
+
+
+def _check_table_size(gadget: Graph, targets: int) -> None:
+    """Refuse a property-(i) table of more than MAX_TABLE_ENTRIES numbers:
+    one witness of gadget.n vertices for each of targets^2 pins."""
+    size = targets * targets * gadget.n
+    if size > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a property-(i) table of {targets}^2 pins with {gadget.n}-vertex "
+                         f"witnesses needs {size} numbers, more than {MAX_TABLE_ENTRIES}")
 
 
 def _checked_table(c: GadgetCandidate, witnesses: dict, what: str) -> PropertyITable:
@@ -181,10 +194,12 @@ def product_transfer(c: GadgetCandidate,
     and the lexicographically first is the pair of first maps, so the factor
     tables combined pointwise equal a fresh search of the product.  Each
     combined map is re-checked.  The proven status survives only when both
-    inputs carry it.
+    inputs carry it.  The product table's size is checked as by
+    :func:`check_property_i_classical`, before the factor tables are searched.
     """
     if not adjacency_equal(c.gadget, c2.gadget) or (c.x, c.y) != (c2.x, c2.y):
         raise ValueError("candidates must share the same gadget graph and distinguished vertices")
+    _check_table_size(c.gadget, c.target.n * c2.target.n)
     product = categorical_product(c.target, c2.target)
     status = c.status if c.status == c2.status == STATUS_PROVEN_ORACULAR else STATUS_CANDIDATE
     out = GadgetCandidate(c.gadget, c.x, c.y, product, status,
@@ -222,12 +237,13 @@ def splice_gadget(h: Graph, comm_pairs: list[tuple[int, int]], c: GadgetCandidat
     edges = set(h.edges())
     n = h.n
     other = [z for z in range(c.gadget.n) if z not in (c.x, c.y)]
+    gadget_edges = c.gadget.edges()
     for (u, v) in comm_pairs:
         placement = {c.x: u, c.y: v}
         for z in other:
             placement[z] = n
             n += 1
-        for (z1, z2) in c.gadget.edges():
+        for (z1, z2) in gadget_edges:
             e = (placement[z1], placement[z2])
             edges.add((min(e), max(e)))
     label = f"splice({h.label or 'instance'},{len(comm_pairs)}x{c.gadget.label or 'gadget'})"
@@ -367,9 +383,11 @@ def disprove_box_path_gadget(n: int, k: int) -> DisproofReport:
                          "for the 3-cycle and no disproof exists")
     if k < 0:
         raise ValueError("path length k must be >= 0")
-    box = box_product(cycle_graph(2 * n + 1), path_graph(k))
     classes = enumerate_candidate_classes(n, k)
     refutations = refute_candidate_pairs(n, k, list(classes))
     results = tuple(CandidateClass(pair, count, refutation)
                     for (pair, count), refutation in zip(classes.items(), refutations))
-    return DisproofReport(n, k, box.label, sum(classes.values()), results, all_refuted=True)
+    # the label box_product(cycle_graph(2n + 1), path_graph(k)) would carry,
+    # without building that graph
+    return DisproofReport(n, k, f"box(C:{2 * n + 1},P:{k})", sum(classes.values()), results,
+                          all_refuted=True)

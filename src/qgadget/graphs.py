@@ -80,11 +80,7 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each edge once as (u, v) with u < v."""
-        return list(self._edges)
-
-    @cached_property
-    def _edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*(a.tolist() for a in self._edge_ends)))
+        return list(zip(*(a.tolist() for a in self._edge_ends)))
 
     @cached_property
     def _edge_ends(self) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +115,7 @@ class Graph:
 
     def to_json(self) -> dict:
         return {"n": self.n, "m": self.num_edges, "label": self.label,
-                "edges": [[u, v] for u, v in self.edges()]}
+                "edges": np.array(self._edge_ends).T.tolist()}
 
 
 def _bits(mask: int) -> list[int]:
@@ -161,9 +157,8 @@ def _json_int(x) -> int:
 
 def graph_from_json(obj) -> Graph:
     """Inverse of :meth:`Graph.to_json`; raises ValueError on a malformed
-    document, one that lists an edge twice (in either orientation), one
-    whose optional ``m`` is not its edge count or one whose optional
-    ``label`` is not a string."""
+    document, one whose optional ``label`` is not a string, or one that
+    :func:`_document_graph` refuses (``m``, if given, is the edge count)."""
     try:
         n = _json_int(obj["n"])
         edges = [tuple(_json_int(t) for t in e) for e in obj["edges"]]
@@ -175,11 +170,18 @@ def graph_from_json(obj) -> Graph:
                          "'edges' and, if given, an integer 'm'") from None
     if not isinstance(obj["edges"], list) or any(len(e) != 2 for e in edges):
         raise ValueError("graph document needs 'edges' as a list of vertex pairs")
-    if m != len(edges):
-        raise ValueError(f"graph document announces {m} edges but lists {len(edges)}")
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"graph document needs 'label' as a string, got {type(label).__name__}")
+    return _document_graph(n, m, edges, label)
+
+
+def _document_graph(n: int, m: int, edges: list, label: str = "") -> Graph:
+    """The graph of a JSON or edge-list document announcing m edges on n
+    vertices.  Refuses an m other than the number of ``edges``, an edge out
+    of range, a loop and an edge listed twice in either orientation."""
+    if m != len(edges):
+        raise ValueError(f"graph document announces {m} edges but lists {len(edges)}")
     g = graph_from_edges(n, edges, label)
     if g.num_edges != len(edges):
         # graph_from_edges merges a repeat; a document lists each edge once
@@ -379,7 +381,8 @@ def parse_graph(text: str) -> Graph:
     """Parse an edge-list document.
 
     Format: optional '#' comment lines; first data line "n m"; then m lines
-    "u v" with 0 <= u, v < n, u != v.  Duplicate edges are rejected.
+    "u v" with 0 <= u, v < n, u != v, each edge once.  The edges are checked
+    by the rules and messages of JSON graph documents (:func:`_document_graph`).
     """
     lines = [ln.strip() for ln in text.splitlines()]
     data = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -394,26 +397,15 @@ def parse_graph(text: str) -> Graph:
         raise ValueError(f"malformed header {data[0]!r}, expected integers") from None
     if n < 0 or m < 0:
         raise ValueError(f"negative counts in header {data[0]!r}")
-    _check_order(n)
-    if len(data) - 1 != m:
-        raise ValueError(f"header announces {m} edges but document has {len(data) - 1}")
-    adj = np.zeros((n, n), dtype=bool)
+    edges = []
     for ln in data[1:]:
         parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line {ln!r}")
         try:
-            u, v = _parse_int(parts[0]), _parse_int(parts[1])
+            u, v = parts
+            edges.append((_parse_int(u), _parse_int(v)))
         except ValueError:
             raise ValueError(f"malformed edge line {ln!r}") from None
-        if u == v:
-            raise ValueError(f"loop edge ({u},{v})")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-        if adj[u, v]:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        adj[u, v] = adj[v, u] = True
-    return Graph(n, adj, "")
+    return _document_graph(n, m, edges)
 
 
 def serialize_graph(g: Graph) -> str:

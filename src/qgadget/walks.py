@@ -59,8 +59,15 @@ class WalkTable:
         if not (0 <= length <= self.lmax):
             raise ValueError(f"walk length {length} outside table range 0..{self.lmax}")
 
+    def _check_vertices(self, u: int, v: int) -> None:
+        # numpy indexing would wrap a negative vertex round to the last ones
+        for w in (u, v):
+            if not 0 <= w < self.graph.n:
+                raise ValueError(f"vertex {w} outside 0..{self.graph.n - 1}")
+
     def has_walk(self, length: int, u: int, v: int) -> bool:
         self._check_length(length)
+        self._check_vertices(u, v)
         # lengths beyond int32 compare as NO_WALK - 1, far above any distance
         if self.dist[length % 2, u, v] > min(length, NO_WALK - 1):
             return False
@@ -143,6 +150,7 @@ def distance(t: WalkTable, u: int, v: int) -> Length:
     Raises if the pair is reachable but only beyond the table's lmax, since
     reporting infinity there would be a lie.
     """
+    t._check_vertices(u, v)
     d = int(t.dist[:, u, v].min())
     if d == NO_WALK:
         return math.inf

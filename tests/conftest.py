@@ -67,14 +67,16 @@ def endo_battery() -> list[Graph]:
     return [build_family(s) for s in ENDO_BATTERY_SPECS]
 
 
-def run_fresh(*argv, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_fresh(*argv, stdout=subprocess.PIPE, **run_args) -> subprocess.CompletedProcess:
     """``qgadget *argv`` in a new interpreter, on this checkout's sources;
-    stdout is captured unless another file descriptor is given."""
+    stdout is captured unless another file descriptor is given.  Keyword
+    arguments go to ``subprocess.run``, over its 60 s timeout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "qgadget.cli", *argv], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          **{"timeout": 60, **run_args})
 
 
 def inf_rep_json() -> str:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import resource
 import time
 
 import numpy as np
@@ -155,6 +156,20 @@ def test_oversized_graphs_exit_1_before_allocating(tmp_path, capsys, spec):
     assert time.monotonic() - t0 < 5
     assert code == 1 and out == ""
     assert "outside supported range 0..4096" in err
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+def test_oversized_property_i_table_exits_1_in_a_fresh_process():
+    # K:2 into K:64 x K:64 asks for a table of 4096^2 pins; unrefused it
+    # would hold about 10 GB, so the process gets 2 GiB of address space
+    proc = run_fresh("product-transfer", "K:2", "0", "1", "K:64", "K:64", "--json",
+                     timeout=20, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "more than 4194304" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv, err", [

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgadget.gadget
-from qgadget import (GadgetCandidate, VerificationFailure, VerificationReport, adjacency_equal,
-                     build_family, check_property_i_classical, commutator_norm,
-                     complement_cycle_gadget, cycle_graph, disprove_box_path_gadget, distance,
-                     enumerate_candidate_classes, graph_from_edges, lift_box_rep,
-                     path_to_cycle_rep, product_transfer, splice_gadget, verify_rep,
-                     walk_obstruction, walk_table)
+from qgadget import (GadgetCandidate, Graph, VerificationFailure, VerificationReport,
+                     adjacency_equal, box_product, build_family, check_property_i_classical,
+                     commutator_norm, complement_cycle_gadget, cycle_graph,
+                     disprove_box_path_gadget, distance, enumerate_candidate_classes,
+                     graph_from_edges, lift_box_rep, path_graph, path_to_cycle_rep,
+                     product_transfer, splice_gadget, verify_rep, walk_obstruction, walk_table)
 from qgadget.gadget import refute_candidate_pairs
 from conftest import find_isomorphism
 
@@ -221,6 +221,25 @@ def test_product_transfer_rejects_mismatch():
         product_transfer(g3, shifted)
 
 
+def test_oversized_property_i_tables_are_refused_before_any_search(monkeypatch):
+    # a table holds target.n^2 * gadget.n numbers; K:64 x K:64 asked for
+    # 16.7M entries, about 10 GB, with nothing to stop it
+    def search(*args):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(qgadget.gadget, "_first_homomorphisms", search)
+    monkeypatch.setattr(qgadget.gadget, "MAX_TABLE_ENTRIES", 9 * 9 * 2 - 1)
+    edge = GadgetCandidate(build_family("K:2"), 0, 1, build_family("K:3"))
+    with pytest.raises(ValueError, match="needs 162 numbers, more than 161"):
+        product_transfer(edge, edge)
+    monkeypatch.setattr(qgadget.gadget, "MAX_TABLE_ENTRIES", 3 * 3 * 2 - 1)
+    with pytest.raises(ValueError, match="needs 18 numbers, more than 17"):
+        check_property_i_classical(edge)
+    monkeypatch.undo()
+    monkeypatch.setattr(qgadget.gadget, "MAX_TABLE_ENTRIES", 9 * 9 * 2)
+    assert len(product_transfer(edge, edge)[1].witnesses) == 81
+
+
 def test_splice_two_isolated_vertices():
     h = build_family("cmpl(K:2)")
     out = splice_gadget(h, [(0, 1)], complement_cycle_gadget(3)[0])
@@ -283,6 +302,29 @@ def test_disprove_k3_and_k4():
             if c.refutation.kind == "noncommuting_witness":
                 assert c.refutation.detail["commutator_norm"] > 0
                 assert c.refutation.detail["rep_verified"]
+
+
+@pytest.mark.parametrize("n,k", [(2, 0), (2, 1), (2, 4), (3, 8), (5, 16)])
+def test_disproof_builds_no_box_graph_for_its_label(monkeypatch, n, k):
+    # the report names box(C:2n+1,P:k), which is all the whole box graph was
+    # built for; the only box graphs left are the domains of verified lifts
+    label = box_product(cycle_graph(2 * n + 1), path_graph(k)).label
+    built, lifts = [], []
+    post_init = Graph.__post_init__
+
+    def counted_graph(g):
+        built.append(g.n)
+        post_init(g)
+
+    def counted_verify(rep):
+        lifts.append(rep.domain.n)
+        return verify_rep(rep)
+
+    monkeypatch.setattr(Graph, "__post_init__", counted_graph)
+    monkeypatch.setattr(qgadget.gadget, "verify_rep", counted_verify)
+    assert disprove_box_path_gadget(n, k).graph_label == label
+    box = (2 * n + 1) * (k + 1)
+    assert built.count(box) == len(lifts) and set(lifts) <= {box}
 
 
 def test_disprove_rejects_n1():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -218,6 +219,25 @@ def test_parse_errors(doc, msg):
         parse_graph(doc)
 
 
+# the two graph document formats follow one set of rules: a loop, a wrong
+# count and an out-of-range loop used to give different messages in each
+@pytest.mark.parametrize("edges, m, message", [
+    ([(0, 1), (0, 1)], 2, "duplicate edge (0,1)"),
+    ([(0, 1), (1, 0)], 2, "duplicate edge (1,0)"),
+    ([(0, 0)], 1, "loop edge (0,0) not allowed"),
+    ([(0, 1), (0, 5)], 2, "edge (0,5) out of range for n=3"),
+    ([(0, 1)], 2, "graph document announces 2 edges but lists 1"),
+    ([(5, 5)], 1, "edge (5,5) out of range for n=3"),
+], ids=["repeat", "reversed-repeat", "loop", "out-of-range", "wrong-count", "out-of-range-loop"])
+def test_both_graph_formats_give_one_message_per_fault(edges, m, message):
+    text = "\n".join([f"3 {m}"] + [f"{u} {v}" for u, v in edges])
+    with pytest.raises(ValueError) as from_text:
+        parse_graph(text)
+    with pytest.raises(ValueError) as from_json:
+        graph_from_json({"n": 3, "m": m, "edges": [list(e) for e in edges]})
+    assert str(from_text.value) == str(from_json.value) == message
+
+
 # int() also reads a plus sign, underscores and non-ASCII digits: "K:1_0"
 # built K:10, and "1_0 0" a 10-vertex edge list
 @pytest.mark.parametrize("spec", ["K:1_0", "C:\u0665", "K:+3", "K:\uff13", "KG:5,+2",
@@ -295,6 +315,21 @@ def test_edges_returns_a_fresh_list():
     g = build_family("C:4")
     g.edges().clear()
     assert g.edges() == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+
+def test_to_json_leaves_no_edge_objects_on_the_graph():
+    # to_json used to cache a tuple per edge on the graph, about 10 MB for
+    # the 130,304 edges of cmpl(C:512), alive as long as the graph
+    g = build_family("cmpl(C:512)")
+    g._edge_ends  # the two index arrays, the one edge layout a graph keeps
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert len(g.to_json()["edges"]) == g.num_edges == 130_304
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000, kept
 
 
 def test_graph_json_round_trip(small_family_graphs):

@@ -103,6 +103,18 @@ def test_distance_raises_when_lmax_too_small():
         distance(t, 0, 5)
 
 
+# numpy indexing wrapped a negative vertex: on P:3, has_walk(3, -1, 0) was
+# True and distance(t, -1, 0) was 3, both the answers for vertex 3
+@pytest.mark.parametrize("u, v", [(-1, 0), (0, -1), (4, 0), (0, 4), (-5, 0)])
+def test_walk_queries_refuse_vertices_out_of_range(u, v):
+    t = walk_table(build_family("P:3"))
+    bad = u if not 0 <= u < 4 else v
+    with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.3"):
+        t.has_walk(3, u, v)
+    with pytest.raises(ValueError, match=rf"vertex {bad} outside 0\.\.3"):
+        distance(t, u, v)
+
+
 def test_girths_examples():
     assert girths(build_family("O:3")).odd_girth == 5
     r = girths(build_family("C:7"))
