@@ -56,7 +56,8 @@ EXIT_CLOSED_STDOUT = 141
 # text, so its temporaries stay a small multiple of the report
 _BLOCK_BYTES = 1 << 18
 
-# the most maps `homs` lists without --limit, unless --i-know lifts the bound
+# the most maps `homs` and `endos` list in full, and the most endomorphisms
+# qcore's classical-core check lists, unless --i-know lifts the bound
 HOMS_MAX_MAPS = 2 ** 20
 
 
@@ -278,6 +279,11 @@ def _bound(args) -> int:
     return args.max_vertices
 
 
+def _max_maps(args) -> Optional[int]:
+    """The bound of a full map listing, unless --i-know lifts it."""
+    return None if args.i_know else HOMS_MAX_MAPS
+
+
 def _int(text: str) -> int:
     return _parse_int(text)
 
@@ -290,7 +296,8 @@ def _add_bound_flags(p):
     p.add_argument("--max-vertices", type=_int, default=DEFAULT_MAX_VERTICES,
                    help=f"exhaustive-search size bound (default {DEFAULT_MAX_VERTICES})")
     p.add_argument("--i-know", action="store_true",
-                   help="acknowledge that overriding the size bound can explode runtime")
+                   help="acknowledge that overriding the size bound, or the listing "
+                        "bound of endos and qcore, can explode runtime")
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +326,11 @@ def cmd_endos(args):
         # a negative slice bound would silently drop maps from the end
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     g = load_graph_arg(args.graph)
-    rows = endomorphism_rows(g, _bound(args))
+    try:
+        rows = endomorphism_rows(g, _bound(args), _max_maps(args))
+    except ListingBoundExceeded as exc:
+        raise ValueError(f"{exc} (the bound of a full listing); pass --i-know to list "
+                         f"them all") from None
     ident = np.arange(g.n, dtype=rows.dtype)
     maps = np.concatenate([ident[None], rows[(rows != ident).any(axis=1)]])
     if args.limit is not None:
@@ -341,7 +352,7 @@ def cmd_homs(args):
             raise ValueError(f"vertex {u} is pinned to both {pins[u]} and {a}")
     try:
         rows = enumerate_homomorphisms(h, g, pins=pins, limit=args.limit or None,
-                                       max_maps=None if args.i_know else HOMS_MAX_MAPS)
+                                       max_maps=_max_maps(args))
     except ListingBoundExceeded as exc:
         raise ValueError(f"{exc} (the bound of a full listing); pass --limit N for the "
                          f"first N maps, or --i-know to list them all") from None
@@ -392,7 +403,7 @@ def cmd_qcore(args):
     if args.lmax is None:
         args.lmax = 2 * g.n + 2
     rep = classical_only_report(g, args.assume_no_quantum_symmetry, lmax=args.lmax,
-                                max_vertices=_bound(args))
+                                max_vertices=_bound(args), max_maps=_max_maps(args))
     cert = rep.certificate
     if cert is not None:
         try:

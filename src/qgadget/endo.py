@@ -478,16 +478,18 @@ def _checked_blocks(h: Graph, g: Graph, pins: dict[int, int]) -> Iterator[np.nda
         yield block
 
 
-def endomorphism_rows(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES) -> np.ndarray:
+def endomorphism_rows(g: Graph, max_vertices: int = DEFAULT_MAX_VERTICES,
+                      max_maps: Optional[int] = None) -> np.ndarray:
     """Every endomorphism of g as one row of a ``(count, g.n)`` integer array,
     rows in lexicographic order (the identity among them).
 
     Refuses graphs above the size bound because the downstream verdicts
-    depend on this enumeration being exhaustive.  Every row is re-checked by
-    :func:`_check_maps`.
+    depend on this enumeration being exhaustive, and raises
+    :class:`ListingBoundExceeded` once more than `max_maps` maps have
+    arrived.  Every row is re-checked by :func:`_check_maps`.
     """
     _check_bound(g, max_vertices)
-    return np.concatenate(list(_checked_blocks(g, g, {})))
+    return enumerate_homomorphisms(g, g, max_maps=max_maps)
 
 
 def _all_bijective(rows: np.ndarray) -> bool:

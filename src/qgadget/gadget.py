@@ -32,9 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import (Graph, adjacency_equal, categorical_product, complement, complete_graph,
-                     cycle_graph, graph_from_edges)
-from .walks import walk_table
+from .graphs import (Graph, _check_order, adjacency_equal, categorical_product, complement,
+                     complete_graph, cycle_graph, graph_from_edges)
+from .walks import NO_WALK, walk_table
 from .endo import _check_maps, _first_homomorphisms
 from .qrep import (VerificationFailure, commutator_norms, lift_box_rep,
                    path_to_cycle_rep, verify_rep)
@@ -148,10 +148,11 @@ def walk_obstruction(c: GadgetCandidate, lmax: Optional[int] = None) -> Optional
         lmax = default_obstruction_lmax(c)
     tg = walk_table(c.gadget, lmax)
     ta = walk_table(c.target, lmax)
-    # above both tables' settled lengths, walk existence repeats with period 2
-    for ell in range(min(lmax, max(tg.settled, ta.settled) + 2) + 1):
-        if not tg.has_walk(ell, c.x, c.y):
-            continue
+    # x != y, so walks x -> y of a parity exist from the shortest one on, at
+    # every length of that parity, and the target's reach(l) for l >= 1 only
+    # grows from l to l + 2: a parity's first obstruction, if any, is at its
+    # shortest walk
+    for ell in sorted(d for d in tg.dist[:, c.x, c.y].tolist() if d <= min(lmax, NO_WALK - 1)):
         missing = ~ta.reach(ell)
         if missing.any():
             a, b = np.unravel_index(np.argmax(missing), missing.shape)
@@ -383,6 +384,8 @@ def disprove_box_path_gadget(n: int, k: int) -> DisproofReport:
                          "for the 3-cycle and no disproof exists")
     if k < 0:
         raise ValueError("path length k must be >= 0")
+    # the box graph is never built, but is held to the size of one that could be
+    _check_order((2 * n + 1) * (k + 1))
     classes = enumerate_candidate_classes(n, k)
     refutations = refute_candidate_pairs(n, k, list(classes))
     results = tuple(CandidateClass(pair, count, refutation)

@@ -236,6 +236,10 @@ def kneser_graph(n: int, k: int) -> Graph:
     """
     if not (n >= k >= 1):
         raise ValueError("Kneser graph needs n >= k >= 1")
+    # C(n, k) >= n for k < n: refused before the binomial, which can run to
+    # more digits than a message may print
+    if k < n and n > MAX_VERTICES:
+        raise ValueError(f"vertex count C({n},{k}) outside supported range 0..{MAX_VERTICES}")
     nv = math.comb(n, k)
     _check_order(nv)
     subsets = np.array(list(combinations(range(n), k)), dtype=np.intp).reshape(nv, k)

@@ -43,6 +43,7 @@ disproof.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Optional
@@ -51,7 +52,8 @@ import numpy as np
 
 from .graphs import Graph
 from .walks import NO_WALK, walk_table
-from .endo import DEFAULT_MAX_VERTICES, _all_bijective, _schmidt_certificates, endomorphism_rows
+from .endo import (DEFAULT_MAX_VERTICES, ListingBoundExceeded, _all_bijective,
+                   _schmidt_certificates, endomorphism_rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,19 +248,25 @@ class ClassicalOnlyReport:
 
 def classical_only_report(g: Graph, assume_no_quantum_symmetry: bool,
                           lmax: Optional[int] = None,
-                          max_vertices: int = DEFAULT_MAX_VERTICES) -> ClassicalOnlyReport:
+                          max_vertices: int = DEFAULT_MAX_VERTICES,
+                          max_maps: Optional[int] = None) -> ClassicalOnlyReport:
     """Chain the three links needed to conclude "only classical endomorphisms":
     a quantum-core certificate, classical coreness, and the externally sourced
     no-quantum-symmetry input.  The conclusion is emitted only when all three
     hold, with the external assumption flagged as an input, never validated.
+    Classical coreness is left unestablished on a graph of more than
+    `max_vertices` vertices or more than `max_maps` endomorphisms.
     """
     if lmax is None:
         lmax = 2 * g.n + 2
     cert = quantum_core_certificate(g, lmax)
     core: Optional[bool] = None
     schmidt: Optional[bool] = None
+    rows = None
     if g.n <= max_vertices:
-        rows = endomorphism_rows(g, max_vertices)
+        with contextlib.suppress(ListingBoundExceeded):
+            rows = endomorphism_rows(g, max_vertices, max_maps)
+    if rows is not None:
         core = _all_bijective(rows)
         schmidt = next(_schmidt_certificates(g, [rows], (False,)), None) is not None
     if cert is not None and core and assume_no_quantum_symmetry:

@@ -11,11 +11,11 @@ They are filled by iterating reach matrices, held as bit-packed uint64 rows,
 until the reach sequence repeats with period 2.  One step ORs together the
 rows of each vertex's neighbours (a ``reduceat`` over CSR neighbour lists),
 which costs O(m * n/64) words where a dense matrix product costs n^3, and
-like a bool product it cannot overflow.  Girth and odd girth come from a
-separate layered BFS over neighbour bitmasks, whose odd girth is checked
-again by a parent-tracking BFS on the bipartite double cover from one root,
-so that table-vs-path identities can be cross-checked for real; a failed
-cross-check raises :class:`VerificationFailure`.
+like a bool product it cannot overflow.  The odd girth is read off the
+table's diagonal of odd distances and checked by a parent-tracking BFS on
+the bipartite double cover, which must find a simple odd cycle of that
+length; a failed check raises :class:`VerificationFailure`.  The girth
+comes from a separate layered BFS over neighbour bitmasks.
 """
 
 from __future__ import annotations
@@ -42,17 +42,15 @@ class WalkTable:
     """Walk existence for every length 0 <= l <= lmax.
 
     dist[p, u, v] is the length of the shortest walk u -> v of parity p, or
-    NO_WALK; has_neighbour[u] is False exactly for isolated vertices.  Above
-    ``settled``, the largest finite entry of dist, walk existence depends
-    only on the parity of the length.  ``steps`` counts the walk-length
-    steps that filled dist, each one OR of packed neighbour rows.
+    NO_WALK; has_neighbour[u] is False exactly for isolated vertices.
+    ``steps`` counts the walk-length steps that filled dist, each one OR of
+    packed neighbour rows.
     """
 
     graph: Graph
     lmax: int
     dist: np.ndarray
     has_neighbour: np.ndarray
-    settled: int
     steps: int
 
     def _check_length(self, length: int) -> None:
@@ -93,7 +91,6 @@ def walk_table(g: Graph, lmax: Union[int, str] = AUTO) -> WalkTable:
     n = g.n
     dist = np.full((2, n, n), NO_WALK, dtype=np.int32)
     np.fill_diagonal(dist[0], 0)
-    settled = 0
     steps = 0
     has_neighbour = g.adj.any(axis=1)
     # reach_l[u, v] == there is a walk of length l from u to v.  Its rows are
@@ -137,11 +134,10 @@ def walk_table(g: Graph, lmax: Union[int, str] = AUTO) -> WalkTable:
             bits = np.unpackbits(new[:n].astype("<u8", copy=False).view(np.uint8), axis=1,
                                  count=n, bitorder="little")
             dist[ell % 2][bits.view(bool)] = ell
-            settled = ell
         before, last = last, cur
     dist.setflags(write=False)
     has_neighbour.setflags(write=False)
-    return WalkTable(g, lmax, dist, has_neighbour, settled, steps)
+    return WalkTable(g, lmax, dist, has_neighbour, steps)
 
 
 def distance(t: WalkTable, u: int, v: int) -> Length:
@@ -168,32 +164,23 @@ class GirthReport:
     diameter: Length
 
 
-def _layered_girths(g: Graph) -> tuple[Length, Length, int]:
-    """Girth, odd girth, and a root of a shortest odd cycle (-1 if none).
-
-    One layered BFS per root over ``Graph.nbr_masks`` (Itai and Rodeh's
-    minimum-circuit search).  An edge inside layer k closes an odd walk of
-    length 2k+1 through the root, and a layer-(k+1) vertex with two
-    neighbours in layer k closes a walk of length 2k+2; either contains a
-    cycle no longer than that, so every hit bounds the girth, and an odd hit
-    the odd girth.  Shortest cycles and shortest odd cycles are isometric,
-    so a root on one of them hits its exact length.  A root stops once 2k+1
-    is at least both bests, since no later layer can improve either.
-    """
+def _layered_girth(g: Graph) -> Length:
+    """Girth by one layered BFS per root over ``Graph.nbr_masks`` (Itai and
+    Rodeh's minimum-circuit search).  An edge inside layer k closes a walk
+    of length 2k+1 through the root, and a layer-(k+1) vertex with two
+    neighbours in layer k one of length 2k+2; either contains a cycle no
+    longer, and a root on a shortest cycle (which is isometric) hits its
+    exact length.  A root stops once 2k+1 reaches the best girth so far."""
     masks = g.nbr_masks
     girth: Length = math.inf
-    odd: Length = math.inf
-    odd_root = -1
     for root in range(g.n):
         seen = frontier = 1 << root
         k = 0
-        # odd >= girth, so this asks for 2k+1 below both bests
-        while frontier and 2 * k + 1 < odd:
+        while frontier and 2 * k + 1 < girth:
             layer = _bits(frontier)
             if any(masks[v] & frontier for v in layer):
                 # an edge inside layer k; no later layer of this root does better
-                girth = min(girth, 2 * k + 1)
-                odd, odd_root = 2 * k + 1, root
+                girth = 2 * k + 1
                 break
             # once: layer k+1; twice: its vertices with two neighbours in layer k
             once = twice = 0
@@ -202,11 +189,11 @@ def _layered_girths(g: Graph) -> tuple[Length, Length, int]:
                 twice |= once & nbrs
                 once |= nbrs
             if twice:
-                girth = min(girth, 2 * k + 2)
+                girth = 2 * k + 2
             seen |= once
             frontier = once
             k += 1
-    return girth, odd, odd_root
+    return girth
 
 
 def _shortest_odd_closed_walk(g: Graph, s: int) -> Optional[list[int]]:
@@ -244,27 +231,29 @@ def _shortest_odd_closed_walk(g: Graph, s: int) -> Optional[list[int]]:
 def girths(g: Graph) -> GirthReport:
     """Girth, odd girth, odd walk girth, and diameter.
 
-    Girth and odd girth come from the layered bitmask BFS.  The odd girth is
-    cross-checked by a second path: a parent-tracking BFS on the bipartite
-    double cover from the root of the best odd hit, whose shortest odd
-    closed walk must be a simple cycle of the odd girth's length with every
-    step an edge.  Through a vertex of a shortest odd cycle that walk is
-    exactly that long, and a walk of that length that repeated a vertex
-    would split into a shorter odd closed walk.
-    odd_walk_girth comes from the diagonal of the walk table's odd parity
-    distances, so its equality with odd_girth is a genuine cross-check
-    rather than a tautology.  The diameter is the largest shortest-walk
-    length of the same table.
+    The girth comes from the layered bitmask BFS, the rest from the walk
+    table.  The odd girth is its least odd distance from a vertex to itself:
+    a shortest odd closed walk contains an odd cycle no longer than itself,
+    so both odd fields carry it.  A parent-tracking BFS on the bipartite
+    double cover from a vertex where that distance is least checks it: its
+    shortest odd closed walk must be a simple cycle of that length (a
+    repeated vertex would split it into a shorter odd closed walk) with
+    every step an edge.  The diameter is the largest shortest-walk length.
     """
-    girth, odd_girth, root = _layered_girths(g)
-    if root >= 0:
+    girth = _layered_girth(g)
+    t = walk_table(g)
+    closed = t.dist[1].diagonal()
+    odd_girth: Length = math.inf
+    if closed.min(initial=NO_WALK) != NO_WALK:
+        root = int(closed.argmin())
+        odd_girth = int(closed[root])
         cyc = _shortest_odd_closed_walk(g, root)
         if cyc is None:
             raise VerificationFailure(f"no odd closed walk through root {root}")
         clen = len(cyc) - 1
         if clen != odd_girth:
             raise VerificationFailure(f"odd cycle of length {clen} from root {root}, "
-                                      f"layered search found {odd_girth}")
+                                      f"walk table found {odd_girth}")
         if cyc[0] != cyc[-1] or len(set(cyc)) != clen:
             raise VerificationFailure(f"odd closed walk {cyc} from root {root} is not a "
                                       f"simple cycle")
@@ -273,15 +262,11 @@ def girths(g: Graph) -> GirthReport:
                 raise VerificationFailure(f"odd cycle {cyc} from root {root} uses the "
                                           f"non-edge ({a},{b})")
 
-    t = walk_table(g)
-    shortest_odd_closed = int(t.dist[1].diagonal().min(initial=NO_WALK))
-    odd_walk_girth: Length = math.inf if shortest_odd_closed == NO_WALK else shortest_odd_closed
-
     shortest = t.dist.min(axis=0)
     diameter: Length = math.inf
     if g.n and not (shortest == NO_WALK).any():
         diameter = int(shortest.max())
-    return GirthReport(girth, odd_girth, odd_walk_girth, diameter)
+    return GirthReport(girth, odd_girth, odd_girth, diameter)
 
 
 def is_bipartite(g: Graph) -> tuple[bool, Optional[list[int]]]:

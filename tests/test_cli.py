@@ -143,7 +143,7 @@ def test_homs_full_listing_is_bounded(monkeypatch, capsys):
 
 @pytest.mark.parametrize("spec", ["K:100000000", "P:100000000", "C:30000000", "O:40",
                                   "box(K:4096,K:4096)", "tensor(K:2000,K:2000)", "KG:100,50",
-                                  "@header"])
+                                  "@header", "O:100000", "KG:100000,50000"])
 def test_oversized_graphs_exit_1_before_allocating(tmp_path, capsys, spec):
     # each of these used to allocate (or list) far more than it could hold
     # before the graph checked its vertex count
@@ -160,6 +160,49 @@ def test_oversized_graphs_exit_1_before_allocating(tmp_path, capsys, spec):
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 31, 1 << 31))
+
+
+def test_endos_and_qcore_listings_are_bounded(monkeypatch, capsys):
+    # K:6 has 720 endomorphisms; with the bound at 5, endos refuses the
+    # listing and qcore leaves classical coreness unestablished, unless
+    # --i-know lifts the bound
+    monkeypatch.setattr(qgadget.cli, "HOMS_MAX_MAPS", 5)
+    code, out, err = run_cli(capsys, "endos", "K:6", "--json")
+    assert code == 1 and out == ""
+    assert err == ("error: more than 5 homomorphisms (the bound of a full listing); "
+                   "pass --i-know to list them all\n")
+    report = run_json(capsys, "endos", "K:6", "--i-know")
+    assert report["result"]["count"] == 720 and report["result"]["is_core"] is True
+    classical = run_json(capsys, "qcore", "K:6")["result"]["classical_only"]
+    assert classical["classical_core"] is None and classical["schmidt_pair_found"] is None
+    assert classical["conclusion"] == ("quantum core certified; classical coreness not "
+                                       "established at this size")
+    classical = run_json(capsys, "qcore", "K:6", "--i-know")["result"]["classical_only"]
+    assert classical["classical_core"] is True and classical["schmidt_pair_found"] is True
+
+
+def test_endos_listing_bound_exits_1_in_a_fresh_process(tmp_path):
+    # 12 isolated vertices have 12^12 endomorphisms; unbounded, the listing
+    # ran out of memory with a traceback
+    path = tmp_path / "edgeless12.txt"
+    path.write_text("12 0\n")
+    proc = run_fresh("endos", f"@{path}", "--json", timeout=20,
+                     preexec_fn=_limit_address_space)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: more than 1048576 homomorphisms")
+    assert "Traceback" not in proc.stderr
+
+
+def test_disprove_prism_past_the_vertex_bound_exits_1_in_a_fresh_process():
+    # the box has 20,000,300,001 vertices; its pair classes used to be
+    # allocated first and failed with a traceback
+    t0 = time.monotonic()
+    proc = run_fresh("disprove-prism", "100000", "100000", "--json", timeout=20,
+                     preexec_fn=_limit_address_space)
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == ("error: vertex count 20000300001 outside supported range "
+                           "0..4096\n")
 
 
 def test_oversized_property_i_table_exits_1_in_a_fresh_process():

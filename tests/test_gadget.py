@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qgadget.gadget
+import qgadget.walks
 from qgadget import (GadgetCandidate, Graph, VerificationFailure, VerificationReport,
                      adjacency_equal, box_product, build_family, check_property_i_classical,
                      commutator_norm, complement_cycle_gadget, cycle_graph,
@@ -330,6 +331,33 @@ def test_disproof_builds_no_box_graph_for_its_label(monkeypatch, n, k):
 def test_disprove_rejects_n1():
     with pytest.raises(ValueError, match="prism"):
         disprove_box_path_gadget(1, 2)
+
+
+def test_disprove_holds_the_box_to_the_vertex_bound():
+    # the box graph is no longer built, and building it was the size check:
+    # (2048, 0) has 4,097 vertices and used to run
+    with pytest.raises(ValueError, match="vertex count 4097 outside supported range 0..4096"):
+        disprove_box_path_gadget(2048, 0)
+    assert disprove_box_path_gadget(2047, 0).all_refuted
+
+
+def test_walk_obstruction_reads_at_most_two_lengths(monkeypatch):
+    # one shortest x -> y walk per parity; the first length of each that
+    # misses a target pair is the first obstruction
+    lengths = []
+    reach = qgadget.walks.WalkTable.reach
+
+    def counted_reach(self, length):
+        lengths.append(length)
+        return reach(self, length)
+
+    monkeypatch.setattr(qgadget.walks.WalkTable, "reach", counted_reach)
+    for spec, x, y, target in [("C:5", 0, 1, "C:5"), ("box(C:5,P:4)", 0, 24, "C:5"),
+                               ("C:9", 0, 4, "C:5"), ("P:6", 0, 6, "K:2"),
+                               ("cmpl(C:8)", 0, 1, "K:4")]:
+        lengths.clear()
+        walk_obstruction(GadgetCandidate(build_family(spec), x, y, build_family(target)))
+        assert len(lengths) <= 2 and lengths == sorted(set(lengths)), spec
 
 
 # the rep-pipeline benchmark's prism shapes, and two beyond them

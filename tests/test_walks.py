@@ -1,5 +1,6 @@
 """Walk tables, distances, girths, bipartiteness, oracularisability."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -218,6 +219,18 @@ _SHORTEST_ODD_CLOSED_WALK = qgadget.walks._shortest_odd_closed_walk
 def test_girths_refuses_a_broken_odd_cycle(monkeypatch, walk, message):
     monkeypatch.setattr(qgadget.walks, "_shortest_odd_closed_walk", walk)
     with pytest.raises(VerificationFailure, match=message):
+        girths(build_family("C:5"))
+
+
+def test_girths_checks_the_walk_tables_odd_girth(monkeypatch):
+    # C:5's odd distances from each vertex to itself are 5; a table that
+    # says 7 used to be reported as odd_walk_girth 7, unchecked
+    table = walk_table(build_family("C:5"))
+    dist = table.dist.copy()
+    dist[1][np.diag_indices(5)] += 2
+    monkeypatch.setattr(qgadget.walks, "walk_table",
+                        lambda g: dataclasses.replace(table, dist=dist))
+    with pytest.raises(VerificationFailure, match="odd cycle of length 5 from root 0"):
         girths(build_family("C:5"))
 
 
