@@ -171,7 +171,7 @@ def enumerate_homomorphisms(h: Graph, g: Graph,
     if limit is not None:
         full = (1 << g.n) - 1
         domains = [1 << pins[u] if u in pins else full for u in range(h.n)]
-        hits = list(islice(_first_homomorphisms(h, g, domains), limit))
+        hits = list(islice(_first_homomorphisms(h.neighbour_lists(), g, domains), limit))
         rows = np.array(hits, dtype=_row_dtype(g)).reshape(len(hits), h.n)
         _check_maps(h, g, rows, "enumerated map", pins)
         return rows
@@ -214,9 +214,12 @@ def _check_maps(h: Graph, g: Graph, rows: np.ndarray, what: str,
                                   f"edge ({iu[e]},{iv[e]})")
 
 
-def _first_homomorphisms(h: Graph, g: Graph, domains: list[int]) -> Iterator[tuple[int, ...]]:
+def _first_homomorphisms(nbrs: list[list[int]], g: Graph,
+                         domains: list[int]) -> Iterator[tuple[int, ...]]:
     """The homomorphisms h -> g that send each vertex u of h into the bitmask
-    ``domains[u]`` of target vertices, one at a time in lexicographic order.
+    ``domains[u]`` of target vertices, one at a time in lexicographic order;
+    h is given by its ``Graph.neighbour_lists()``, which a caller running
+    many searches on one h decodes once.
 
     A pin is a one-bit domain.  Arc consistency (D[z] &= N(D[w]) for every
     edge wz, where N(D) is the union of the target neighbourhoods of D) is
@@ -231,13 +234,12 @@ def _first_homomorphisms(h: Graph, g: Graph, domains: list[int]) -> Iterator[tup
     and those of the vertices already placed.  The search is iterative, so a
     long instance graph cannot exhaust the interpreter's recursion limit.
     """
-    n = h.n
+    n = len(nbrs)
     if n == 0:
         yield ()
         return
     masks = g.nbr_masks
     full = (1 << g.n) - 1
-    nbrs = [_bits(m) for m in h.nbr_masks]
     reach: dict[int, int] = {}
 
     def propagate(dom: list[int], queue: list[int]) -> bool:
@@ -584,6 +586,7 @@ def _schmidt_certificates(g: Graph, blocks: Iterable[np.ndarray],
     """
     n = g.n
     ident = tuple(range(n))
+    nbrs = g.neighbour_lists()
     left = list(modes)
     dead: set[tuple[int, ...]] = set()
     for block in blocks:
@@ -602,7 +605,7 @@ def _schmidt_certificates(g: Graph, blocks: Iterable[np.ndarray],
                 dom = _partner_domains(g, fm, sf, oracular)
                 if dom in dead:
                     continue
-                hm = next((m for m in _first_homomorphisms(g, g, dom) if m != ident), None)
+                hm = next((m for m in _first_homomorphisms(nbrs, g, dom) if m != ident), None)
                 if hm is None:
                     dead.add(dom)
                     continue

@@ -95,12 +95,13 @@ def check_property_i_classical(c: GadgetCandidate) -> PropertyITable:
     """
     _check_table_size(c.gadget, c.target.n)
     full = (1 << c.target.n) - 1
+    nbrs = c.gadget.neighbour_lists()
     witnesses: dict[tuple[int, int], Optional[tuple[int, ...]]] = {}
     for a in range(c.target.n):
         for b in range(c.target.n):
             domains = [full] * c.gadget.n
             domains[c.x], domains[c.y] = 1 << a, 1 << b
-            witnesses[(a, b)] = next(_first_homomorphisms(c.gadget, c.target, domains), None)
+            witnesses[(a, b)] = next(_first_homomorphisms(nbrs, c.target, domains), None)
     return _checked_table(c, witnesses, "property (i) witness")
 
 

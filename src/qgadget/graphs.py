@@ -78,6 +78,14 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return np.flatnonzero(self.adj[u])
 
+    def neighbour_lists(self) -> list[list[int]]:
+        """Each vertex's neighbours in ascending order, built on each call:
+        a graph does not keep them."""
+        rows, cols = np.nonzero(self.adj)
+        ends = np.searchsorted(rows, np.arange(1, self.n + 1)).tolist()
+        cols = cols.tolist()
+        return [cols[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edge list, each edge once as (u, v) with u < v."""
         return list(zip(*(a.tolist() for a in self._edge_ends)))
@@ -236,9 +244,12 @@ def kneser_graph(n: int, k: int) -> Graph:
     """
     if not (n >= k >= 1):
         raise ValueError("Kneser graph needs n >= k >= 1")
+    if k == n:
+        # the one n-subset, which meets itself: K:1, built without listing it
+        return Graph(1, np.zeros((1, 1), dtype=bool), f"KG:{n},{k}")
     # C(n, k) >= n for k < n: refused before the binomial, which can run to
     # more digits than a message may print
-    if k < n and n > MAX_VERTICES:
+    if n > MAX_VERTICES:
         raise ValueError(f"vertex count C({n},{k}) outside supported range 0..{MAX_VERTICES}")
     nv = math.comb(n, k)
     _check_order(nv)

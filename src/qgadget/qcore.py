@@ -26,26 +26,49 @@ the minimal valid length of every pair is read off the walk table's parity
 distances in O(n^2), whatever the search bound.
 
 The module stays entirely combinatorial: it never touches algebra elements.
-Verification does not trust the table that found the lengths, nor its
-packed-row kernel: it re-checks every recorded length with powers of the
-adjacency matrix, held as bool matrices, one power per length from 0 up to
-the largest recorded one.  Parity distances are shorter than 2n, so for
-l >= 2n - 1 a walk of length l exists exactly where one of length l + 2
-does, and a recorded length l >= 2n is checked as 2n + l mod 2: at most 2n
-products, whatever the lengths.  Each product is a float32 BLAS product of
-the 0/1 operands thresholded at ``> 0``.  Its entries count walks through a
-middle vertex, integers of at most n <= graphs.MAX_VERTICES = 4096 < 2^24,
-so float32 holds every partial sum exactly, whatever the summation order or
-thread split; the trusted computing base is that thresholded product.  A
-missing length within the search bound makes the result inconclusive, not a
-disproof.
+Verification trusts neither the walk table that found the lengths nor its
+packed-row kernel.  It reads every recorded length off parity distances it
+has made sure of itself, by one of two exact routes:
+
+  * Bellman check -- the finder's distances, which the certificate keeps
+    but never writes, must satisfy dist[0, a, a] = 0, and for every other
+    entry dist[p, a, v] = 1 + the least dist[1 - p, a, u] over the
+    neighbours u of v, or NO_WALK where that least entry is NO_WALK.  With
+    unit edge weights these equations have one solution, the shortest walks
+    on the bipartite double cover.  An entry below its true distance needs
+    a neighbouring entry one smaller that is also below its own, and so on
+    down to dist[0, a, a], which is exact; an entry above it is undercut
+    through the last step of a shortest walk.  The check gathers
+    n^2 (degree + 4) entries, in row blocks.
+  * Powers -- A^0, A^1, ... up to the largest step, one product per length
+    past 1.  Each product is a float32 BLAS product of the 0/1 operands
+    thresholded at ``> 0``.  Its entries count walks through a middle
+    vertex, integers of at most n <= graphs.MAX_VERTICES = 4096 < 2^24, so
+    float32 holds every partial sum exactly, whatever the summation order
+    or thread split.
+
+Each recorded length is then held against its pair's distance and its
+parity's threshold, in row blocks.  Parity distances are shorter than 2n,
+so a length l >= 2n is checked as 2n + l mod 2, and the powers route makes
+at most 2n products.
+
+The route is chosen before any work from n, the largest degree and the
+largest step, top (:func:`_bellman_cheaper`): the Bellman check's entries
+at 1.3 ns plus a 50 us floor, against top + 1 steps at 10 us and top - 1
+products of n^3 units at 0.02 ns.  These costs were fitted on a 2-vCPU VM
+(numpy 2.4 with its OpenBLAS), where the two routes took, warm and best of
+3 (Bellman against powers): C:51 0.07 against 0.5 ms, C:401 1.7 against
+560 ms, C:801 5.3 ms against 4.3 s, O:5 0.22 against 0.73 ms (90 ms when
+the BLAS threads stall), KG:11,4 5.3 against 1.6 ms, and KG:14,5 0.98
+against 0.14 s.  The verdict is the same on either route.  A missing length
+within the search bound makes the result inconclusive, not a disproof.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -59,11 +82,14 @@ from .endo import (DEFAULT_MAX_VERTICES, ListingBoundExceeded, _all_bijective,
 @dataclass(frozen=True, eq=False)
 class QuantumCoreCertificate:
     """Walk lengths in the layout the module docstring describes, stored as
-    read-only copies."""
+    read-only copies, and the parity distances of the walk table that found
+    them, for the verifier's Bellman check; ``to_json`` leaves them out, and
+    a certificate built from bare lengths has none."""
 
     graph: Graph
     column_lengths: np.ndarray
     cross_lengths: np.ndarray
+    dist: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("column_lengths", "cross_lengths"):
@@ -171,7 +197,7 @@ def quantum_core_certificate(g: Graph, lmax: int) -> Optional[QuantumCoreCertifi
     bound = min(lmax, NO_WALK - 1)
     if (column > bound).any() or (cross > bound).any():
         return None
-    return QuantumCoreCertificate(g, column, cross)
+    return QuantumCoreCertificate(g, column, cross, dist)
 
 
 def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -180,49 +206,147 @@ def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.matmul(x, y, dtype=np.float32) > 0
 
 
-def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
-    """Re-verify every recorded length with powers of the adjacency matrix,
-    independent of the walk table; raises ValueError when an array does not
-    hold one length per pair of g, else on the first failing pair in
-    row-major order, a pair's column check before its cross check.
+# rows are checked in blocks of about this many entries
+_BLOCK_ENTRIES = 1 << 18
 
-    Each product is ``np.matmul(x, y, dtype=np.float32) > 0`` on bool
-    operands: its entries are integers of at most n < 2^24, exact in
-    float32, so the threshold gives the boolean product."""
-    a, b = np.triu_indices(g.n, 1)
-    cross = np.flatnonzero(~g.adj[a, b])
-    for kind, recorded, pairs in (("column", cert.column_lengths, len(a)),
-                                  ("cross", cert.cross_lengths, len(cross))):
+# per-unit costs of the two routes in nanoseconds, fitted to the anchors in
+# the module docstring
+_BELLMAN_FLOOR_NS = 50_000
+_BELLMAN_NS_PER_ENTRY = 1.3
+_POWER_STEP_NS = 10_000
+_PRODUCT_NS_PER_UNIT = 0.02
+
+
+def _bellman_cheaper(n: int, degree: int, top: int) -> bool:
+    """Whether the Bellman check costs less than the adjacency powers up to
+    length top on n vertices of largest degree `degree`: n^2 (degree + 4)
+    entries against top + 1 steps and top - 1 products of n^3 each, each
+    count weighted by its cost per unit and the check by its floor."""
+    bellman = _BELLMAN_FLOOR_NS + _BELLMAN_NS_PER_ENTRY * n * n * (degree + 4)
+    powers = (top + 1) * _POWER_STEP_NS + max(top - 1, 0) * _PRODUCT_NS_PER_UNIT * n ** 3
+    return bellman < powers
+
+
+def _check_parity_distances(g: Graph, dist: np.ndarray) -> None:
+    """Raise ValueError unless dist holds g's parity distances, by the
+    Bellman equations of the module docstring; no walk table is trusted.
+    Rows are taken in blocks of about _BLOCK_ENTRIES entries."""
+    n = g.n
+    if dist.shape != (2, n, n) or dist.dtype != np.int32:
+        raise ValueError(f"parity distances of shape {dist.shape} and type {dist.dtype}, "
+                         f"not (2, {n}, {n}) int32")
+    counts = np.count_nonzero(g.adj, axis=1)
+    isolated = counts == 0
+    # row v lists v's neighbours, then repeats its first one up to the
+    # largest degree, which leaves a minimum unchanged; an isolated vertex
+    # lists vertex 0, and its entries are set to NO_WALK
+    width = max(int(counts.max(initial=0)), 1)
+    table = np.repeat(np.argmax(g.adj, axis=1)[:, None], width, axis=1)
+    rows, cols = np.nonzero(g.adj)
+    table[rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]] = cols
+    per_block = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        for p in (0, 1):
+            # 1 + the least entry of the other parity over each column's neighbours
+            other = dist[1 - p, lo:hi]
+            want = other[:, table[:, 0]]
+            for column in table.T[1:]:
+                np.minimum(want, other[:, column], out=want)
+            np.minimum(want, NO_WALK - 1, out=want)
+            want += 1
+            want[:, isolated] = NO_WALK
+            if p == 0:
+                want[np.arange(hi - lo), np.arange(lo, hi)] = 0
+            wrong = want != dist[p, lo:hi]
+            if wrong.any():
+                a, v = np.argwhere(wrong)[0].tolist()
+                raise ValueError(f"parity distance [{p}, {lo + a}, {v}] is "
+                                 f"{dist[p, lo + a, v]}, the Bellman equations give {want[a, v]}")
+
+
+def _power_distances(g: Graph, top: int) -> np.ndarray:
+    """The parity distances up to length top from powers of the adjacency
+    matrix, one product per length past 1; NO_WALK where none is at most
+    top."""
+    dist = np.full((2, g.n, g.n), NO_WALK, dtype=np.int32)
+    power = np.eye(g.n, dtype=bool)
+    for ell in range(top + 1):
+        if ell:
+            power = g.adj if ell == 1 else _product(power, g.adj)
+        dist[ell % 2][power & (dist[ell % 2] == NO_WALK)] = ell
+    return dist
+
+
+def _check_lengths(g: Graph, dist: np.ndarray, cert: QuantumCoreCertificate) -> None:
+    """Raise ValueError on the first failing pair in row-major order, a
+    pair's column check before its cross check, read off parity distances
+    that are exact up to every recorded length's step (see the module
+    docstring).  Rows are taken in blocks of about _BLOCK_ENTRIES pairs, so
+    no temporary holds a value per pair of g."""
+    n = g.n
+    live = g.adj.any(axis=1)
+    # a closed walk of length l >= 1 exists iff l >= closed_from[l % 2], and
+    # an adjacent pair is joined at length l iff l >= joined_from[l % 2]
+    closed_from = [int(np.min(d.diagonal(), where=live, initial=NO_WALK)) for d in dist]
+    joined_from = [int(np.min(d, where=g.adj, initial=NO_WALK)) for d in dist]
+    done = {"column": 0, "cross": 0}
+    per_block = max(1, _BLOCK_ENTRIES // max(n, 1))
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        upper = np.arange(n) > np.arange(lo, hi)[:, None]
+        first = None
+        for kind, pairs, recorded, forbidden_from in (
+                ("column", upper, cert.column_lengths, closed_from),
+                ("cross", upper & ~g.adj[lo:hi], cert.cross_lengths, joined_from)):
+            lengths = recorded[done[kind]:done[kind] + np.count_nonzero(pairs)].astype(np.int64)
+            done[kind] += len(lengths)
+            odd = lengths & 1
+            # past 2n - 1 only a length's parity counts: distances are below 2n
+            steps = np.minimum(lengths, 2 * n + odd)
+            walk = np.where(odd, dist[1, lo:hi][pairs], dist[0, lo:hi][pairs]) <= steps
+            passed = walk & (steps < np.where(odd, forbidden_from[1], forbidden_from[0]))
+            if not passed.all():
+                i = int(np.argmin(passed))
+                a, b = divmod(int(np.flatnonzero(pairs)[i]), n)
+                found = (lo + a, b, kind == "cross", bool(walk[i]), int(lengths[i]))
+                first = found if first is None else min(first, found)
+        if first is not None:
+            a, b, cross, walk, ell = first
+            if not walk:
+                what = f"no walk of length {ell}"
+            elif cross:
+                what = f"adjacent pair joined at length {ell}"
+            else:
+                what = f"closed walk of length {ell} exists"
+            raise ValueError(f"{'cross' if cross else 'column'} pair ({a},{b}): {what}")
+
+
+def verify_quantum_core_certificate(g: Graph, cert: QuantumCoreCertificate) -> None:
+    """Re-verify every recorded length, independent of the walk table's
+    search; raises ValueError when an array does not hold one length per
+    pair of g, else on the first failing pair in row-major order, a pair's
+    column check before its cross check.
+
+    The parity distances come from one of the module docstring's two exact
+    routes, chosen by :func:`_bellman_cheaper`: the certificate's table (a
+    new one when it holds none for g) checked against the Bellman
+    equations, or the powers of the adjacency matrix up to the largest
+    step."""
+    n_pairs = g.n * (g.n - 1) // 2
+    for kind, recorded, pairs in (("column", cert.column_lengths, n_pairs),
+                                  ("cross", cert.cross_lengths, n_pairs - g.num_edges)):
         if len(recorded) != pairs:
             raise ValueError(f"certificate holds {len(recorded)} {kind} lengths "
                              f"for {pairs} {kind} pairs")
-    # pair i's column check has key 2i, its cross check 2i+1
-    keys = np.concatenate([2 * np.arange(len(a)), 2 * cross + 1])
-    lengths = np.concatenate([cert.column_lengths, cert.cross_lengths])
-    # exact, as the module docstring says: past 2n - 1 only the parity counts
-    steps = np.where(lengths < 2 * g.n, lengths, 2 * g.n + lengths % 2)
-    # per key: 0 the check passes, 1 no walk, 2 a forbidden walk exists
-    status = np.zeros(2 * len(a), dtype=np.int8)
-    status[keys[lengths < 0]] = 1
-    eu, ev = np.nonzero(g.adj)
-    power = np.eye(g.n, dtype=bool)
-    for ell in range(int(steps.max(initial=0)) + 1):
-        if ell:
-            power = g.adj if ell == 1 else _product(power, g.adj)
-        key = keys[steps == ell]
-        forbidden = np.where(key % 2, power[eu, ev].any(), power.diagonal().any())
-        status[key] = np.where(power[a[key // 2], b[key // 2]], 2 * forbidden, 1)
-    failed = np.flatnonzero(status)
-    if len(failed):
-        key = int(failed[0])
-        x, y, ell = a[key // 2], b[key // 2], int(lengths[keys == key][0])
-        if status[key] == 1:
-            what = f"no walk of length {ell}"
-        elif key % 2:
-            what = f"adjacent pair joined at length {ell}"
-        else:
-            what = f"closed walk of length {ell} exists"
-        raise ValueError(f"{'cross' if key % 2 else 'column'} pair ({x},{y}): {what}")
+    top = min(max(int(lengths.max(initial=0))
+                  for lengths in (cert.column_lengths, cert.cross_lengths)), 2 * g.n + 1)
+    if _bellman_cheaper(g.n, int(g.adj.sum(axis=1).max(initial=0)), top):
+        dist = cert.dist if cert.graph is g and cert.dist is not None else walk_table(g).dist
+        _check_parity_distances(g, dist)
+    else:
+        dist = _power_distances(g, top)
+    _check_lengths(g, dist, cert)
 
 
 @dataclass(frozen=True)

@@ -404,7 +404,7 @@ def _twin_domain_instances(draw):
 def test_twin_skipping_with_domain_masks_matches_plain_backtracking(inst):
     # a twin swap may only skip values outside every restricted domain
     h, g, domains, limit = inst
-    assert list(islice(qgadget.endo._first_homomorphisms(h, g, domains), limit)) == \
+    assert list(islice(qgadget.endo._first_homomorphisms(h.neighbour_lists(), g, domains), limit)) == \
         first_homomorphisms_backtracking(h, g, {}, limit, domains)
 
 
@@ -417,7 +417,7 @@ def test_twin_skipping_with_domain_masks_on_families():
         h, g = build_family(src), build_family(tgt)
         domains = [restricted.get(u, (1 << g.n) - 1) for u in range(h.n)]
         for limit in (1, 7, 40):
-            assert list(islice(qgadget.endo._first_homomorphisms(h, g, domains), limit)) == \
+            assert list(islice(qgadget.endo._first_homomorphisms(h.neighbour_lists(), g, domains), limit)) == \
                 first_homomorphisms_backtracking(h, g, {}, limit, domains), (src, tgt, limit)
 
 

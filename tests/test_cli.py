@@ -205,6 +205,17 @@ def test_disprove_prism_past_the_vertex_bound_exits_1_in_a_fresh_process():
                            "0..4096\n")
 
 
+def test_kneser_graph_of_all_n_elements_is_one_vertex_in_a_fresh_process():
+    # KG:n,n has the one n-subset; listing it as a tuple of 30,000,000
+    # integers ran out of 1 GiB of address space with a traceback
+    proc = run_fresh("analyze", "KG:30000000,30000000", "--json", timeout=20,
+                     preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                           (1 << 30, 1 << 30)))
+    assert proc.returncode == 0 and proc.stderr == ""
+    graph = json.loads(proc.stdout)["result"]["graph"]
+    assert graph == {"n": 1, "m": 0, "label": "KG:30000000,30000000", "edges": []}
+
+
 def test_oversized_property_i_table_exits_1_in_a_fresh_process():
     # K:2 into K:64 x K:64 asks for a table of 4096^2 pins; unrefused it
     # would hold about 10 GB, so the process gets 2 GiB of address space

@@ -11,8 +11,9 @@ import qgadget.endo
 import qgadget.qcore
 from qgadget.cli import _json_pieces, _lower, _render_text
 from qgadget import (Graph, QuantumCoreCertificate, build_family, classical_only_report, girths,
-                     graph_from_edges, quantum_core_certificate,
-                     verify_quantum_core_certificate)
+                     graph_from_edges, quantum_core_certificate, verify_quantum_core_certificate,
+                     walk_table)
+from qgadget.walks import NO_WALK
 from conftest import certificate_json, verify_loop
 
 
@@ -263,18 +264,38 @@ def _counted_products(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("spec", ["C:5", "C:9", "C:51", "C:201", "O:3", "O:4", "O:5", "O:6",
-                                  "KG:8,3", "KG:11,4", "K:258"])
+# the route each anchor graph's certificate takes: the Bellman check of the
+# finder's parity distances, or the powers of the adjacency matrix
+ROUTES = {"C:5": "powers", "C:9": "bellman", "C:51": "bellman", "C:201": "bellman",
+          "C:401": "bellman", "C:801": "bellman", "O:3": "powers", "O:4": "bellman",
+          "O:5": "bellman", "O:6": "bellman", "KG:8,3": "powers", "KG:11,4": "powers",
+          "KG:14,5": "powers", "K:258": "powers"}
+
+
+@pytest.mark.parametrize("spec", sorted(ROUTES))
+def test_each_anchor_graph_takes_its_route(spec):
+    g = build_family(spec)
+    cert = quantum_core_certificate(g, 2 * g.n + 2)
+    # the finder's lengths are below 2n, so the largest is the largest step
+    top = max(int(cert.column_lengths.max()), int(cert.cross_lengths.max(initial=0)))
+    degree = int(g.adj.sum(axis=1).max())
+    bellman = qgadget.qcore._bellman_cheaper(g.n, degree, top)
+    assert ("bellman" if bellman else "powers") == ROUTES[spec]
+
+
+@pytest.mark.parametrize("spec", ["C:5", "C:9", "C:51", "C:201", "C:401", "O:3", "O:4", "O:5",
+                                  "O:6", "KG:8,3", "KG:11,4", "K:258"])
 def test_certified_families_cost_one_product_per_length_past_one(spec, monkeypatch):
-    # the finder's lengths run through every value from 1 to the largest,
-    # and each power past adj is the one before times adj
+    # the finder's lengths run through every value from 1 to the largest;
+    # on the powers route each power past adj is the one before times adj,
+    # and the Bellman route makes no product at all
     g = build_family(spec)
     cert = quantum_core_certificate(g, 2 * g.n + 2)
     lengths = set(cert.column_lengths.tolist()) | set(cert.cross_lengths.tolist())
     assert lengths == set(range(1, max(lengths) + 1))
     calls = _counted_products(monkeypatch)
     verify_quantum_core_certificate(g, cert)
-    assert len(calls) == max(lengths) - 1
+    assert len(calls) == (max(lengths) - 1 if ROUTES[spec] == "powers" else 0)
 
 
 def test_a_huge_recorded_length_costs_at_most_2n_products(monkeypatch):
@@ -282,9 +303,99 @@ def test_a_huge_recorded_length_costs_at_most_2n_products(monkeypatch):
     g = build_family("C:9")
     cert = quantum_core_certificate(g, 20)
     cert = replace(cert, column_lengths=[2**62] + cert.column_lengths.tolist()[1:])
+    message = f"column pair (0,1): closed walk of length {2**62} exists"
     calls = _counted_products(monkeypatch)
-    assert _outcome(g, cert) == f"column pair (0,1): closed walk of length {2**62} exists"
-    assert len(calls) <= 2 * g.n
+    # the rule takes the Bellman route, with no product
+    assert _outcome(g, cert) == message
+    assert calls == []
+    # the powers route, taken by force, makes at most 2n
+    monkeypatch.setattr(qgadget.qcore, "_bellman_cheaper", lambda *args: False)
+    assert _outcome(g, cert) == message
+    assert 0 < len(calls) <= 2 * g.n
+
+
+def _routed_outcome(g, cert, bellman: bool):
+    """_outcome with the verifier's route forced."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qgadget.qcore, "_bellman_cheaper", lambda *args: bellman)
+        return _outcome(g, cert)
+
+
+@st.composite
+def _route_cases(draw):
+    """Graphs of up to 10 vertices, random or certified, with the finder's
+    certificate where there is one and drawn lengths elsewhere, and at most
+    one length redrawn, negative or huge among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        g = build_family(draw(st.sampled_from(["C:5", "C:7", "C:9", "petersen"])))
+    else:
+        n = draw(st.integers(1, 10))
+        upper = np.triu(rng.random((n, n)) < draw(st.sampled_from([0.2, 0.4, 0.7])), 1)
+        g = Graph(n, upper | upper.T)
+    cert = quantum_core_certificate(g, 2 * g.n + 2)
+    if cert is None:
+        n_pairs = g.n * (g.n - 1) // 2
+        cert = QuantumCoreCertificate(g, rng.integers(1, 2 * g.n + 2, size=n_pairs),
+                                      rng.integers(1, 2 * g.n + 2, size=n_pairs - g.num_edges))
+    name = draw(st.sampled_from(["column_lengths", "cross_lengths"]))
+    lengths = getattr(cert, name).astype(np.int64)
+    if len(lengths) and draw(st.booleans()):
+        i = draw(st.integers(0, len(lengths) - 1))
+        lengths[i] = draw(st.one_of(st.integers(-2, 2 * g.n + 3),
+                                    st.sampled_from([2**40, 2**40 + 1, 2**62])))
+    return g, replace(cert, **{name: lengths})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_route_cases())
+def test_both_routes_give_the_same_outcome(case):
+    g, cert = case
+    expected = verify_loop(g, cert)
+    assert _routed_outcome(g, cert, True) == _routed_outcome(g, cert, False) == expected
+
+
+@pytest.mark.parametrize("spec", ["C:9", "petersen", "cycle-and-isolated"])
+def test_the_bellman_check_refuses_each_single_entry_corruption(spec):
+    # C:4 and an isolated vertex gives entries with no walk, and a vertex
+    # whose only walk has length 0
+    g = (graph_from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 3)]) if spec == "cycle-and-isolated"
+         else build_family(spec))
+    dist = walk_table(g).dist
+    qgadget.qcore._check_parity_distances(g, dist)
+    for p, a, v in np.ndindex(dist.shape):
+        entry = int(dist[p, a, v])
+        if entry == NO_WALK:
+            # a walk where none exists, of either parity's length
+            wrong = [p, p + 2, int(dist[1 - p, a, v]) + 1]
+        else:
+            # off by two, gone, and the other parity's distance at this pair
+            # (a table that no longer matches its transpose)
+            wrong = [entry + 2, entry - 2, NO_WALK, int(dist[1 - p, a, v])]
+        for value in wrong:
+            if value in (entry, NO_WALK + 1):
+                continue
+            corrupt = dist.copy()
+            corrupt[p, a, v] = value
+            with pytest.raises(ValueError, match=r"^parity distance \["):
+                qgadget.qcore._check_parity_distances(g, corrupt)
+
+
+def test_the_verifier_refuses_a_certificate_with_a_corrupt_table():
+    # the Bellman route reads the finder's table off the certificate; a
+    # length read off a wrong table must not pass
+    g = build_family("C:9")
+    cert = quantum_core_certificate(g, 2 * g.n + 2)
+    corrupt = cert.dist.copy()
+    corrupt[1, 0, 2] = 1
+    # a walk 0 -> 2 of length 1 would give a walk 0 -> 1 of length 2
+    with pytest.raises(ValueError, match=r"^parity distance \[0, 0, 1\] is 8, the Bellman "
+                                         r"equations give 2$"):
+        verify_quantum_core_certificate(g, replace(cert, dist=corrupt))
+    # the table is only read for the graph it was built for
+    other = Graph(g.n, g.adj, "relabelled")
+    verify_quantum_core_certificate(other, replace(cert, graph=other, dist=None))
+    verify_quantum_core_certificate(other, replace(cert, dist=corrupt))
 
 
 REFUSED = "refused at construction"
